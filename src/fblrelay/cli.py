@@ -21,6 +21,7 @@ from .baselines import (
     outage_prob_relay,
 )
 from .fading import QuadratureNonConvergence, avg_snr, expected_error_single
+from .fbl import LN2
 from .linklayer import QoSPair, msdr, service_stats
 from .montecarlo import (
     mc_bl_throughput,
@@ -37,8 +38,6 @@ from .relay import (
     select_rate_avg_csi,
 )
 from .scenario import Scenario, build, load_scenario, with_overrides
-
-LN2 = math.log(2.0)
 
 VARIABLES = ("coding_rate", "eta", "blocklength")
 SCHEMES = ("relay_avg", "relay_perfect", "direct_matched", "direct_weighted",
@@ -200,13 +199,17 @@ _SCENARIO_FLAGS = ("d_backhaul", "d_relaying", "d_direct", "p_tx_dbm",
                    "noise_dbm", "f_c", "m", "eta", "eps_nominal",
                    "ant_gain_db", "direct_extra_loss_db", "g1", "g2", "g3")
 
-def _add_common(p):
+def _add_scenario(p):
+    """Scenario flags, then the run flags every subcommand takes."""
     p.add_argument("--scenario-file", help="flat key=value scenario file")
     for name in _SCENARIO_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--qos-d", type=float, default=None)
     p.add_argument("--qos-p-d", type=float, default=None)
     p.add_argument("--pathloss-model", default=None)
+    _add_run(p)
+
+def _add_run(p):
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mc-samples", type=float, default=1e6)
     p.add_argument("--workers", type=int, default=1)
@@ -332,8 +335,7 @@ def _cmd_compare(args):
     return 0
 
 def _cmd_validate(args):
-    scn = _scenario_from_args(args)
-    del scn  # battery draws its own parameter points
+    # the battery draws its own parameter points, so it takes no scenario
     n = int(args.mc_samples)
     rng = np.random.default_rng(args.seed)
     lines = ["point,r,m,g1,g2,g3,check,analytic,mc_mean,mc_std_err,z"]
@@ -384,7 +386,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("sweep", help="evaluate schemes over a grid")
-    _add_common(p)
+    _add_scenario(p)
     p.add_argument("--variable", required=True, choices=VARIABLES)
     p.add_argument("--grid", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "N"))
@@ -394,14 +396,14 @@ def _build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("optimize", help="maximize a metric over the weight")
-    _add_common(p)
+    _add_scenario(p)
     p.add_argument("--objective", default="both",
                    choices=("bl_throughput", "msdr", "both"))
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("compare", help="paired scheme comparison with summary")
-    _add_common(p)
+    _add_scenario(p)
     p.add_argument("--pair", required=True,
                    choices=("relay_vs_direct", "avg_vs_perfect",
                             "fbl_vs_outage"))
@@ -412,7 +414,7 @@ def _build_parser():
 
     p = subs.add_parser("validate",
                         help="quadrature vs Monte Carlo battery")
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--points", type=int, default=20)
     p.set_defaults(func=_cmd_validate)
     return parser

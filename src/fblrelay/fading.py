@@ -3,15 +3,16 @@
 Unit-mean exponential fading powers z modulate each link's average SNR.
 The expected block error of a hop is a 1-D integral of the normal
 approximation against the exponential weight; the maximum-ratio-combined
-two-branch error is the corresponding 2-D integral, evaluated as nested
-1-D rules.
+two-branch error is the corresponding 2-D integral, which collapses to
+a 1-D integral against the hypoexponential density of the summed SNR.
 
-Quadrature: Gauss-Laguerre (64 nodes default, doubled for a self check)
-handles smooth integrands.  At large blocklength the block error drops
-from one toward zero across a narrow window in z; when that window is
-too narrow for the Laguerre grid the engine switches to tiled
-Gauss-Legendre panels on [0, 40] concentrated around the window, then
-halves every panel until two successive refinements agree.  Budget
+Quadrature: one route, tiled 16-point Gauss-Legendre panels on [0, 40].
+At large blocklength the block error drops from one toward zero across
+a narrow window in z, so the panels concentrate around that window.
+When the window reaches the origin (rates at or near zero) the error
+behaves like 0.5 - c*sqrt(z) there, and the first panel is graded
+geometrically toward z = 0 so the square-root kink is resolved.  Every
+panel is then halved until two successive refinements agree; budget
 exhaustion raises QuadratureNonConvergence instead of returning a bad
 value.
 
@@ -24,9 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbl import block_error, dispersion_complex, shannon_c
-
-LN2 = math.log(2.0)
+from .fbl import LN2, block_error, dispersion_complex
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -39,7 +38,15 @@ _TRANSITION_SIGMAS = 10.0
 
 _TOL_BACKHAUL = 1e-9
 _TOL_MRC_OUTER = 1e-8
-_TOL_MRC_INNER = 3e-9
+
+# halvings of every panel before the self check gives up
+_MAX_ROUNDS = 6
+
+# geometric panel edges b/12 * 2^-k, k = 1..30, graded toward the origin
+# when the transition window [0, b] starts there; the innermost panel is
+# then 2^-30 ~ 1e-9 of the first uniform one, so the square-root kink it
+# leaves unresolved is far below every tolerance
+_ORIGIN_GRADING = 30
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -70,54 +77,8 @@ class FadingDraw:
 
 
 # ---------------------------------------------------------------------------
-# fading density and integrand helpers
-# ---------------------------------------------------------------------------
-
-def exp_pdf(z):
-    """Density of the unit-mean exponential fading power, e^{-z}."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("fading power must be nonnegative")
-    out = np.exp(-z)
-    return out if out.ndim else float(out)
-
-def integrand_arg_backhaul(z2, r, m, gains, params):
-    """Normalized capacity margin w(z2) on the backhaul link.
-
-    Defined so that Q(w) equals block_error(z2 * snr2, r, m); at z2 = 0
-    the dispersion vanishes and w is the signed limit (-inf for r > 0,
-    0 for r = 0).
-    """
-    return _capacity_margin(np.asarray(z2, dtype=float) * avg_snr(gains.g2, params), r, m)
-
-def integrand_arg_mrc(z1, z3, r, m, gains, params):
-    """Normalized capacity margin w(z1, z3) on the combined branch."""
-    snr = (np.asarray(z1, dtype=float) * avg_snr(gains.g1, params)
-           + np.asarray(z3, dtype=float) * avg_snr(gains.g3, params))
-    return _capacity_margin(snr, r, m)
-
-def _capacity_margin(snr, r, m):
-    snr = np.asarray(snr, dtype=float)
-    c = np.asarray(shannon_c(snr), dtype=float)
-    v = np.asarray(dispersion_complex(snr), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (c - r) * np.sqrt(m / v)
-    w = np.where(v > 0.0, w, np.where(r > 0.0, -np.inf, 0.0))
-    return w if w.ndim else float(w)
-
-
-# ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------
-
-# numpy's laggauss weight recurrence overflows to nan above n ~ 180
-_LAGUERRE_MAX = 180
-
-@lru_cache(maxsize=None)
-def _laguerre(n):
-    if n > _LAGUERRE_MAX:
-        raise ValueError(f"Gauss-Laguerre rule unstable beyond {_LAGUERRE_MAX} nodes")
-    return np.polynomial.laguerre.laggauss(n)
 
 @lru_cache(maxsize=None)
 def _legendre(n):
@@ -157,6 +118,9 @@ def _panel_edges(hint, extra=()):
         b = min(max(z_star + h, 0.0), Z_CUTOFF)
         if b > a:
             edges.update(np.linspace(a, b, 13))
+            if a == 0.0:
+                # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
+                edges.update(b / 12.0 * 2.0**-np.arange(1, _ORIGIN_GRADING + 1))
         # geometric growth away from the window, width capped at 3
         w = max(h, 1e-12 * max(abs(z_star), 1.0))
         x = a
@@ -189,51 +153,36 @@ def _eval_panels(phi, edges, order=16):
 def _halve(edges):
     return np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
 
-def exp_average(phi, tol, hint=None, nodes=64, max_rounds=6,
-                extra_edges=(), force_panels=False):
-    """E[phi(z)] for z ~ Exp(1), with a doubling self check.
+def exp_average(phi, tol, hint=None, extra_edges=()):
+    """E[phi(z)] for z ~ Exp(1), with a panel-halving self check.
 
     phi must be vectorized and bounded.  hint = (z_star, halfwidth)
-    marks a sharp feature; the Laguerre fast path is only trusted when
-    its node set actually samples that window, since two global rules
-    can agree on a bad value when a narrow sigmoid slips between nodes.
+    marks a sharp feature; the panels concentrate there and, when the
+    window reaches the origin, grade geometrically toward z = 0.
     extra_edges adds panel boundaries for features the hint does not
     describe (e.g. a short-scale weight factor folded into phi).
+    Raises QuadratureNonConvergence when _MAX_ROUNDS halvings of every
+    panel leave two successive estimates more than tol apart.
     """
-    hi_nodes = min(2 * nodes, _LAGUERRE_MAX)
-    laguerre_ok = not force_panels and hi_nodes > nodes
-    if laguerre_ok and hint is not None:
-        z_star, h = hint
-        x_lo, _ = _laguerre(nodes)
-        inside = np.count_nonzero((x_lo >= z_star - h) & (x_lo <= z_star + h))
-        laguerre_ok = h >= 2.0 and inside >= 8
-    if laguerre_ok:
-        x_lo, w_lo = _laguerre(nodes)
-        x_hi, w_hi = _laguerre(hi_nodes)
-        i_lo = float(w_lo @ phi(x_lo))
-        i_hi = float(w_hi @ phi(x_hi))
-        if abs(i_hi - i_lo) <= tol:
-            return i_hi
-
     edges = _panel_edges(hint, extra_edges)
     prev = _eval_panels(phi, edges)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         edges = _halve(edges)
         cur = _eval_panels(phi, edges)
         if abs(cur - prev) <= tol:
             return cur
         prev = cur
     raise QuadratureNonConvergence(
-        f"no agreement within {tol:g} after {max_rounds} refinements "
+        f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
         f"({len(edges) - 1} panels, last estimate {prev:.12g})")
 
-def _expected_error_1d(gain, offset, r, m, tol, nodes=64):
+def _expected_error_1d(gain, offset, r, m, tol):
     """E_z[block_error(offset + gain*z, r, m)], clipped to [0, 1]."""
     if gain <= 0.0:
         return block_error(offset, r, m)
     hint = _transition_hint(gain, offset, r, m)
     val = exp_average(lambda z: block_error(offset + gain * z, r, m),
-                      tol, hint=hint, nodes=nodes)
+                      tol, hint=hint)
     return min(max(val, 0.0), 1.0)
 
 
@@ -241,7 +190,7 @@ def _expected_error_1d(gain, offset, r, m, tol, nodes=64):
 # fading-averaged error expectations
 # ---------------------------------------------------------------------------
 
-def expected_error_single(r, m, mean_snr, nodes=64):
+def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
 
     Integrates e^{-z} * block_error(z * mean_snr, r, m) over z to an
@@ -249,17 +198,17 @@ def expected_error_single(r, m, mean_snr, nodes=64):
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
-    return _expected_error_1d(mean_snr, 0.0, r, m, _TOL_BACKHAUL, nodes=nodes)
+    return _expected_error_1d(mean_snr, 0.0, r, m, _TOL_BACKHAUL)
 
-def expected_error_backhaul(r, m, gains, params, nodes=64):
+def expected_error_backhaul(r, m, gains, params):
     """Fading-averaged block error of the source-relay hop.
 
     m is taken from the argument, not from params, so blocklength sweeps
     can reuse one params object.
     """
-    return expected_error_single(r, m, avg_snr(gains.g2, params), nodes=nodes)
+    return expected_error_single(r, m, avg_snr(gains.g2, params))
 
-def expected_error_mrc(r, m, gains, params, nodes=64):
+def expected_error_mrc(r, m, gains, params):
     """Fading-averaged block error after combining direct and relay copies.
 
     Equals the double integral of block_error(z1*snr1 + z3*snr3, r, m)
@@ -275,7 +224,7 @@ def expected_error_mrc(r, m, gains, params, nodes=64):
         raise ValueError("rate must be nonnegative")
     b, a = sorted((avg_snr(gains.g1, params), avg_snr(gains.g3, params)))
     if b <= 0.0:
-        return _expected_error_1d(a, 0.0, r, m, _TOL_BACKHAUL, nodes=nodes)
+        return _expected_error_1d(a, 0.0, r, m, _TOL_BACKHAUL)
 
     kappa = (a - b) / b
     if kappa < 1e-15:
@@ -287,38 +236,8 @@ def expected_error_mrc(r, m, gains, params, nodes=64):
         # the weight factor turns on over u ~ 1/kappa near the origin
         extra = tuple(2.0**j / kappa for j in range(-2, 7))
     val = exp_average(phi, _TOL_MRC_OUTER,
-                      hint=_transition_hint(a, 0.0, r, m), nodes=nodes,
-                      extra_edges=extra, force_panels=kappa > 5.0)
+                      hint=_transition_hint(a, 0.0, r, m), extra_edges=extra)
     return min(max(val, 0.0), 1.0)
-
-def expected_error_mrc_nested(r, m, gains, params, nodes=64):
-    """Nested-rule evaluation of the combined-branch expected error.
-
-    Integrates the inner link conditionally on each outer node, with the
-    larger-SNR branch innermost.  Slower than expected_error_mrc but
-    structurally independent of the hypoexponential collapse; kept as a
-    cross-check route.
-    """
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
-    s_out, s_in = sorted((avg_snr(gains.g1, params), avg_snr(gains.g3, params)))
-    if s_out <= 0.0:
-        return _expected_error_1d(s_in, 0.0, r, m, _TOL_BACKHAUL, nodes=nodes)
-
-    def outer(z_arr):
-        out = np.empty(z_arr.shape)
-        for i, z in enumerate(z_arr):
-            out[i] = _expected_error_1d(s_in, z * s_out, r, m,
-                                        _TOL_MRC_INNER, nodes=nodes)
-        return out
-
-    # the outer integrand ramps down to a kink at the outage boundary;
-    # the kink curvature lives in the usual transition window
-    val = exp_average(outer, _TOL_MRC_OUTER,
-                      hint=_transition_hint(s_out, 0.0, r, m),
-                      nodes=nodes, force_panels=True)
-    return min(max(val, 0.0), 1.0)
-
 
 # ---------------------------------------------------------------------------
 # closed-form outage of the combined gains (infinite-blocklength limit)

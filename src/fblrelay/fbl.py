@@ -12,9 +12,12 @@ All rates are in bits per channel use (log base 2). Functions broadcast over
 numpy arrays; scalars in, scalars out.
 """
 
+import math
+
 import numpy as np
 from scipy.special import erfc, erfcinv
 
+LN2 = math.log(2.0)
 LOG2E = np.log2(np.e)
 _LOG2E_SQ = LOG2E * LOG2E
 

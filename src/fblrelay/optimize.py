@@ -8,16 +8,14 @@ Derivatives are avoided on purpose: the fading-averaged objectives sit
 on quadrature with a 1e-8 tolerance floor, too noisy to difference.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fbl import shannon_c
 from .fading import avg_snr
-from .relay import overall_error_instant
+from .relay import _GOLDEN, overall_error_instant
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 33
 _MAX_ITER = 200
 

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbl import achievable_rate, block_error, shannon_c
+from .fbl import LN2, achievable_rate, block_error, shannon_c
 from .fading import (
     avg_snr,
     expected_error_backhaul,
     expected_error_mrc,
     expected_error_single,
 )
-
-LN2 = math.log(2.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

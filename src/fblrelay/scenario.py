@@ -17,10 +17,9 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
+from .fbl import LN2
 from .linklayer import QoSPair
 from .relay import LinkGains, SystemParams
-
-LN2 = math.log(2.0)
 
 _MODELS = ("cost231_hata_urban", "fixed_gains")
 

@@ -78,6 +78,17 @@ def test_argparse_rejects_unknown_variable():
         cli.main(["sweep", "--variable", "snr", "--grid", "1", "2", "2"])
     assert exc.value.code == 2
 
+def test_validate_rejects_scenario_flags(capsys):
+    # the battery draws its own points, so a scenario flag would be ignored
+    for flag in (["--eta", "0.5"], ["--scenario-file", "x.txt"],
+                 ["--qos-d", "10", "--qos-p-d", "0.1"],
+                 ["--pathloss-model", "fixed_gains"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--points", "1", "--mc-samples", "10000",
+                      *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 def test_quadrature_failure_exits_3(capsys):
     with mock.patch.object(cli, "expected_overall_error",
                            side_effect=QuadratureNonConvergence("diverged")):
@@ -89,6 +100,28 @@ def test_quadrature_failure_exits_3(capsys):
 # ---------------------------------------------------------------------------
 # sweep output
 # ---------------------------------------------------------------------------
+
+# links so faint that the blocklength penalty exceeds capacity at small
+# eta: rate selection returns 0 and the fading averages run at r = 0
+FAINT_LINKS = ["--pathloss-model", "fixed_gains", "--g1", "1e-13",
+               "--g2", "1e-12", "--g3", "1e-12"]
+
+def test_zero_rate_sweep_converges(capsys):
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid", "0.01",
+                         "0.6931", "5", *FAINT_LINKS], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 5
+    assert rows[0][1] == 0.0
+    assert all(0.0 <= row[1] < 0.5 for row in rows)
+
+def test_zero_rate_optimize_converges(capsys):
+    code, out = run_cli(["optimize", *FAINT_LINKS], capsys)
+    assert code == 0
+    values = [float(v) for line in out.strip().split("\n")[1:3]
+              for v in line.split(",")[1:3]]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 def test_sweep_csv_shape_and_values(capsys):
     code, out = run_cli(["sweep", "--variable", "eta", "--grid-list",
