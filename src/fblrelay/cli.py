@@ -199,20 +199,22 @@ _SCENARIO_FLAGS = ("d_backhaul", "d_relaying", "d_direct", "p_tx_dbm",
                    "noise_dbm", "f_c", "m", "eta", "eps_nominal",
                    "ant_gain_db", "direct_extra_loss_db", "g1", "g2", "g3")
 
-def _add_scenario(p):
-    """Scenario flags, then the run flags every subcommand takes."""
+def _add_scenario(p, monte_carlo=True):
+    """Scenario flags, then the run flags of the subcommand."""
     p.add_argument("--scenario-file", help="flat key=value scenario file")
     for name in _SCENARIO_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--qos-d", type=float, default=None)
     p.add_argument("--qos-p-d", type=float, default=None)
     p.add_argument("--pathloss-model", default=None)
-    _add_run(p)
+    _add_run(p, monte_carlo)
 
-def _add_run(p):
+def _add_run(p, monte_carlo=True):
+    """--seed and --output; --mc-samples and --workers where MC runs."""
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mc-samples", type=float, default=1e6)
-    p.add_argument("--workers", type=int, default=1)
+    if monte_carlo:
+        p.add_argument("--mc-samples", type=float, default=1e6)
+        p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 def _scenario_from_args(args):
@@ -396,7 +398,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("optimize", help="maximize a metric over the weight")
-    _add_scenario(p)
+    # quadrature only: no Monte Carlo flags
+    _add_scenario(p, monte_carlo=False)
     p.add_argument("--objective", default="both",
                    choices=("bl_throughput", "msdr", "both"))
     p.add_argument("--tol", type=float, default=1e-4)

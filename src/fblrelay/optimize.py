@@ -1,21 +1,20 @@
-"""Derivative-free maximizers for the throughput objectives.
+"""Derivative-free maximizer for the quadrature-backed outer problems.
 
 The outer problems (weight factor for either throughput metric) are
-quasi-concave and the per-draw coding-rate problem is concave, so a
-coarse scan that certifies the rise-fall shape followed by
-golden-section refinement is reliable at the stated tolerances.
-Derivatives are avoided on purpose: the fading-averaged objectives sit
+quasi-concave, so a coarse scan that certifies the rise-fall shape
+followed by golden-section refinement is reliable at the stated
+tolerances.  Derivatives are avoided on purpose: these objectives sit
 on quadrature with a 1e-8 tolerance floor, too noisy to difference.
+The per-draw coding-rate problem has a closed-form derivative and is
+solved by Newton iteration in relay instead.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fbl import shannon_c
-from .fading import avg_snr
-from .relay import _GOLDEN, overall_error_instant
-
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 33
 _MAX_ITER = 200
 
@@ -73,25 +72,3 @@ def maximize_unimodal(objective, lo, hi, tol, noise_tol=1e-9):
         x_best, f_best = float(xs[k]), float(fs[k])
     flag = "converged" if b - a <= tol else "budget_exhausted"
     return OptResult(float(x_best), float(f_best), it, float(b - a), flag)
-
-def maximize_rate_perfect_csi(draw, m, gains, params, tol=1e-5):
-    """Best coding rate for one fading draw under instantaneous CSI.
-
-    Maximizes r*(1 - overall error)/2 over (0, 1.5*C(bottleneck SNR)].
-    The per-draw objective is log-concave (product of a linear term and
-    Gaussian CDFs with draw-fixed dispersion), so the unimodal search
-    applies.  Draws whose bottleneck SNR is zero yield (0, 0).
-    """
-    snr2 = draw.z2 * avg_snr(gains.g2, params)
-    snr_mrc = (draw.z1 * avg_snr(gains.g1, params)
-               + draw.z3 * avg_snr(gains.g3, params))
-    cap = shannon_c(min(snr2, snr_mrc))
-    if cap <= 0.0:
-        return OptResult(0.0, 0.0, 0, 0.0, "converged")
-
-    def objective(r):
-        if r <= 0.0:
-            return 0.0
-        return 0.5 * r * (1.0 - overall_error_instant(draw, r, m, gains, params))
-
-    return maximize_unimodal(objective, 0.0, 1.5 * cap, tol)

@@ -89,6 +89,20 @@ def test_validate_rejects_scenario_flags(capsys):
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+def test_optimize_rejects_monte_carlo_flags(capsys):
+    # optimize runs no Monte Carlo, so these flags would be ignored
+    for flag in (["--mc-samples", "5"], ["--workers", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["optimize", "--objective", "bl_throughput", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+def test_small_perfect_csi_sample_names_the_flag(capsys):
+    code = cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                     "--schemes", "relay_perfect", "--mc-samples", "1000"])
+    assert code == 2
+    assert "--mc-samples" in capsys.readouterr().err
+
 def test_quadrature_failure_exits_3(capsys):
     with mock.patch.object(cli, "expected_overall_error",
                            side_effect=QuadratureNonConvergence("diverged")):

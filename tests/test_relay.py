@@ -11,6 +11,7 @@ from fblrelay.fading import FadingDraw
 from fblrelay.relay import (
     LinkGains,
     SystemParams,
+    _maximize_per_draw,
     bl_throughput_direct,
     bl_throughput_perfect_csi,
     bl_throughput_relay,
@@ -297,3 +298,60 @@ def test_perfect_csi_dominates_average_csi():
 def test_perfect_csi_rejects_small_sample():
     with pytest.raises(ValueError):
         bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS, n_samples=1000)
+
+
+# ---------------------------------------------------------------------------
+# per-draw rate solver
+# ---------------------------------------------------------------------------
+
+def _per_draw_throughput(r, snr2, snr_mrc, m):
+    e2 = block_error(snr2, r, m)
+    emrc = block_error(snr_mrc, r, m)
+    return 0.5 * r * (1.0 - (e2 + (1.0 - e2) * emrc))
+
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("mean_snr", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_per_draw_solver_total(m, mean_snr):
+    rng = np.random.default_rng(7)
+    z = rng.standard_exponential((3, 200))
+    snr2 = z[1] * mean_snr
+    snr_mrc = 0.01 * z[0] * mean_snr + z[2] * mean_snr
+    snr2[:2] = 0.0
+    snr_mrc[1:3] = 0.0
+    rate, value = _maximize_per_draw(snr2, snr_mrc, m)
+    top = 1.5 * np.log2(1.0 + np.minimum(snr2, snr_mrc)) + 1e-5
+    assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+    assert np.all((rate >= 0.0) & (rate <= top))
+    assert np.all(rate[:3] == 0.0) and np.all(value[:3] == 0.0)
+    for k in range(3, 200, 7):
+        grid = np.linspace(0.0, top[k], 20001)
+        best = np.max(_per_draw_throughput(grid, snr2[k], snr_mrc[k], m))
+        assert value[k] >= best * (1.0 - 1e-12)
+
+def test_per_draw_solver_boundary_optimum():
+    # C << sqrt(V/m) on both links: the throughput still rises at the
+    # right end of the feasible set, so that end is the optimum
+    snr2, snr_mrc = np.array([1e-8]), np.array([1e-6])
+    rate, value = _maximize_per_draw(snr2, snr_mrc, 100)
+    top = 1.5 * np.log2(1.0 + 1e-8) + 1e-5
+    assert rate[0] == top
+    grid = np.linspace(0.0, top, 20001)
+    assert value[0] == np.max(_per_draw_throughput(grid, 1e-8, 1e-6, 100))
+
+def test_per_draw_solver_block_invariant():
+    # the draws are solved in fixed blocks; where the blocks split must
+    # not change any draw's result
+    rng = np.random.default_rng(11)
+    z = rng.standard_exponential((3, 100003))
+    snr2 = z[1] * 307.405
+    snr_mrc = z[0] * 2.4463 + z[2] * 307.405
+    rate, value = _maximize_per_draw(snr2, snr_mrc, 500)
+    k = 40001
+    rate_a, value_a = _maximize_per_draw(snr2[:k], snr_mrc[:k], 500)
+    rate_b, value_b = _maximize_per_draw(snr2[k:], snr_mrc[k:], 500)
+    assert np.array_equal(rate, np.concatenate([rate_a, rate_b]))
+    assert np.array_equal(value, np.concatenate([value_a, value_b]))
+
+def test_per_draw_solver_rejects_negative_snr():
+    with pytest.raises(ValueError):
+        _maximize_per_draw(np.array([1.0, -1e-3]), np.array([1.0, 1.0]), 500)
