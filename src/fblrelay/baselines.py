@@ -3,34 +3,17 @@
 Two references bracket the finite-blocklength results: the outage
 capacity, where the packet size comes from the Shannon capacity of the
 weighted average CSI and a period is lost whenever either hop is in
-outage, and the ergodic Shannon capacity of the bottleneck link.  Both
-ignore the blocklength entirely.
+outage (its rate rule is the ``outage`` scheme in ``cli.SCHEMES``), and
+the ergodic Shannon capacity of the bottleneck link.  Both ignore the
+blocklength entirely.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fbl import shannon_c
 from .fading import avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
-
-
-@dataclass(frozen=True)
-class OutagePoint:
-    """Outage-capacity evaluation at one operating point.
-
-    rate is the end-to-end equivalent rate (half the per-hop rate, as
-    every payload occupies two hops); outage_capacity = rate*(1-p_out).
-    """
-
-    rate: float
-    p_out: float
-    outage_capacity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_out <= 1.0:
-            raise ValueError("outage probability must lie in [0, 1]")
 
 
 def outage_prob_relay(r, gains, params):
@@ -48,28 +31,6 @@ def outage_prob_relay(r, gains, params):
     pmrc = mrc_outage_cdf(t, avg_snr(gains.g1, params),
                           avg_snr(gains.g3, params))
     return p2 + (1.0 - p2) * pmrc
-
-def outage_point_relay(eta, gains, params):
-    """Rate selection from weighted average CSI, then outage bookkeeping.
-
-    The outage event is evaluated at the per-hop rate (each hop must
-    individually sustain r); the payload factor is r/2.
-    """
-    s1 = avg_snr(gains.g1, params)
-    s2 = avg_snr(gains.g2, params)
-    s3 = avg_snr(gains.g3, params)
-    r = shannon_c(eta * min(s2, s1 + s3))
-    p = outage_prob_relay(r, gains, params)
-    return OutagePoint(0.5 * r, p, 0.5 * r * (1.0 - p))
-
-def outage_capacity_relay(eta, m, gains, params):
-    """Outage capacity r/2*(1 - P_out) in bits per channel use.
-
-    The blocklength argument is accepted for sweep-interface symmetry
-    with the finite-blocklength schemes and ignored.
-    """
-    del m
-    return outage_point_relay(eta, gains, params).outage_capacity
 
 def outage_prob_direct(r, gains, params):
     """Single-link Rayleigh outage of the direct source-destination hop."""

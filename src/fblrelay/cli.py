@@ -8,20 +8,18 @@ from the global seed, so the worker count never changes the output.
 """
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .baselines import (
-    ergodic_capacity_relay,
-    outage_point_relay,
-    outage_prob_relay,
-)
+from .baselines import ergodic_capacity_relay, outage_prob_relay
 from .fading import QuadratureNonConvergence, avg_snr, expected_error_single
-from .fbl import LN2
+from .fbl import LN2, achievable_rate, shannon_c
 from .linklayer import QoSPair, msdr, service_stats
 from .montecarlo import (
     mc_bl_throughput,
@@ -32,26 +30,121 @@ from .optimize import maximize_unimodal
 from .relay import (
     LinkGains,
     SystemParams,
-    bl_throughput_direct,
     bl_throughput_perfect_csi,
+    bottleneck_snr,
     expected_overall_error,
     select_rate_avg_csi,
 )
 from .scenario import Scenario, build, load_scenario, with_overrides
 
 VARIABLES = ("coding_rate", "eta", "blocklength")
-SCHEMES = ("relay_avg", "relay_perfect", "direct_matched", "direct_weighted",
-           "shannon_ergodic", "outage")
 METRICS = ("bl_throughput", "msdr", "expected_error", "coding_rate")
 
 _UNITS = {"bl_throughput": "bits/use", "msdr": "bits/use",
           "expected_error": "prob", "coding_rate": "bits/use"}
 _VAR_UNITS = {"eta": "1", "coding_rate": "bits/use", "blocklength": "symbols"}
+_MC_SAMPLES = 1000000   # --mc-samples when not given
+
+
+# ---------------------------------------------------------------------------
+# the scheme table: one evaluator per scheme
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Point:
+    """One operating point and what its Monte Carlo schemes need.
+
+    seed is the point's substream root, (global seed, grid index);
+    ergodic is the sweep's ergodic-capacity constant.
+    """
+
+    gains: LinkGains
+    params: SystemParams
+    qos: QoSPair
+    mc_samples: int = _MC_SAMPLES
+    seed: tuple = ()
+    ergodic: float = math.nan
+
+def _relay_avg(r, pt):
+    g, p = pt.gains, pt.params
+    if r is None:
+        r = select_rate_avg_csi(g, p)
+    err = expected_overall_error(r, p.m, g, p)
+    return {"coding_rate": r, "expected_error": err,
+            "bl_throughput": 0.5 * r * (1.0 - err),
+            "msdr": msdr(r, p.m, err, pt.qos)}
+
+def _relay_perfect(r, pt):
+    mean, _ = bl_throughput_perfect_csi(pt.params.m, pt.gains, pt.params,
+                                        n_samples=pt.mc_samples,
+                                        seed=pt.seed + (1,))
+    return {"bl_throughput": mean}
+
+def _direct(r, pt, matched):
+    """Direct transmission over the whole 2m-use period.
+
+    matched keeps the payload of relaying: half the relay per-hop rate,
+    swept or selected.  Otherwise the swept rate is used as is, or the
+    rate is selected from the direct link's own weighted average SNR.
+    """
+    g, p = pt.gains, pt.params
+    if matched:
+        r = 0.5 * (select_rate_avg_csi(g, p) if r is None else r)
+    elif r is None:
+        r = achievable_rate(p.eta * avg_snr(g.g1, p), p.eps_nominal, 2.0 * p.m)
+    err = expected_error_single(r, 2.0 * p.m, avg_snr(g.g1, p))
+    # direct sends r*2m bits per 2m-symbol period, which is the
+    # relay-normalized service law at twice the per-hop rate
+    return {"coding_rate": r, "expected_error": err,
+            "bl_throughput": r * (1.0 - err),
+            "msdr": msdr(2.0 * r, p.m, err, pt.qos)}
+
+def _shannon_ergodic(r, pt):
+    return {"bl_throughput": pt.ergodic}
+
+def _outage(r, pt):
+    g, p = pt.gains, pt.params
+    if r is None:
+        r = shannon_c(p.eta * bottleneck_snr(g, p))
+    p_out = outage_prob_relay(r, g, p)
+    # each hop must sustain r; a payload occupies two hops, so the
+    # end-to-end rate is r/2
+    return {"coding_rate": 0.5 * r, "expected_error": p_out,
+            "bl_throughput": 0.5 * r * (1.0 - p_out)}
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """evaluate(r, point) returns every metric in metrics.
+
+    r is the swept per-hop rate, or None for the scheme's own rate.
+    """
+
+    evaluate: Callable
+    metrics: tuple
+    rate_sweep: bool    # defined on a coding_rate sweep
+    monte_carlo: bool   # draws Monte Carlo samples
+
+SCHEMES = {
+    "relay_avg": Scheme(_relay_avg, METRICS, True, False),
+    "relay_perfect": Scheme(_relay_perfect, ("bl_throughput",), False, True),
+    "direct_matched": Scheme(functools.partial(_direct, matched=True),
+                             METRICS, True, False),
+    "direct_weighted": Scheme(functools.partial(_direct, matched=False),
+                              METRICS, True, False),
+    "shannon_ergodic": Scheme(_shannon_ergodic, ("bl_throughput",), True,
+                              True),
+    "outage": Scheme(_outage, ("bl_throughput", "expected_error",
+                               "coding_rate"), True, False),
+}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep request: axis, grid, and the (scheme, metric) matrix."""
+    """One sweep request: axis, grid, and the (scheme, metric) matrix.
+
+    Every scheme must define every metric, and be defined on the axis.
+    """
 
     variable: str
     grid: tuple
@@ -70,108 +163,64 @@ class SweepSpec:
             for item in chosen:
                 if item not in allowed:
                     raise ValueError(f"unknown entry in {name}: {item!r}")
+        for scheme in self.schemes:
+            entry = SCHEMES[scheme]
+            for metric in self.metrics:
+                if metric not in entry.metrics:
+                    raise ValueError(f"metric {metric!r} is not defined for "
+                                     f"scheme {scheme!r}")
+            if self.variable == "coding_rate" and not entry.rate_sweep:
+                raise ValueError(f"{scheme} re-optimizes the rate per draw; "
+                                 "not defined on a coding_rate sweep")
+
+def _mc_samples(value, schemes):
+    """--mc-samples, accepted only when a chosen scheme draws samples."""
+    if value is None:
+        return _MC_SAMPLES
+    if not any(SCHEMES[s].monte_carlo for s in schemes):
+        raise ValueError("--mc-samples is given, but none of the schemes "
+                         f"{','.join(schemes)} draws Monte Carlo samples")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
-# scheme evaluation on one grid point
+# sweeps
 # ---------------------------------------------------------------------------
 
-def _unsupported(scheme, metric):
-    return ValueError(f"metric {metric!r} is not defined for scheme {scheme!r}")
-
-def _eval_scheme(scheme, metrics, r_fixed, gains, params, qos,
-                 mc_samples, seed, idx, cache):
-    """Values for the requested metrics of one scheme at one grid point."""
-    m = params.m
-    out = {}
-    if scheme == "relay_avg":
-        r = r_fixed if r_fixed is not None else select_rate_avg_csi(gains, params)
-        err = expected_overall_error(r, m, gains, params)
-        values = {"coding_rate": r, "expected_error": err,
-                  "bl_throughput": 0.5 * r * (1.0 - err),
-                  "msdr": msdr(r, m, err, qos)}
-    elif scheme == "relay_perfect":
-        for metric in metrics:
-            if metric != "bl_throughput":
-                raise _unsupported(scheme, metric)
-        if r_fixed is not None:
-            raise ValueError("relay_perfect re-optimizes the rate per draw; "
-                             "not defined on a coding_rate sweep")
-        mean, _ = bl_throughput_perfect_csi(m, gains, params,
-                                            n_samples=mc_samples,
-                                            seed=(seed, idx, 1))
-        values = {"bl_throughput": mean}
-    elif scheme in ("direct_matched", "direct_weighted"):
-        if r_fixed is not None:
-            # on a coding_rate sweep the axis is the relay per-hop rate;
-            # matched direct keeps the payload equal by halving it
-            r_dir = 0.5 * r_fixed if scheme == "direct_matched" else r_fixed
-            err = expected_error_single(r_dir, 2.0 * m,
-                                        avg_snr(gains.g1, params))
-            thr = r_dir * (1.0 - err)
-        else:
-            mode = "matched_rate" if scheme == "direct_matched" else "weighted_csi"
-            res = bl_throughput_direct(2.0 * m, gains, params, mode=mode)
-            r_dir, err, thr = res.coding_rate, res.expected_error, res.bl_throughput
-        # direct sends r_dir*2m bits per 2m-symbol period, which is the
-        # relay-normalized service law at twice the per-hop rate
-        values = {"coding_rate": r_dir, "expected_error": err,
-                  "bl_throughput": thr,
-                  "msdr": msdr(2.0 * r_dir, m, err, qos)}
-    elif scheme == "shannon_ergodic":
-        for metric in metrics:
-            if metric != "bl_throughput":
-                raise _unsupported(scheme, metric)
-        if "ergodic" not in cache:
-            cache["ergodic"], _ = ergodic_capacity_relay(
-                gains, params, n_samples=max(mc_samples, 1000000),
-                seed=(seed, 10001))
-        values = {"bl_throughput": cache["ergodic"]}
-    else:  # outage
-        if r_fixed is not None:
-            p = outage_prob_relay(r_fixed, gains, params)
-            rate_eq = 0.5 * r_fixed
-        else:
-            pt = outage_point_relay(params.eta, gains, params)
-            p, rate_eq = pt.p_out, pt.rate
-        values = {"coding_rate": rate_eq, "expected_error": p,
-                  "bl_throughput": rate_eq * (1.0 - p)}
-    for metric in metrics:
-        if metric not in values:
-            raise _unsupported(scheme, metric)
-        out[metric] = values[metric]
-    return out
-
-def _eval_point(spec, x, gains, base_params, qos, mc_samples, seed, idx, cache):
-    params = base_params
-    r_fixed = None
+def _eval_point(spec, base, i, x):
+    """One CSV row: the axis value, then every (scheme, metric) cell."""
+    params, r = base.params, None
     if spec.variable == "eta":
-        params = replace(base_params, eta=float(x))
+        params = replace(params, eta=float(x))
     elif spec.variable == "blocklength":
-        params = replace(base_params, m=float(x))
+        params = replace(params, m=float(x))
     else:
-        r_fixed = float(x)
+        r = float(x)
+    pt = replace(base, params=params, seed=base.seed + (i,))
     row = [float(x)]
     for scheme in spec.schemes:
-        vals = _eval_scheme(scheme, spec.metrics, r_fixed, gains, params,
-                            qos, mc_samples, seed, idx, cache)
-        row.extend(vals[metric] for metric in spec.metrics)
+        values = SCHEMES[scheme].evaluate(r, pt)
+        row.extend(values[metric] for metric in spec.metrics)
     return row
 
-def _run_sweep(spec, scn, mc_samples, seed, workers):
+def _run_sweep(spec, scn, args):
+    """Header and rows of a sweep, with the run flags of args."""
+    mc_samples = _mc_samples(args.mc_samples, spec.schemes)
+    seed = args.seed
     gains, params = build(scn)
-    cache = {}
+    ergodic = math.nan
     if "shannon_ergodic" in spec.schemes:
-        # constant column: evaluate once before the grid loop
-        _eval_scheme("shannon_ergodic", ("bl_throughput",), None, gains,
-                     params, scn.qos, mc_samples, seed, 0, cache)
-    args = [(spec, x, gains, params, scn.qos, mc_samples, seed, i, cache)
-            for i, x in enumerate(spec.grid)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _eval_point(*a), args))
+        # constant column: estimated once, before the grid loop
+        ergodic, _ = ergodic_capacity_relay(
+            gains, params, n_samples=max(mc_samples, 1000000),
+            seed=(seed, 10001))
+    base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
+    points = list(enumerate(spec.grid))
+    if args.workers > 1:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            rows = list(pool.map(lambda p: _eval_point(spec, base, *p), points))
     else:
-        rows = [_eval_point(*a) for a in args]
+        rows = [_eval_point(spec, base, *p) for p in points]
     header = [f"{spec.variable}[{_VAR_UNITS[spec.variable]}]"]
     header.extend(f"{s}.{m}[{_UNITS[m]}]"
                   for s in spec.schemes for m in spec.metrics)
@@ -213,7 +262,9 @@ def _add_run(p, monte_carlo=True):
     """--seed and --output; --mc-samples and --workers where MC runs."""
     p.add_argument("--seed", type=int, default=42)
     if monte_carlo:
-        p.add_argument("--mc-samples", type=float, default=1e6)
+        # None: 1e6 where a scheme draws samples, and an error if given
+        # where none does (see _mc_samples)
+        p.add_argument("--mc-samples", type=float, default=None)
         p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
@@ -260,32 +311,28 @@ def _cmd_sweep(args):
                      grid=_grid_from_args(args),
                      schemes=tuple(s for s in args.schemes.split(",") if s),
                      metrics=tuple(m for m in args.metrics.split(",") if m))
-    header, rows = _run_sweep(spec, scn, int(args.mc_samples), args.seed,
-                              args.workers)
+    header, rows = _run_sweep(spec, scn, args)
     _emit(_format_csv(header, rows), args.output)
     return 0
 
 def _cmd_optimize(args):
     scn = _scenario_from_args(args)
     gains, params = build(scn)
+    base = Point(gains, params, scn.qos)
 
-    def throughput(eta):
-        p = replace(params, eta=eta)
-        r = select_rate_avg_csi(gains, p)
-        return 0.5 * r * (1.0 - expected_overall_error(r, p.m, gains, p))
+    # both objectives read one relay_avg evaluation per distinct eta
+    @functools.lru_cache(maxsize=None)
+    def relay_avg(eta):
+        return SCHEMES["relay_avg"].evaluate(
+            None, replace(base, params=replace(params, eta=eta)))
 
-    def sustainable(eta):
-        p = replace(params, eta=eta)
-        r = select_rate_avg_csi(gains, p)
-        err = expected_overall_error(r, p.m, gains, p)
-        return msdr(r, p.m, err, scn.qos)
-
-    objectives = {"bl_throughput": throughput, "msdr": sustainable}
-    chosen = list(objectives) if args.objective == "both" else [args.objective]
+    chosen = (["bl_throughput", "msdr"] if args.objective == "both"
+              else [args.objective])
     lines = ["objective,eta_star,value,flag,iterations"]
     results = {}
     for name in chosen:
-        res = maximize_unimodal(objectives[name], 0.01, LN2, args.tol)
+        res = maximize_unimodal(lambda eta: relay_avg(eta)[name], 0.01, LN2,
+                                args.tol)
         results[name] = res
         lines.append(f"{name},{res.argmax!r},{res.value!r},{res.flag},"
                      f"{res.iterations}")
@@ -296,39 +343,46 @@ def _cmd_optimize(args):
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
+def _ratio(num, den):
+    """num/den, with 0/0 = 0 and num/0 = +-inf, so summaries stay total."""
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.copysign(math.inf, num)
+    return num / den
+
 def _cmd_compare(args):
     scn = _scenario_from_args(args)
-    mc = int(args.mc_samples)
     if args.pair == "relay_vs_direct":
         # equal payload per period: direct runs at half the relay rate
         # over twice the per-hop blocklength
         grid = _grid_from_args(args, tuple(np.linspace(0.01, LN2, 100)))
         spec = SweepSpec("eta", grid, ("relay_avg", "direct_matched"),
                          ("bl_throughput", "msdr"))
-        header, rows = _run_sweep(spec, scn, mc, args.seed, args.workers)
+        header, rows = _run_sweep(spec, scn, args)
         summary = []
         for k, metric in ((1, "bl_throughput"), (2, "msdr")):
             ratios = [row[k] / row[k + 2] for row in rows if row[k + 2] > 0.0]
             vacuous = sum(1 for row in rows if row[k] == 0.0 and row[k + 2] == 0.0)
             summary.append(f"# summary,{metric},min_relay_over_direct="
-                           f"{min(ratios)!r},both_zero_points={vacuous}")
+                           f"{min(ratios, default=math.inf)!r},"
+                           f"both_zero_points={vacuous}")
     elif args.pair == "fbl_vs_outage":
         grid = _grid_from_args(args, tuple(np.linspace(0.1, LN2, 100)))
         spec = SweepSpec("eta", grid, ("relay_avg", "outage"),
                          ("bl_throughput",))
-        header, rows = _run_sweep(spec, scn, mc, args.seed, args.workers)
-        loss = max(max(0.0, (row[2] - row[1]) / row[1]) for row in rows)
+        header, rows = _run_sweep(spec, scn, args)
+        loss = max(max(0.0, _ratio(row[2] - row[1], row[1])) for row in rows)
         summary = [f"# summary,bl_throughput,max_loss_vs_outage={loss!r}"]
     else:  # avg_vs_perfect
         grid = _grid_from_args(args, (100.0, 200.0, 500.0, 1000.0, 2000.0))
         spec = SweepSpec("blocklength", grid,
                          ("relay_avg", "relay_perfect", "shannon_ergodic",
                           "outage"), ("bl_throughput",))
-        header, rows = _run_sweep(spec, scn, mc, args.seed, args.workers)
+        header, rows = _run_sweep(spec, scn, args)
         summary = []
         for k, name, ref_k in ((1, "avg_gap_to_outage", 4),
                                (2, "perfect_gap_to_ergodic", 3)):
-            gaps = [(row[0], (row[ref_k] - row[k]) / row[ref_k]) for row in rows]
+            gaps = [(row[0], _ratio(row[ref_k] - row[k], row[ref_k]))
+                    for row in rows]
             below = [m for m, g in gaps if g < 0.02]
             first = repr(float(min(below))) if below else "none"
             summary.append(f"# summary,{name},final={gaps[-1][1]!r},"
@@ -349,7 +403,7 @@ def _cmd_validate(args):
         frac = rng.uniform(0.2, 0.8)
         sub = int(rng.integers(1 << 30))
         p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.2)
-        r = float(frac * math.log2(1.0 + min(g.g2, g.g1 + g.g3)))
+        r = float(frac * math.log2(1.0 + bottleneck_snr(g, p)))
         err = expected_overall_error(r, m, g, p)
         checks = []
         est = mc_expected_overall_error(r, m, g, p, n=n, seed=(sub, 1),
@@ -419,7 +473,7 @@ def _build_parser():
                         help="quadrature vs Monte Carlo battery")
     _add_run(p)
     p.add_argument("--points", type=int, default=20)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, mc_samples=_MC_SAMPLES)
     return parser
 
 

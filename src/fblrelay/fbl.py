@@ -47,7 +47,9 @@ def shannon_c(snr: float) -> float:
 
 def dispersion_real(snr: float) -> float:
     """Dispersion (gamma/2)(gamma+2)/(1+gamma)^2 * (log2 e)^2 of a real channel."""
-    g = np.asarray(snr, dtype=float)
+    # the ratio is exactly 1/2 from about snr 3.6e16 on; the cap keeps the
+    # products below overflow (inf/inf) beyond snr 1e154
+    g = np.minimum(np.asarray(snr, dtype=float), 1e100)
     # written as g*(g+2)/(1+g)^2 to avoid cancellation at small snr
     out = (0.5 * g) * (g + 2.0) / ((1.0 + g) * (1.0 + g)) * _LOG2E_SQ
     return float(out) if out.ndim == 0 else out

@@ -3,9 +3,8 @@
 The source picks one coding rate from weighted average CSI; each period
 spends m channel uses broadcasting and m more relaying, so a payload of
 r*m bits costs 2m uses.  The destination combines the two copies by
-maximum ratio combining.  Comparison schemes: direct transmission over
-the (weaker) source-destination link with blocklength 2m, and a
-genie-aided policy that re-optimizes the rate for every fading draw.
+maximum ratio combining.  The genie-aided comparison policy
+re-optimizes the rate for every fading draw.
 """
 
 import math
@@ -15,12 +14,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .fbl import LN2, achievable_rate, block_error, dispersion_complex, q_func
-from .fading import (
-    avg_snr,
-    expected_error_backhaul,
-    expected_error_mrc,
-    expected_error_single,
-)
+from .fading import avg_snr, expected_error_backhaul, expected_error_mrc
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -56,25 +50,21 @@ class LinkGains:
             raise ValueError("average gains must be positive")
 
 
-@dataclass(frozen=True)
-class SchemeResult:
-    coding_rate: float
-    expected_error: float
-    bl_throughput: float
-    scheme: str
-
+def bottleneck_snr(gains, params):
+    """Average SNR of the weaker of the backhaul and the combined branch."""
+    s1 = avg_snr(gains.g1, params)
+    s2 = avg_snr(gains.g2, params)
+    s3 = avg_snr(gains.g3, params)
+    return min(s2, s1 + s3)
 
 def select_rate_avg_csi(gains, params):
     """Coding rate from the weighted bottleneck of the average SNRs.
 
-    Applies the nominal-error rate formula to eta * min of the backhaul
-    SNR and the combined direct-plus-relaying SNR.  Returns 0.0 when the
-    blocklength penalty exceeds capacity (infeasible selection).
+    Applies the nominal-error rate formula to eta * bottleneck_snr.
+    Returns 0.0 when the blocklength penalty exceeds capacity
+    (infeasible selection).
     """
-    s1 = avg_snr(gains.g1, params)
-    s2 = avg_snr(gains.g2, params)
-    s3 = avg_snr(gains.g3, params)
-    bottleneck = params.eta * min(s2, s1 + s3)
+    bottleneck = params.eta * bottleneck_snr(gains, params)
     if bottleneck <= 0.0:
         raise ValueError("bottleneck SNR must be positive")
     return achievable_rate(bottleneck, params.eps_nominal, params.m)
@@ -95,36 +85,6 @@ def expected_overall_error(r, m, gains, params):
     e2 = expected_error_backhaul(r, m, gains, params)
     emrc = expected_error_mrc(r, m, gains, params)
     return e2 + (1.0 - e2) * emrc
-
-def bl_throughput_relay(r, m, gains, params):
-    """Average relaying throughput r*(1 - E[overall error])/2."""
-    return 0.5 * r * (1.0 - expected_overall_error(r, m, gains, params))
-
-def evaluate_relay_avg_csi(gains, params):
-    """Rate selection plus throughput evaluation in one step."""
-    r = select_rate_avg_csi(gains, params)
-    err = expected_overall_error(r, params.m, gains, params)
-    return SchemeResult(r, err, 0.5 * r * (1.0 - err), "relay_avg_csi")
-
-def bl_throughput_direct(m_direct, gains, params, mode="matched_rate"):
-    """Direct transmission over the source-destination link only.
-
-    matched_rate: same payload as relaying, i.e. half the relay rate
-    over twice the per-hop blocklength.  weighted_csi: rate selected
-    from the direct link's own weighted average SNR.  No halving in the
-    throughput: direct transmission uses every channel use.
-    """
-    if mode == "matched_rate":
-        r_dir = 0.5 * select_rate_avg_csi(gains, params)
-        tag = "direct_matched"
-    elif mode == "weighted_csi":
-        s1 = params.eta * avg_snr(gains.g1, params)
-        r_dir = achievable_rate(s1, params.eps_nominal, m_direct)
-        tag = "direct_avg_csi"
-    else:
-        raise ValueError(f"unknown direct mode: {mode}")
-    err = expected_error_single(r_dir, m_direct, avg_snr(gains.g1, params))
-    return SchemeResult(r_dir, err, r_dir * (1.0 - err), tag)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fblrelay import cli
-from fblrelay.baselines import outage_point_relay, outage_prob_relay
+from fblrelay.baselines import outage_prob_relay
 from fblrelay.fbl import achievable_rate, block_error, q_func, q_inv
 from fblrelay.fading import avg_snr, expected_error_single
 from fblrelay.linklayer import QoSPair, msdr, msdr_decomposition_check
@@ -194,8 +194,9 @@ def test_throughput_loss_to_outage_capacity_small():
     worst = 0.0
     for eta in np.linspace(0.1, LN2, 100):
         _, _, thr = bl_throughput_at(eta)
-        pt = outage_point_relay(eta, GAINS, PARAMS)
-        worst = max(worst, (pt.outage_capacity - thr) / thr)
+        pt = cli.Point(GAINS, replace(PARAMS, eta=eta), QOS)
+        cap = cli.SCHEMES["outage"].evaluate(None, pt)["bl_throughput"]
+        worst = max(worst, (cap - thr) / thr)
     assert worst < 0.02
 
 

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from fblrelay.cli import SCHEMES, Point
 from fblrelay.fbl import shannon_c
-from fblrelay.relay import LinkGains, SystemParams, evaluate_relay_avg_csi, expected_overall_error
+from fblrelay.linklayer import QoSPair
+from fblrelay.relay import (
+    LinkGains,
+    SystemParams,
+    expected_overall_error,
+    select_rate_avg_csi,
+)
 from fblrelay.baselines import (
-    OutagePoint,
     _ergodic_from_draws,
     ergodic_capacity_relay,
-    outage_capacity_relay,
-    outage_point_relay,
     outage_prob_direct,
     outage_prob_relay,
 )
@@ -21,6 +25,18 @@ REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
 def _params(eta=0.148, m=500):
     return SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
+
+def _outage(eta, m=500):
+    """The CLI's outage scheme at its own rate: end-to-end rate r/2,
+    outage probability at the per-hop rate r, outage capacity."""
+    pt = Point(REF_GAINS, _params(eta=eta, m=m), QoSPair(d=1e4, p_d=1e-2))
+    res = SCHEMES["outage"].evaluate(None, pt)
+    return res["coding_rate"], res["expected_error"], res["bl_throughput"]
+
+def _relay_avg_throughput(eta):
+    p = _params(eta=eta)
+    r = select_rate_avg_csi(REF_GAINS, p)
+    return 0.5 * r * (1.0 - expected_overall_error(r, p.m, REF_GAINS, p))
 
 # frozen: overall outage at the reference operating rate
 REF_RATE = 5.33969938461749
@@ -86,33 +102,29 @@ def test_large_m_error_converges_to_outage():
 # ---------------------------------------------------------------------------
 
 def test_outage_point_reference_values():
-    pt = outage_point_relay(0.148, REF_GAINS, _params())
-    assert pt.rate == pytest.approx(OC_RATE_REF, rel=1e-12)
-    assert pt.p_out == pytest.approx(OC_P_REF, rel=1e-12)
-    assert pt.outage_capacity == pytest.approx(OC_CAP_REF, rel=1e-12)
+    rate, p_out, cap = _outage(0.148)
+    assert rate == pytest.approx(OC_RATE_REF, rel=1e-12)
+    assert p_out == pytest.approx(OC_P_REF, rel=1e-12)
+    assert cap == pytest.approx(OC_CAP_REF, rel=1e-12)
 
 def test_outage_point_internal_consistency():
-    pt = outage_point_relay(0.2, REF_GAINS, _params())
+    rate, p_out, cap = _outage(0.2)
     s1, s2, s3 = 2.4463, 307.405, 307.405
-    assert pt.rate == pytest.approx(0.5 * shannon_c(0.2 * min(s2, s1 + s3)), rel=1e-15)
-    assert pt.outage_capacity == pt.rate * (1.0 - pt.p_out)
-
-def test_outage_point_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        OutagePoint(rate=1.0, p_out=1.5, outage_capacity=0.0)
+    assert rate == pytest.approx(0.5 * shannon_c(0.2 * min(s2, s1 + s3)), rel=1e-15)
+    assert p_out == outage_prob_relay(2.0 * rate, REF_GAINS, _params(eta=0.2))
+    assert cap == rate * (1.0 - p_out)
 
 def test_outage_capacity_ignores_blocklength():
-    a = outage_capacity_relay(0.148, 100, REF_GAINS, _params())
-    b = outage_capacity_relay(0.148, 10000, REF_GAINS, _params())
+    a = _outage(0.148, m=100)
+    b = _outage(0.148, m=10000)
     assert a == b
 
 def test_outage_capacity_vanishes_with_weight():
-    assert outage_capacity_relay(1e-12, 500, REF_GAINS, _params()) < 1e-9
+    assert _outage(1e-12)[2] < 1e-9
 
 def test_outage_capacity_unimodal_in_weight():
     etas = np.linspace(0.01, math.log(2.0), 100)
-    vals = np.array([outage_capacity_relay(e, 500, REF_GAINS, _params())
-                     for e in etas])
+    vals = np.array([_outage(e)[2] for e in etas])
     d = np.diff(vals)
     s = np.sign(d[np.abs(d) > 1e-9])
     assert np.count_nonzero(np.diff(s) != 0) == 1
@@ -121,8 +133,8 @@ def test_outage_capacity_unimodal_in_weight():
 def test_finite_blocklength_loss_small_in_operating_range():
     # one-sided loss vs the outage reference stays below 2% for eta >= 0.1
     for eta in np.linspace(0.1, math.log(2.0), 20):
-        c = evaluate_relay_avg_csi(REF_GAINS, _params(eta=eta)).bl_throughput
-        oc = outage_capacity_relay(eta, 500, REF_GAINS, _params(eta=eta))
+        c = _relay_avg_throughput(eta)
+        oc = _outage(eta)[2]
         assert (oc - c) / c < 0.02
 
 def test_outage_capacity_dominance_flag():
@@ -130,8 +142,8 @@ def test_outage_capacity_dominance_flag():
     # the penalized finite-blocklength scheme in the deep-outage region
     worst, where = 0.0, None
     for eta in np.linspace(0.01, math.log(2.0), 50):
-        c = evaluate_relay_avg_csi(REF_GAINS, _params(eta=eta)).bl_throughput
-        oc = outage_capacity_relay(eta, 500, REF_GAINS, _params(eta=eta))
+        c = _relay_avg_throughput(eta)
+        oc = _outage(eta)[2]
         if oc - c < worst:
             worst, where = oc - c, eta
     if worst < -1e-6:
@@ -163,5 +175,5 @@ def test_ergodic_rejects_small_sample():
 def test_ergodic_exceeds_every_finite_blocklength_throughput():
     mean, se = ergodic_capacity_relay(REF_GAINS, _params(), seed=7)
     assert se > 0.0
-    best_fbl = evaluate_relay_avg_csi(REF_GAINS, _params(eta=0.148)).bl_throughput
+    best_fbl = _relay_avg_throughput(0.148)
     assert mean - 3.0 * se > best_fbl

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,65 @@ def test_small_perfect_csi_sample_names_the_flag(capsys):
     assert code == 2
     assert "--mc-samples" in capsys.readouterr().err
 
+def test_mc_samples_rejected_without_a_monte_carlo_scheme(capsys):
+    # no chosen scheme draws samples, so the flag would be ignored
+    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
+                  "--schemes", "relay_avg", "--mc-samples", "5"],
+                 ["compare", "--pair", "relay_vs_direct", "--mc-samples", "3"]):
+        with mock.patch.object(cli, "expected_overall_error") as work:
+            code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--mc-samples" in captured.err
+        assert work.call_count == 0
+
+# every (scheme, metric, variable) that exits 2; all others give numbers
+UNDEFINED = (
+    {(s, m, v) for s in ("relay_perfect", "shannon_ergodic")
+     for m in ("msdr", "expected_error", "coding_rate")
+     for v in cli.VARIABLES}
+    | {("outage", "msdr", v) for v in cli.VARIABLES}
+    | {("relay_perfect", "bl_throughput", "coding_rate")})
+GRIDS = {"coding_rate": "1,2", "eta": "0.2,0.3", "blocklength": "200,500"}
+
+def test_scheme_table_total_and_checked_before_work(capsys, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, scheme in cli.SCHEMES.items():
+        monkeypatch.setitem(cli.SCHEMES, name,
+                            replace(scheme, evaluate=spy(name, scheme.evaluate)))
+    for name in ("ergodic_capacity_relay", "bl_throughput_perfect_csi"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    assert set(cli.SCHEMES) == {"relay_avg", "relay_perfect", "direct_matched",
+                                "direct_weighted", "shannon_ergodic", "outage"}
+    for scheme in cli.SCHEMES:
+        mc = ["--mc-samples", "100000"] if scheme == "relay_perfect" else []
+        for metric in cli.METRICS:
+            for variable in cli.VARIABLES:
+                calls.clear()
+                code = cli.main(["sweep", "--variable", variable,
+                                 "--grid-list", GRIDS[variable], "--schemes",
+                                 scheme, "--metrics", metric, *mc])
+                out, err = capsys.readouterr()
+                where = (scheme, metric, variable)
+                if where in UNDEFINED:
+                    assert code == 2 and out == "", where
+                    assert calls == [], where
+                    assert ("is not defined for scheme" in err
+                            or "not defined on a coding_rate sweep" in err)
+                else:
+                    assert code == 0, where
+                    cells = [float(v) for line in out.split("\n")[1:] if line
+                             for v in line.split(",")[1:]]
+                    assert len(cells) == 2, where
+                    assert all(math.isfinite(v) for v in cells), where
+
 def test_quadrature_failure_exits_3(capsys):
     with mock.patch.object(cli, "expected_overall_error",
                            side_effect=QuadratureNonConvergence("diverged")):
@@ -136,6 +196,17 @@ def test_zero_rate_optimize_converges(capsys):
     values = [float(v) for line in out.strip().split("\n")[1:3]
               for v in line.split(",")[1:3]]
     assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+def test_extreme_snr_sweep_is_finite(capsys):
+    # the dispersion must stay finite (no inf/inf) at mean SNR 1e160
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                         "--pathloss-model", "fixed_gains", "--g1", "1e160",
+                         "--g2", "1e160", "--g3", "1e160", "--metrics",
+                         "coding_rate,expected_error,bl_throughput"], capsys)
+    assert code == 0
+    row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+    assert all(math.isfinite(v) for v in row)
+    assert row[1] > 500.0 and 0.0 < row[2] < 1.0 and row[3] > 0.0
 
 def test_sweep_csv_shape_and_values(capsys):
     code, out = run_cli(["sweep", "--variable", "eta", "--grid-list",
@@ -222,6 +293,16 @@ def test_optimize_reports_both_objectives(capsys):
     assert diff[0] == "difference"
     assert float(diff[1]) == pytest.approx(float(bl[1]) - float(ms[1]))
 
+def test_optimize_evaluates_each_weight_once(capsys):
+    # both objectives scan the same 33 points; each distinct eta costs
+    # one relay_avg evaluation
+    with mock.patch.object(cli, "expected_overall_error",
+                           wraps=cli.expected_overall_error) as spy:
+        code, _ = run_cli(["optimize"], capsys)
+    assert code == 0
+    etas = {call.args[3].eta for call in spy.call_args_list}
+    assert spy.call_count == len(etas) == 65
+
 def test_optimize_tighter_qos_shrinks_argmax(capsys):
     _, out = run_cli(["optimize", "--objective", "msdr", "--qos-d", "1000",
                       "--qos-p-d", "0.01"], capsys)
@@ -248,6 +329,44 @@ def test_compare_fbl_vs_outage_loss_small(capsys):
     assert code == 0
     loss = float(out.strip().split("\n")[-1].split("max_loss_vs_outage=")[1])
     assert 0.0 <= loss < 0.02
+
+def test_compare_fbl_vs_outage_zero_throughput(capsys):
+    # relay_avg selects rate 0 on the lowest weights of these faint links,
+    # where the outage reference is positive: the loss is unbounded
+    code, out = run_cli(["compare", "--pair", "fbl_vs_outage", "--grid",
+                         "0.01", "0.69", "50", *FAINT_LINKS], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
+    assert float(rows[0][1]) == 0.0 and float(rows[0][2]) > 0.0
+    assert out.strip().split("\n")[-1] == (
+        "# summary,bl_throughput,max_loss_vs_outage=inf")
+    assert cli._ratio(0.0, 0.0) == 0.0
+    assert cli._ratio(1e-300, 0.0) == math.inf
+    assert cli._ratio(-1e-300, 0.0) == -math.inf
+
+def test_compare_relay_vs_direct_without_positive_direct(capsys):
+    # direct MSDR is 0 on both weights: no ratio exists, the minimum is inf
+    code, out = run_cli(["compare", "--pair", "relay_vs_direct",
+                         "--grid-list", "0.2,0.3"], capsys)
+    assert code == 0
+    summary = out.strip().split("\n")[-2:]
+    assert summary[0].startswith("# summary,bl_throughput,"
+                                 "min_relay_over_direct=")
+    assert float(summary[0].split("=")[1].split(",")[0]) > 1.0
+    assert summary[1] == ("# summary,msdr,min_relay_over_direct=inf,"
+                          "both_zero_points=0")
+
+def test_compare_avg_vs_perfect_zero_references(capsys):
+    # links so faint that the outage reference and relay_avg are both 0
+    code, out = run_cli(["compare", "--pair", "avg_vs_perfect", "--grid-list",
+                         "100,200", "--mc-samples", "100000",
+                         "--pathloss-model", "fixed_gains", "--g1", "1e-30",
+                         "--g2", "1e-30", "--g3", "1e-30"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert [float(line.split(",")[4]) for line in lines[1:3]] == [0.0, 0.0]
+    assert lines[-2] == ("# summary,avg_gap_to_outage,final=0.0,"
+                         "first_m_below_2pct=100.0")
 
 def test_compare_avg_vs_perfect_convergence_order(capsys):
     code, out = run_cli(["compare", "--pair", "avg_vs_perfect", "--grid-list",

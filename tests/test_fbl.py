@@ -83,6 +83,17 @@ class TestCapacityAndDispersion:
             0.9917355371900827, rel=1e-12
         )
 
+    def test_dispersion_finite_at_extreme_snr(self):
+        # the rational form is exactly its limit from snr ~3.6e16 on, and
+        # its products overflowed (inf/inf = NaN) past snr ~1.3e154
+        limit = dispersion_real(1e17)
+        assert limit == LOG2E**2 / 2.0
+        for g in (1e100, 1.5e154, 1e160, 1e300, 1.7e308):
+            assert dispersion_real(g) == limit
+            assert dispersion_complex(g) == 2.0 * limit
+        np.testing.assert_array_equal(dispersion_real(np.array([1e160, 1e17])),
+                                      [limit, limit])
+
     def test_factor_two_exact(self):
         # exact in floating point, not just approximate
         for g in np.logspace(-6, 6, 121):
@@ -150,6 +161,13 @@ class TestBlockError:
         e = block_error(2.0, 0.0, 500)
         assert e < 0.5
         assert block_error(2.0, 0.0, 50000) < e
+
+    def test_extreme_snr(self):
+        # a NaN dispersion would read as zero SNR here and give 1.0
+        assert block_error(1e160, 100.0, 500) == 0.0
+        r = achievable_rate(1e160, 1e-3, 500)
+        assert math.isfinite(r)
+        assert shannon_c(1e160) - 0.2 < r < shannon_c(1e160)
 
     def test_zero_gain_limits(self):
         assert block_error(0.0, 0.5, 500) == 1.0

@@ -192,24 +192,20 @@ def test_decomposition_infeasible_input_is_zero():
 # behavior on the reference relaying scenario
 # ---------------------------------------------------------------------------
 
-def _scenario_curve(qos, etas, m=500):
-    from fblrelay.relay import LinkGains, SystemParams, evaluate_relay_avg_csi
+def _relay_avg_msdr(eta, m, qos):
+    """MSDR of average-CSI relaying on the reference scenario."""
+    from fblrelay.relay import (LinkGains, SystemParams,
+                                expected_overall_error, select_rate_avg_csi)
     g = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
-    out = []
-    for eta in etas:
-        p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
-        res = evaluate_relay_avg_csi(g, p)
-        out.append(msdr(res.coding_rate, m, res.expected_error, qos))
-    return out
+    p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
+    r = select_rate_avg_csi(g, p)
+    return msdr(r, m, expected_overall_error(r, m, g, p), qos)
+
+def _scenario_curve(qos, etas, m=500):
+    return [_relay_avg_msdr(eta, m, qos) for eta in etas]
 
 def test_msdr_decreasing_in_blocklength():
-    from fblrelay.relay import LinkGains, SystemParams, evaluate_relay_avg_csi
-    g = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
-    vals = []
-    for m in (500, 1000, 2000):
-        p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.1)
-        res = evaluate_relay_avg_csi(g, p)
-        vals.append(msdr(res.coding_rate, m, res.expected_error, REF_QOS))
+    vals = [_relay_avg_msdr(0.1, m, REF_QOS) for m in (500, 1000, 2000)]
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 def test_optimal_weight_shrinks_as_qos_tightens():

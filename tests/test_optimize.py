@@ -11,8 +11,9 @@ from fblrelay.relay import (
     LinkGains,
     SystemParams,
     _maximize_per_draw,
-    evaluate_relay_avg_csi,
+    expected_overall_error,
     overall_error_instant,
+    select_rate_avg_csi,
 )
 from fblrelay.linklayer import QoSPair, msdr
 from fblrelay.optimize import maximize_unimodal
@@ -22,6 +23,12 @@ REF_QOS = QoSPair(d=1e4, p_d=1e-2)
 
 def _params(eta, m=500):
     return SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
+
+def _relay_avg(eta):
+    """Selected rate and its expected error on the reference scenario."""
+    p = _params(eta)
+    r = select_rate_avg_csi(REF_GAINS, p)
+    return r, expected_overall_error(r, p.m, REF_GAINS, p)
 
 # frozen continuous optima on the reference scenario (tol 1e-4)
 CBL_ETA_STAR = 0.15093695130331053
@@ -78,7 +85,8 @@ def test_rejects_empty_interval():
 
 def test_throughput_weight_optimum():
     def objective(eta):
-        return evaluate_relay_avg_csi(REF_GAINS, _params(eta)).bl_throughput
+        r, err = _relay_avg(eta)
+        return 0.5 * r * (1.0 - err)
     res = maximize_unimodal(objective, 0.01, math.log(2.0), 1e-4)
     assert res.flag == "converged"
     assert 0.1 <= res.argmax <= 0.3
@@ -87,8 +95,8 @@ def test_throughput_weight_optimum():
 
 def test_msdr_weight_optimum():
     def objective(eta):
-        r = evaluate_relay_avg_csi(REF_GAINS, _params(eta))
-        return msdr(r.coding_rate, 500, r.expected_error, REF_QOS)
+        r, err = _relay_avg(eta)
+        return msdr(r, 500, err, REF_QOS)
     res = maximize_unimodal(objective, 0.01, math.log(2.0), 1e-4)
     assert res.flag == "converged"
     assert res.argmax == pytest.approx(MSDR_ETA_STAR, abs=1e-6)

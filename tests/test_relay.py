@@ -6,16 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fblrelay.cli import SCHEMES, Point
 from fblrelay.fbl import achievable_rate, block_error
 from fblrelay.fading import FadingDraw
+from fblrelay.linklayer import QoSPair
 from fblrelay.relay import (
     LinkGains,
     SystemParams,
     _maximize_per_draw,
-    bl_throughput_direct,
     bl_throughput_perfect_csi,
-    bl_throughput_relay,
-    evaluate_relay_avg_csi,
+    bottleneck_snr,
     expected_overall_error,
     overall_error_instant,
     select_rate_avg_csi,
@@ -27,7 +27,7 @@ LN2 = math.log(2.0)
 REF_PARAMS = SystemParams(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
-# frozen outputs of evaluate_relay_avg_csi on the reference scenario
+# frozen rate selection and its expected error on the reference scenario
 REF_RATE = 5.33969938461749
 REF_ERR = 0.22057725077852786
 REF_THR = 2.0809415871873838
@@ -45,6 +45,21 @@ def _params(**kw):
     base = dict(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)
     base.update(kw)
     return SystemParams(**base)
+
+def _relay_avg(gains, params):
+    """Selected rate, expected error and throughput of average-CSI relaying."""
+    r = select_rate_avg_csi(gains, params)
+    err = expected_overall_error(r, params.m, gains, params)
+    return r, err, 0.5 * r * (1.0 - err)
+
+def _thr(r, gains=REF_GAINS):
+    """Relaying throughput at a fixed per-hop rate."""
+    return 0.5 * r * (1.0 - expected_overall_error(r, 500, gains, REF_PARAMS))
+
+def _scheme(name, r=None):
+    """All metrics of one scheme of the CLI table on the reference scenario."""
+    pt = Point(REF_GAINS, REF_PARAMS, QoSPair(d=1e4, p_d=1e-2))
+    return SCHEMES[name].evaluate(r, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +99,11 @@ def test_gains_reject_nonpositive():
 # ---------------------------------------------------------------------------
 # rate selection from weighted average CSI
 # ---------------------------------------------------------------------------
+
+def test_bottleneck_snr_is_weaker_branch():
+    p = _params(p_tx=2.0)
+    assert bottleneck_snr(LinkGains(g1=50.0, g2=4.0, g3=60.0), p) == 8.0
+    assert bottleneck_snr(LinkGains(g1=1.0, g2=400.0, g3=2.5), p) == 7.0
 
 def test_select_rate_backhaul_bottleneck():
     # g2 far below g1 + g3: selection must track the backhaul alone
@@ -197,27 +217,34 @@ def test_expected_error_small_for_tiny_rate():
     assert expected_overall_error(0.01, 10000, REF_GAINS, REF_PARAMS) < 1e-3
 
 def test_reference_scenario_regression():
-    res = evaluate_relay_avg_csi(REF_GAINS, REF_PARAMS)
-    assert res.scheme == "relay_avg_csi"
-    assert res.coding_rate == pytest.approx(REF_RATE, rel=1e-12)
-    assert res.expected_error == pytest.approx(REF_ERR, rel=1e-9)
-    assert res.bl_throughput == pytest.approx(REF_THR, rel=1e-9)
+    rate, err, thr = _relay_avg(REF_GAINS, REF_PARAMS)
+    assert rate == pytest.approx(REF_RATE, rel=1e-12)
+    assert err == pytest.approx(REF_ERR, rel=1e-9)
+    assert thr == pytest.approx(REF_THR, rel=1e-9)
+    # the CLI's relay_avg evaluator picks the same rate by itself
+    res = _scheme("relay_avg")
+    assert res["coding_rate"] == rate
+    assert res["expected_error"] == err
+    assert res["bl_throughput"] == thr
 
 def test_throughput_matches_rate_error_identity():
-    thr = bl_throughput_relay(3.0, 500, REF_GAINS, REF_PARAMS)
+    # the CLI's relay_avg evaluator at a swept rate
+    res = _scheme("relay_avg", 3.0)
     err = expected_overall_error(3.0, 500, REF_GAINS, REF_PARAMS)
-    assert thr == pytest.approx(0.5 * 3.0 * (1.0 - err), rel=1e-15)
+    assert res["coding_rate"] == 3.0
+    assert res["expected_error"] == err
+    assert res["bl_throughput"] == pytest.approx(0.5 * 3.0 * (1.0 - err),
+                                                 rel=1e-15)
 
 def test_throughput_concave_in_rate():
     # central second differences stay nonpositive up to curvature noise
     h = 1e-3
     for r in np.linspace(0.5, 7.0, 20):
-        f = [bl_throughput_relay(r + k * h, 500, REF_GAINS, REF_PARAMS)
-             for k in (-1, 0, 1)]
+        f = [_thr(r + k * h) for k in (-1, 0, 1)]
         assert (f[0] - 2.0 * f[1] + f[2]) / h**2 <= 1e-6
 
 def test_throughput_unimodal_in_weight():
-    vals = [evaluate_relay_avg_csi(REF_GAINS, _params(eta=e)).bl_throughput
+    vals = [_relay_avg(REF_GAINS, _params(eta=e))[2]
             for e in np.linspace(0.01, LN2, 25)]
     diffs = np.diff(vals)
     signs = np.sign(diffs[np.abs(diffs) > 1e-9])
@@ -225,7 +252,7 @@ def test_throughput_unimodal_in_weight():
     assert flips == 1
 
 def test_throughput_nondecreasing_in_blocklength_at_low_weight():
-    thr = [evaluate_relay_avg_csi(REF_GAINS, _params(m=m, eta=0.1)).bl_throughput
+    thr = [_relay_avg(REF_GAINS, _params(m=m, eta=0.1))[2]
            for m in (100, 500, 2000)]
     assert thr[0] < thr[1] < thr[2]
 
@@ -234,49 +261,42 @@ def test_throughput_approaches_half_rate_for_strong_links():
     # (with weighted selection the error would not vanish: the selected
     # rate grows with the SNR and holds the error at an eta-driven level.)
     g = LinkGains(g1=1e9, g2=1e9, g3=1e9)
-    thr = bl_throughput_relay(1.0, 500, g, REF_PARAMS)
+    thr = _thr(1.0, g)
     assert thr == pytest.approx(0.5, rel=1e-6)
 
 def test_weighted_selection_pins_error_as_gains_grow():
     # scaling all gains tenfold leaves the expected error nearly unchanged
     p = _params(eta=0.1)
-    errs = [evaluate_relay_avg_csi(LinkGains(s * 2.4463, s * 307.405,
-                                             s * 307.405), p).expected_error
+    errs = [_relay_avg(LinkGains(s * 2.4463, s * 307.405, s * 307.405), p)[1]
             for s in (1.0, 10.0, 100.0)]
     assert max(errs) - min(errs) < 0.02
     assert all(0.05 < e < 0.5 for e in errs)
 
 
 # ---------------------------------------------------------------------------
-# direct transmission baseline
+# direct transmission baseline (blocklength 2m = 1000)
 # ---------------------------------------------------------------------------
 
 def test_direct_matched_rate_halves_relay_rate():
-    res = bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, mode="matched_rate")
-    assert res.scheme == "direct_matched"
-    assert res.coding_rate == pytest.approx(0.5 * REF_RATE, rel=1e-12)
+    res = _scheme("direct_matched")
+    assert res["coding_rate"] == pytest.approx(0.5 * REF_RATE, rel=1e-12)
 
 def test_direct_weighted_uses_own_link_snr():
-    res = bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, mode="weighted_csi")
+    res = _scheme("direct_weighted")
     expect = achievable_rate(0.148 * 2.4463, 1e-3, 1000)
-    assert res.scheme == "direct_avg_csi"
-    assert res.coding_rate == pytest.approx(expect, rel=1e-12)
+    assert res["coding_rate"] == pytest.approx(expect, rel=1e-12)
 
 def test_direct_throughput_has_no_halving():
-    res = bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, mode="weighted_csi")
-    assert res.bl_throughput == pytest.approx(
-        res.coding_rate * (1.0 - res.expected_error), rel=1e-15)
-
-def test_direct_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, mode="genie")
+    res = _scheme("direct_weighted")
+    assert res["bl_throughput"] == pytest.approx(
+        res["coding_rate"] * (1.0 - res["expected_error"]), rel=1e-15)
 
 def test_relay_beats_direct_on_reference_scenario():
-    relay = evaluate_relay_avg_csi(REF_GAINS, REF_PARAMS).bl_throughput
-    matched = bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, "matched_rate")
-    weighted = bl_throughput_direct(1000, REF_GAINS, REF_PARAMS, "weighted_csi")
-    assert relay > 5.0 * matched.bl_throughput
-    assert relay > 5.0 * weighted.bl_throughput
+    relay = _relay_avg(REF_GAINS, REF_PARAMS)[2]
+    matched = _scheme("direct_matched")
+    weighted = _scheme("direct_weighted")
+    assert relay > 5.0 * matched["bl_throughput"]
+    assert relay > 5.0 * weighted["bl_throughput"]
 
 
 # ---------------------------------------------------------------------------
