@@ -32,11 +32,6 @@ def outage_prob_relay(r, gains, params):
                           avg_snr(gains.g3, params))
     return p2 + (1.0 - p2) * pmrc
 
-def outage_prob_direct(r, gains, params):
-    """Single-link Rayleigh outage of the direct source-destination hop."""
-    return rayleigh_outage_cdf(2.0**r - 1.0, avg_snr(gains.g1, params))
-
-
 # ---------------------------------------------------------------------------
 # ergodic Shannon capacity
 # ---------------------------------------------------------------------------

@@ -264,9 +264,23 @@ def _add_run(p, monte_carlo=True):
     if monte_carlo:
         # None: 1e6 where a scheme draws samples, and an error if given
         # where none does (see _mc_samples)
-        p.add_argument("--mc-samples", type=float, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--mc-samples", type=_finite, default=None)
+        p.add_argument("--workers", type=_at_least_one, default=1)
     p.add_argument("--output", help="write CSV here instead of stdout")
+
+def _finite(text):
+    """Type of --mc-samples: a finite number, such as 1e6."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+def _at_least_one(text):
+    """Type of the count flags --workers and --points."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 def _scenario_from_args(args):
     scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
@@ -472,7 +486,7 @@ def _build_parser():
     p = subs.add_parser("validate",
                         help="quadrature vs Monte Carlo battery")
     _add_run(p)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_at_least_one, default=20)
     p.set_defaults(func=_cmd_validate, mc_samples=_MC_SAMPLES)
     return parser
 

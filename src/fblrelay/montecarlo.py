@@ -16,7 +16,7 @@ import numpy as np
 
 from .fbl import block_error
 from .fading import FadingDraw, avg_snr
-from .relay import overall_error_instant
+from .relay import _BLOCK
 
 _CHUNK = 1 << 18
 
@@ -43,8 +43,9 @@ def draw_fading(rng, size=None):
     Maps uniforms through z = -ln(1 - u) so the open-interval endpoint
     of the generator cannot produce an infinite variate.
     """
-    shape = 3 if size is None else (3, size)
-    z = -np.log1p(-rng.random(shape))
+    z = rng.random(3 if size is None else (3, size))
+    # -log1p(-u) in place: no chunk-sized temporaries
+    np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return FadingDraw(z[0], z[1], z[2])
 
 
@@ -59,6 +60,17 @@ def _chunk_layout(n, seed):
         sizes.append(n % _CHUNK)
     return sizes, np.random.SeedSequence(seed).spawn(len(sizes))
 
+def _map_chunks(fn, n, seed, workers):
+    """fn(rng, k) on every chunk's substream, results in chunk order.
+
+    Chunks run on a pool of workers threads; each has its own
+    generator, so the worker count affects speed only.
+    """
+    sizes, seqs = _chunk_layout(n, seed)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda seq, k: fn(np.random.default_rng(seq), k),
+                             seqs, sizes))
+
 def _merge_welford(a, b):
     na, ma, m2a = a
     nb, mb, m2b = b
@@ -69,22 +81,14 @@ def _merge_welford(a, b):
 def _stream_welford(sample_chunk, n, seed, workers=1):
     """Mean and standard error of sample_chunk(rng, k) over n draws.
 
-    Chunks are processed on their own substream generators and merged
-    in chunk order: the worker count affects speed only.
+    Per-chunk moments are merged in chunk order.
     """
-    sizes, seqs = _chunk_layout(n, seed)
-
-    def one(args):
-        seq, k = args
-        x = sample_chunk(np.random.default_rng(seq), k)
+    def moments(rng, k):
+        x = sample_chunk(rng, k)
         mean = float(np.mean(x))
         return (k, mean, float(np.sum((x - mean)**2)))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, zip(seqs, sizes)))
-    else:
-        parts = [one(args) for args in zip(seqs, sizes)]
+    parts = _map_chunks(moments, n, seed, workers)
     total = parts[0]
     for part in parts[1:]:
         total = _merge_welford(total, part)
@@ -92,16 +96,29 @@ def _stream_welford(sample_chunk, n, seed, workers=1):
     std = math.sqrt(m2 / (cnt - 1)) if cnt > 1 else 0.0
     return mean, std / math.sqrt(cnt), cnt
 
+def _link_errors(draw, r, m, gains, params):
+    """Per-draw backhaul and MRC block errors (e2, emrc) of one chunk.
+
+    block_error runs on slices of 2^14 draws, whose temporaries stay in
+    cache; it is elementwise, so the result is bitwise that of one call
+    on the whole chunk.
+    """
+    s1, s2, s3 = (avg_snr(g, params) for g in (gains.g1, gains.g2, gains.g3))
+    e2 = np.empty_like(draw.z2)
+    emrc = np.empty_like(draw.z2)
+    for i in range(0, draw.z2.size, _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        e2[blk] = block_error(draw.z2[blk] * s2, r, m)
+        emrc[blk] = block_error(draw.z1[blk] * s1 + draw.z3[blk] * s3, r, m)
+    return e2, emrc
+
 def _decode_success(rng, k, r, m, gains, params):
     """Two-stage per-period decode events: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
     one Bernoulli from the composed probability.
     """
-    draw = draw_fading(rng, k)
-    e2 = block_error(draw.z2 * avg_snr(gains.g2, params), r, m)
-    emrc = block_error(draw.z1 * avg_snr(gains.g1, params)
-                       + draw.z3 * avg_snr(gains.g3, params), r, m)
+    e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains, params)
     backhaul_ok = rng.random(k) >= e2
     mrc_ok = rng.random(k) >= emrc
     return backhaul_ok & mrc_ok
@@ -114,7 +131,8 @@ def _decode_success(rng, k, r, m, gains, params):
 def _check_n(n):
     n = int(n)
     if n < 10000:
-        raise ValueError("Monte Carlo estimate needs at least 1e4 samples")
+        raise ValueError("Monte Carlo estimate needs at least 1e4 samples "
+                         "(n, --mc-samples)")
     return n
 
 def mc_expected_overall_error(r, m, gains, params, n=1000000, seed=None,
@@ -123,7 +141,8 @@ def mc_expected_overall_error(r, m, gains, params, n=1000000, seed=None,
     n = _check_n(n)
 
     def chunk(rng, k):
-        return overall_error_instant(draw_fading(rng, k), r, m, gains, params)
+        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains, params)
+        return e2 + (1.0 - e2) * emrc
 
     mean, se, cnt = _stream_welford(chunk, n, seed, workers)
     return McEstimate(mean, se, cnt, seed)
@@ -158,12 +177,12 @@ def mc_service_stats(r, m, gains, params, n=1000000, seed=None, workers=1):
     fourth central moment) follow in closed form from the count.
     """
     n = _check_n(n)
-    sizes, seqs = _chunk_layout(n, seed)
-    successes = 0
-    for seq, k in zip(seqs, sizes):
-        rng = np.random.default_rng(seq)
-        successes += int(np.count_nonzero(
-            _decode_success(rng, k, r, m, gains, params)))
+
+    def count(rng, k):
+        return int(np.count_nonzero(_decode_success(rng, k, r, m, gains,
+                                                    params)))
+
+    successes = sum(_map_chunks(count, n, seed, workers))
     payload = r * m
     q = successes / n
     mean = payload * q

@@ -7,6 +7,7 @@ original tolerance on purpose.
 """
 
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -67,7 +68,7 @@ def test_expected_error_matches_monte_carlo_battery():
         r = float(frac * math.log2(1.0 + min(g.g2, g.g1 + g.g3)))
         err = expected_overall_error(r, m, g, p)
         est = mc_expected_overall_error(r, m, g, p, n=10_000_000,
-                                        seed=(sub, 1))
+                                        seed=(sub, 1), workers=os.cpu_count())
         assert abs(est.mean - err) <= 3.0 * est.std_err
     assert time.monotonic() - start < 300.0
 

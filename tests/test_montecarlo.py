@@ -1,15 +1,25 @@
 """Tests for the Monte Carlo twins of the analytic fading averages."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from fblrelay.relay import LinkGains, SystemParams, expected_overall_error
+from fblrelay import montecarlo
+from fblrelay.fading import avg_snr
+from fblrelay.fbl import block_error
+from fblrelay.relay import (
+    LinkGains,
+    SystemParams,
+    expected_overall_error,
+    overall_error_instant,
+)
 from fblrelay.linklayer import QoSPair, msdr, qos_penalty_factor, service_stats
 from fblrelay.montecarlo import (
     McEstimate,
     _chunk_layout,
+    _link_errors,
     draw_fading,
     mc_bl_throughput,
     mc_expected_overall_error,
@@ -81,7 +91,6 @@ def test_welford_merge_matches_flat_computation():
     est = mc_expected_overall_error(2.0, 500, REF_GAINS, REF_PARAMS,
                                     n=600000, seed=3)
     sizes, seqs = _chunk_layout(600000, 3)
-    from fblrelay.relay import overall_error_instant
     vals = np.concatenate([
         overall_error_instant(draw_fading(np.random.default_rng(s), k),
                               2.0, 500, REF_GAINS, REF_PARAMS)
@@ -104,9 +113,45 @@ def test_error_estimate_frozen_and_within_band():
     assert abs(est.mean - REF_ERR) < 3.0 * est.std_err
 
 def test_error_estimate_deterministic_across_workers():
-    a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,
-                                  n=1000000, seed=42, workers=4)
-    assert a.mean == MC_ERR and a.std_err == pytest.approx(MC_ERR_SE, rel=1e-12)
+    # 1e6 draws: three full chunks and one of 213568
+    for fn in (mc_expected_overall_error, mc_bl_throughput, mc_service_stats):
+        a, b, c = (fn(REF_RATE, 500, REF_GAINS, REF_PARAMS, n=1000000,
+                      seed=42, workers=w) for w in (1, 2, 4))
+        assert a == b == c
+        if fn is mc_expected_overall_error:
+            assert c.mean == MC_ERR
+            assert c.std_err == pytest.approx(MC_ERR_SE, rel=1e-12)
+
+def test_every_estimator_maps_its_chunks_on_the_pool(monkeypatch):
+    submitted = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.max_workers = max_workers
+
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(self.max_workers)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    for fn in (mc_expected_overall_error, mc_bl_throughput, mc_service_stats):
+        submitted.clear()
+        fn(REF_RATE, 500, REF_GAINS, REF_PARAMS, n=600000, seed=3, workers=2)
+        assert submitted == [2, 2, 2]
+
+@pytest.mark.parametrize("k", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                               213568, 1 << 18])
+def test_sliced_link_errors_equal_one_call(k):
+    draw = draw_fading(np.random.default_rng(k), k)
+    s1, s2, s3 = (avg_snr(g, REF_PARAMS)
+                  for g in (REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3))
+    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS, REF_PARAMS)
+    assert np.array_equal(e2, block_error(draw.z2 * s2, REF_RATE, 500))
+    assert np.array_equal(emrc, block_error(draw.z1 * s1 + draw.z3 * s3,
+                                            REF_RATE, 500))
+    assert np.array_equal(e2 + (1.0 - e2) * emrc, overall_error_instant(
+        draw, REF_RATE, 500, REF_GAINS, REF_PARAMS))
 
 def test_error_estimate_seed_sensitivity():
     a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,
