@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .fbl import shannon_c
-from .fading import avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
+from .fading import _link_snrs, avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
 
 
 def outage_prob_relay(r, gains, params):
@@ -37,12 +37,12 @@ def outage_prob_relay(r, gains, params):
 # ---------------------------------------------------------------------------
 
 def _ergodic_from_draws(z, gains, params):
-    """Per-draw bottleneck capacity, halved for the two-hop period."""
-    s1 = avg_snr(gains.g1, params)
-    s2 = avg_snr(gains.g2, params)
-    s3 = avg_snr(gains.g3, params)
-    return 0.5 * np.minimum(shannon_c(z[1] * s2),
-                            shannon_c(z[0] * s1 + z[2] * s3))
+    """Per-draw bottleneck capacity, halved for the two-hop period.
+
+    Capacity rises with SNR: one log, of the weaker SNR, written in place.
+    """
+    snr2, snr_mrc = _link_snrs(*z, gains, params)
+    return 0.5 * shannon_c(np.minimum(snr2, snr_mrc, out=snr2))
 
 def ergodic_capacity_relay(gains, params, n_samples=1000000, seed=None):
     """Monte Carlo ergodic capacity of the bottleneck link, with its SE.

@@ -35,7 +35,7 @@ from .relay import (
     expected_overall_error,
     select_rate_avg_csi,
 )
-from .scenario import Scenario, build, load_scenario, with_overrides
+from .scenario import KEYS, Scenario, build, load_scenario, with_overrides
 
 VARIABLES = ("coding_rate", "eta", "blocklength")
 METRICS = ("bl_throughput", "msdr", "expected_error", "coding_rate")
@@ -173,14 +173,20 @@ class SweepSpec:
                 raise ValueError(f"{scheme} re-optimizes the rate per draw; "
                                  "not defined on a coding_rate sweep")
 
-def _mc_samples(value, schemes):
-    """--mc-samples, accepted only when a chosen scheme draws samples."""
-    if value is None:
-        return _MC_SAMPLES
-    if not any(SCHEMES[s].monte_carlo for s in schemes):
-        raise ValueError("--mc-samples is given, but none of the schemes "
-                         f"{','.join(schemes)} draws Monte Carlo samples")
-    return int(value)
+def _mc_flags(args, schemes):
+    """--mc-samples and --workers, accepted only where a scheme draws samples.
+
+    Returns (samples, workers): 1e6 and 1 for a flag not given.
+    """
+    given = [flag for flag, value in (("--mc-samples", args.mc_samples),
+                                      ("--workers", args.workers))
+             if value is not None]
+    if given and not any(SCHEMES[s].monte_carlo for s in schemes):
+        raise ValueError(f"none of the schemes {','.join(schemes)} draws "
+                         "Monte Carlo samples, so "
+                         f"{' and '.join(given)} would be ignored")
+    return (_MC_SAMPLES if args.mc_samples is None else int(args.mc_samples),
+            1 if args.workers is None else args.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ def _eval_point(spec, base, i, x):
 
 def _run_sweep(spec, scn, args):
     """Header and rows of a sweep, with the run flags of args."""
-    mc_samples = _mc_samples(args.mc_samples, spec.schemes)
+    mc_samples, workers = _mc_flags(args, spec.schemes)
     seed = args.seed
     gains, params = build(scn)
     ergodic = math.nan
@@ -216,8 +222,10 @@ def _run_sweep(spec, scn, args):
             seed=(seed, 10001))
     base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
     points = list(enumerate(spec.grid))
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+    # one worker runs serially: a one-thread pool made the 100-point
+    # quadrature sweep 1.3x (best run) to 1.9x (median) slower
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda p: _eval_point(spec, base, *p), points))
     else:
         rows = [_eval_point(spec, base, *p) for p in points]
@@ -244,28 +252,22 @@ def _emit(text, path):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-_SCENARIO_FLAGS = ("d_backhaul", "d_relaying", "d_direct", "p_tx_dbm",
-                   "noise_dbm", "f_c", "m", "eta", "eps_nominal",
-                   "ant_gain_db", "direct_extra_loss_db", "g1", "g2", "g3")
-
 def _add_scenario(p, monte_carlo=True):
-    """Scenario flags, then the run flags of the subcommand."""
+    """One flag per scenario key, then the run flags of the subcommand."""
     p.add_argument("--scenario-file", help="flat key=value scenario file")
-    for name in _SCENARIO_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
-    p.add_argument("--qos-d", type=float, default=None)
-    p.add_argument("--qos-p-d", type=float, default=None)
-    p.add_argument("--pathloss-model", default=None)
+    for key in KEYS:
+        p.add_argument("--" + key.replace("_", "-"), default=None,
+                       type=None if key == "pathloss_model" else float)
     _add_run(p, monte_carlo)
 
 def _add_run(p, monte_carlo=True):
     """--seed and --output; --mc-samples and --workers where MC runs."""
     p.add_argument("--seed", type=int, default=42)
     if monte_carlo:
-        # None: 1e6 where a scheme draws samples, and an error if given
-        # where none does (see _mc_samples)
+        # None: 1e6 samples and one worker where a scheme draws samples,
+        # and an error if given where none does (see _mc_flags)
         p.add_argument("--mc-samples", type=_finite, default=None)
-        p.add_argument("--workers", type=_at_least_one, default=1)
+        p.add_argument("--workers", type=_at_least_one, default=None)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 def _finite(text):
@@ -284,18 +286,8 @@ def _at_least_one(text):
 
 def _scenario_from_args(args):
     scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
-    over = {}
-    for name in _SCENARIO_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            over[name] = value
-    if args.pathloss_model is not None:
-        over["pathloss_model"] = args.pathloss_model
-    if (args.qos_d is None) != (args.qos_p_d is None):
-        raise ValueError("--qos-d and --qos-p-d must be given together")
-    if args.qos_d is not None:
-        over["qos"] = QoSPair(d=args.qos_d, p_d=args.qos_p_d)
-    return with_overrides(scn, **over) if over else scn
+    return with_overrides(scn, **{key: getattr(args, key) for key in KEYS
+                                  if getattr(args, key) is not None})
 
 def _grid_from_args(args, default=None):
     if args.grid is not None and args.grid_list is not None:
@@ -487,7 +479,7 @@ def _build_parser():
                         help="quadrature vs Monte Carlo battery")
     _add_run(p)
     p.add_argument("--points", type=_at_least_one, default=20)
-    p.set_defaults(func=_cmd_validate, mc_samples=_MC_SAMPLES)
+    p.set_defaults(func=_cmd_validate, mc_samples=_MC_SAMPLES, workers=1)
     return parser
 
 

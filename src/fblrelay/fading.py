@@ -20,12 +20,11 @@ LinkGains/SystemParams are accessed by attribute only (g1, g2, g3,
 p_tx, sigma2), so any object with those fields works.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fbl import LN2, block_error, dispersion_complex
+from .fbl import LN2, _cap_spread, block_error
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -56,6 +55,11 @@ class QuadratureNonConvergence(RuntimeError):
 def avg_snr(gain, params):
     """Average received SNR of a link: gain * p_tx / sigma2."""
     return gain * params.p_tx / params.sigma2
+
+def _link_snrs(z1, z2, z3, gains, params):
+    """Per-draw (backhaul, MRC) SNRs (z2*s2, z1*s1 + z3*s3), s = avg_snr."""
+    return (z2 * avg_snr(gains.g2, params),
+            z1 * avg_snr(gains.g1, params) + z3 * avg_snr(gains.g3, params))
 
 
 class FadingDraw:
@@ -101,9 +105,8 @@ def _transition_hint(gain, offset, r, m):
         # order, falling below Q(10) near z = 2*10^2/(m*gain)
         return 0.0, 2.0 * _TRANSITION_SIGMAS**2 / (m * gain)
     z_star = (2.0**r - 1.0 - offset) / gain
-    v = dispersion_complex(2.0**r - 1.0)
     c_slope = gain / (2.0**r * LN2)
-    h = _TRANSITION_SIGMAS * math.sqrt(v / m) / c_slope
+    h = _TRANSITION_SIGMAS * float(_cap_spread(2.0**r - 1.0, m)[1]) / c_slope
     if z_star + h <= 0.0:
         return None
     return z_star, h

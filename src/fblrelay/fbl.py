@@ -8,6 +8,9 @@ Provides:
   * achievable_rate       -- rate at blocklength m and target error eps
   * block_error           -- decoding error probability at rate r and blocklength m
 
+block_error is Q((C - r)/s) with s = sqrt(V/m); its pieces _cap_spread,
+_error_at and _mills also serve the perfect-CSI solver in relay.
+
 All rates are in bits per channel use (log base 2). Functions broadcast over
 numpy arrays; scalars in, scalars out.
 """
@@ -15,11 +18,13 @@ numpy arrays; scalars in, scalars out.
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from scipy.special import erfc, erfcinv, erfcx
 
 LN2 = math.log(2.0)
 LOG2E = np.log2(np.e)
 _LOG2E_SQ = LOG2E * LOG2E
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def q_func(w: float) -> float:
@@ -36,12 +41,27 @@ def q_inv(eps: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _mills(r, c, s):
+    """w = (C - r)/s and l = -d/dr log Phi(w), the Mills ratio over s.
+
+    phi(w)/Phi(w) = sqrt(2/pi) / erfcx(-w/sqrt(2)) does not overflow in
+    either tail.
+    """
+    w = (c - r) / s
+    return w, _SQRT_2_OVER_PI / erfcx(-w / _SQRT2) / s
+
+
+def _capacity(snr):
+    """log2(1 + snr): the one capacity expression of the package."""
+    return np.log2(1.0 + snr)
+
+
 def shannon_c(snr: float) -> float:
     """Shannon capacity log2(1 + snr) of a complex channel at linear SNR."""
     snr = np.asarray(snr, dtype=float)
     if np.any(snr < 0.0):
         raise ValueError("shannon_c requires snr >= 0")
-    out = np.log2(1.0 + snr)
+    out = _capacity(snr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -61,21 +81,36 @@ def dispersion_complex(snr: float) -> float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _cap_spread(snr, m):
+    """Capacity C and spread s = sqrt(V/m) of the Q argument (C - r)/s."""
+    return _capacity(snr), np.sqrt(dispersion_complex(snr) / m)
+
+
+def _error_at(r, c, s):
+    """Q((C - r)/s), and its limit Q(+-inf) where s = 0; C = r gives Q(0).
+
+    So zero SNR (C = s = 0) gives 1 for r > 0 and 1/2 at r = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (c - r) / s
+    return q_func(np.where(c == r, 0.0, w))
+
+
 def achievable_rate(snr: float, eps: float, m: float) -> float:
     """Coding rate C - sqrt(V/m) * Q^-1(eps) at blocklength m, clamped at 0.
 
-    The clamp fires for small eps / small m corners where the penalty exceeds
-    capacity; callers that need to distinguish a clamped zero can compare
-    against the unclamped expression themselves (see relay.select_rate_avg_csi).
+    The clamp fires for small eps / small m corners where the penalty
+    exceeds capacity.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("achievable_rate requires eps in (0, 1)")
     if np.any(np.asarray(m) < 1):
         raise ValueError("achievable_rate requires m >= 1")
-    c = shannon_c(snr)
-    v = dispersion_complex(snr)
-    raw = c - np.sqrt(v / m) * q_inv(eps)
-    out = np.maximum(raw, 0.0)
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr < 0.0):
+        raise ValueError("achievable_rate requires snr >= 0")
+    c, s = _cap_spread(snr, m)
+    out = np.maximum(c - s * q_inv(eps), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -91,10 +126,5 @@ def block_error(snr: float, r: float, m: float) -> float:
         raise ValueError("block_error requires snr >= 0")
     if np.any(r < 0.0):
         raise ValueError("block_error requires r >= 0")
-    c = np.log2(1.0 + snr)
-    v = dispersion_complex(snr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (c - r) / np.sqrt(v / m)
-    out = q_func(np.where(v > 0.0, arg, 0.0))
-    out = np.where(v > 0.0, out, np.where(r > 0.0, 1.0, 0.5))
+    out = _error_at(r, *_cap_spread(snr, m))
     return float(out) if out.ndim == 0 else out

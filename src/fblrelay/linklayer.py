@@ -1,4 +1,4 @@
-"""Link-layer model: effective capacity and maximum sustainable data rate.
+"""Link-layer model: Bernoulli service statistics and the maximum sustainable data rate.
 
 A transmission period of 2m symbols delivers either r*m bits or nothing,
 so the service process increment is Bernoulli.  Under a delay budget of
@@ -41,18 +41,6 @@ class ServiceStats:
             raise ValueError("variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class QosExponentPoint:
-    """One point of the effective-capacity curve: exponent and value."""
-
-    theta: float  # QoS exponent, per bit
-    ec: float     # effective capacity, bits per period
-
-    def __post_init__(self):
-        if self.theta <= 0.0:
-            raise ValueError("QoS exponent must be positive")
-
-
 def service_stats(r, m, eps_bar):
     """Bernoulli moments of the per-period delivered payload r*m."""
     if not 0.0 <= eps_bar <= 1.0:
@@ -60,16 +48,6 @@ def service_stats(r, m, eps_bar):
     payload = r * m
     return ServiceStats(payload * (1.0 - eps_bar),
                         payload**2 * eps_bar * (1.0 - eps_bar), eps_bar)
-
-def effective_capacity_clt(stats, theta):
-    """Second-order effective capacity: mean - (theta/2) * variance."""
-    if theta < 0.0:
-        raise ValueError("QoS exponent must be nonnegative")
-    return stats.mean - 0.5 * theta * stats.variance
-
-def qos_exponent_point(stats, theta):
-    """Bundle an exponent with its effective capacity for curve output."""
-    return QosExponentPoint(theta, effective_capacity_clt(stats, theta))
 
 def qos_penalty_factor(m, qos):
     """Dimensionless delay-constraint factor 4m*ln(p_d)/d, always < 0."""
@@ -107,18 +85,3 @@ def msdr(r, m, eps_bar, qos):
         return 0.5 * r * keep
     disc = keep**2 + phi * eps_bar * keep
     return 0.25 * r * keep + 0.25 * r * math.sqrt(disc)
-
-def msdr_decomposition_check(r, m, eps_bar, qos):
-    """Residual of splitting the MSDR into half throughput plus a rest.
-
-    The identity under test: msdr = (r(1-e)/2)/2 + (r/4)*sqrt(1 +
-    (phi-2)e + (1-phi)e^2).  Returns the absolute difference, 0.0 for
-    infeasible input where both sides are pinned to zero.
-    """
-    if not msdr_feasible(m, eps_bar, qos):
-        return 0.0
-    phi = qos_penalty_factor(m, qos)
-    half_throughput = 0.5 * (0.5 * r * (1.0 - eps_bar))
-    rest = 0.25 * r * math.sqrt(
-        1.0 + (phi - 2.0) * eps_bar + (1.0 - phi) * eps_bar**2)
-    return abs(msdr(r, m, eps_bar, qos) - (half_throughput + rest))

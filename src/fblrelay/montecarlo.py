@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbl import block_error
-from .fading import FadingDraw, avg_snr
+from .fading import FadingDraw, _link_snrs
 from .relay import _BLOCK
 
 _CHUNK = 1 << 18
@@ -103,13 +103,14 @@ def _link_errors(draw, r, m, gains, params):
     cache; it is elementwise, so the result is bitwise that of one call
     on the whole chunk.
     """
-    s1, s2, s3 = (avg_snr(g, params) for g in (gains.g1, gains.g2, gains.g3))
     e2 = np.empty_like(draw.z2)
     emrc = np.empty_like(draw.z2)
     for i in range(0, draw.z2.size, _BLOCK):
         blk = slice(i, i + _BLOCK)
-        e2[blk] = block_error(draw.z2[blk] * s2, r, m)
-        emrc[blk] = block_error(draw.z1[blk] * s1 + draw.z3[blk] * s3, r, m)
+        snr2, snr_mrc = _link_snrs(draw.z1[blk], draw.z2[blk], draw.z3[blk],
+                                   gains, params)
+        e2[blk] = block_error(snr2, r, m)
+        emrc[blk] = block_error(snr_mrc, r, m)
     return e2, emrc
 
 def _decode_success(rng, k, r, m, gains, params):

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
-from .fbl import LN2, achievable_rate, block_error, dispersion_complex, q_func
-from .fading import avg_snr, expected_error_backhaul, expected_error_mrc
+from .fbl import LN2, _cap_spread, _error_at, _mills, achievable_rate
+from .fading import (_link_snrs, avg_snr, expected_error_backhaul,
+                     expected_error_mrc)
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -69,17 +69,6 @@ def select_rate_avg_csi(gains, params):
         raise ValueError("bottleneck SNR must be positive")
     return achievable_rate(bottleneck, params.eps_nominal, params.m)
 
-def overall_error_instant(draw, r, m, gains, params):
-    """Per-draw overall relaying error: backhaul plus surviving MRC loss.
-
-    Accepts scalar or array fading draws and broadcasts.
-    """
-    e2 = block_error(np.asarray(draw.z2) * avg_snr(gains.g2, params), r, m)
-    emrc = block_error(
-        np.asarray(draw.z1) * avg_snr(gains.g1, params)
-        + np.asarray(draw.z3) * avg_snr(gains.g3, params), r, m)
-    return e2 + (1.0 - e2) * emrc
-
 def expected_overall_error(r, m, gains, params):
     """Fading-averaged overall relaying error probability."""
     e2 = expected_error_backhaul(r, m, gains, params)
@@ -96,26 +85,7 @@ _R_PAD = 1e-5          # feasible rates: [0, 1.5*C(min SNR) + _R_PAD]
 _RTOL = 1e-12          # a draw is done once its relative step is this small
 _MAX_STEPS = 100       # guard only: 7 steps suffice for m in [100, 1e7]
                        # and mean SNR in [1e-8, 1e8]
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-def _cap_spread(snr, m):
-    """Capacity C and spread s = sqrt(V/m) of the Q argument (C - r)/s."""
-    return np.log2(1.0 + snr), np.sqrt(dispersion_complex(snr) / m)
-
-def _mills(r, c, s):
-    """w = (C - r)/s and l = -d/dr log Phi(w), the Mills ratio over s.
-
-    phi(w)/Phi(w) = sqrt(2/pi) / erfcx(-w/sqrt(2)) does not overflow in
-    either tail.
-    """
-    w = (c - r) / s
-    return w, _SQRT_2_OVER_PI / erfcx(-w / _SQRT2) / s
-
-def _q_at(r, c, s):
-    """block_error at rate r: Q((C - r)/s), and Q(0) where s = 0 (r = 0)."""
-    return q_func(np.divide(c - r, s, out=np.zeros_like(r), where=s > 0.0))
 
 def _start(c, s):
     """One link's optimal rate, approximately: the Newton start point.
@@ -185,8 +155,8 @@ def _maximize_per_draw(snr2, snr_mrc, m):
         c2, s2 = _cap_spread(snr2[blk], m)
         cm, sm = _cap_spread(snr_mrc[blk], m)
         r = _solve_block(c2, s2, cm, sm)
-        e2 = _q_at(r, c2, s2)
-        em = _q_at(r, cm, sm)
+        e2 = _error_at(r, c2, s2)
+        em = _error_at(r, cm, sm)
         rate[blk] = r
         value[blk] = 0.5 * r * (1.0 - (e2 + (1.0 - e2) * em))
     return rate, value
@@ -203,9 +173,7 @@ def bl_throughput_perfect_csi(m, gains, params, n_samples=100000, seed=None):
                          "(n_samples, --mc-samples)")
     rng = np.random.default_rng(seed)
     z = rng.standard_exponential((3, n_samples))
-    snr2 = z[1] * avg_snr(gains.g2, params)
-    snr_mrc = z[0] * avg_snr(gains.g1, params) + z[2] * avg_snr(gains.g3, params)
-    _, vals = _maximize_per_draw(snr2, snr_mrc, m)
+    _, vals = _maximize_per_draw(*_link_snrs(*z, gains, params), m)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     return mean, se

@@ -10,7 +10,8 @@ path.  A fixed-gains mode bypasses propagation modeling entirely.
 
 Scenario files are flat text, one `key = value` per line with `#`
 comments; keys match the field names below, with the QoS pair flattened
-to qos_d and qos_p_d.
+to qos_d and qos_p_d.  These flat KEYS are also the CLI's scenario flags,
+and with_overrides applies them for both.
 """
 
 import math
@@ -74,9 +75,6 @@ class Scenario:
 def dbm_to_watt(x_dbm):
     return 10.0**((x_dbm - 30.0) / 10.0)
 
-def watt_to_dbm(x_watt):
-    return 30.0 + 10.0 * math.log10(x_watt)
-
 def pathloss_db(model, distance_m, f_c):
     """Distance cost in dB at carrier f_c (GHz) under the named model.
 
@@ -124,8 +122,29 @@ def build(scenario):
 # flat key=value scenario files
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = tuple(f.name for f in fields(Scenario)
-                    if f.name not in ("qos", "pathloss_model"))
+# the flat keys that files and CLI flags share: every field, with the
+# QoS pair flattened to qos_d and qos_p_d
+KEYS = tuple(k for f in fields(Scenario)
+             for k in (("qos_d", "qos_p_d") if f.name == "qos" else (f.name,)))
+
+def with_overrides(scenario, **flat):
+    """scenario with the flat keys of KEYS replaced and re-validated.
+
+    Values are converted to float, except pathloss_model; qos_d and
+    qos_p_d must be given together.
+    """
+    kwargs = {}
+    for key, value in flat.items():
+        if key not in KEYS:
+            raise ValueError(f"unknown scenario key: {key}")
+        kwargs[key] = value if key == "pathloss_model" else float(value)
+    qos_d = kwargs.pop("qos_d", None)
+    qos_p_d = kwargs.pop("qos_p_d", None)
+    if (qos_d is None) != (qos_p_d is None):
+        raise ValueError("qos_d and qos_p_d must be given together")
+    if qos_d is not None:
+        kwargs["qos"] = QoSPair(d=qos_d, p_d=qos_p_d)
+    return replace(scenario, **kwargs)
 
 def save_scenario(scenario, path):
     """Write every field, one key = value per line."""
@@ -154,21 +173,4 @@ def load_scenario(path):
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
-    kwargs = {}
-    qos_d = entries.pop("qos_d", None)
-    qos_p_d = entries.pop("qos_p_d", None)
-    if (qos_d is None) != (qos_p_d is None):
-        raise ValueError("qos_d and qos_p_d must be given together")
-    if qos_d is not None:
-        kwargs["qos"] = QoSPair(d=float(qos_d), p_d=float(qos_p_d))
-    if "pathloss_model" in entries:
-        kwargs["pathloss_model"] = entries.pop("pathloss_model")
-    for key, value in entries.items():
-        if key not in _FLOAT_KEYS:
-            raise ValueError(f"unknown scenario key: {key}")
-        kwargs[key] = float(value)
-    return Scenario(**kwargs)
-
-def with_overrides(scenario, **kwargs):
-    """Functional update helper for CLI flag overrides."""
-    return replace(scenario, **kwargs)
+    return with_overrides(Scenario(), **entries)

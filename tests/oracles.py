@@ -1,0 +1,68 @@
+"""Helpers that only the tests use.
+
+The per-draw overall error in its plainest form, the reference of the
+Monte Carlo and perfect-CSI tests; the effective-capacity curve whose
+closed-form inverse is the MSDR; and the MSDR decomposition identity.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from fblrelay.fading import _link_snrs
+from fblrelay.fbl import block_error
+from fblrelay.linklayer import msdr, msdr_feasible, qos_penalty_factor
+
+
+def overall_error_instant(draw, r, m, gains, params):
+    """Per-draw overall relaying error: backhaul plus surviving MRC loss.
+
+    Accepts scalar or array fading draws and broadcasts; one unsliced
+    block_error call per link.
+    """
+    snr2, snr_mrc = _link_snrs(np.asarray(draw.z1), np.asarray(draw.z2),
+                               np.asarray(draw.z3), gains, params)
+    e2 = block_error(snr2, r, m)
+    emrc = block_error(snr_mrc, r, m)
+    return e2 + (1.0 - e2) * emrc
+
+@dataclass(frozen=True)
+class QosExponentPoint:
+    """One point of the effective-capacity curve: exponent and value."""
+
+    theta: float  # QoS exponent, per bit
+    ec: float     # effective capacity, bits per period
+
+    def __post_init__(self):
+        if self.theta <= 0.0:
+            raise ValueError("QoS exponent must be positive")
+
+def effective_capacity_clt(stats, theta):
+    """Second-order effective capacity: mean - (theta/2) * variance."""
+    if theta < 0.0:
+        raise ValueError("QoS exponent must be nonnegative")
+    return stats.mean - 0.5 * theta * stats.variance
+
+def qos_exponent_point(stats, theta):
+    """Bundle an exponent with its effective capacity for curve output."""
+    return QosExponentPoint(theta, effective_capacity_clt(stats, theta))
+
+def msdr_decomposition_check(r, m, eps_bar, qos):
+    """Residual of splitting the MSDR into half throughput plus a rest.
+
+    The identity under test: msdr = (r(1-e)/2)/2 + (r/4)*sqrt(1 +
+    (phi-2)e + (1-phi)e^2).  Returns the absolute difference, 0.0 for
+    infeasible input where both sides are pinned to zero.
+    """
+    if not msdr_feasible(m, eps_bar, qos):
+        return 0.0
+    phi = qos_penalty_factor(m, qos)
+    half_throughput = 0.5 * (0.5 * r * (1.0 - eps_bar))
+    rest = 0.25 * r * math.sqrt(
+        1.0 + (phi - 2.0) * eps_bar + (1.0 - phi) * eps_bar**2)
+    return abs(msdr(r, m, eps_bar, qos) - (half_throughput + rest))
+
+def watt_to_dbm(x_watt):
+    """Inverse of scenario.dbm_to_watt."""
+    return 30.0 + 10.0 * math.log10(x_watt)

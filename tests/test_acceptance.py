@@ -18,7 +18,7 @@ from fblrelay import cli
 from fblrelay.baselines import outage_prob_relay
 from fblrelay.fbl import achievable_rate, block_error, q_func, q_inv
 from fblrelay.fading import avg_snr, expected_error_single
-from fblrelay.linklayer import QoSPair, msdr, msdr_decomposition_check
+from fblrelay.linklayer import QoSPair, msdr
 from fblrelay.montecarlo import mc_expected_overall_error
 from fblrelay.relay import (
     LinkGains,
@@ -28,6 +28,7 @@ from fblrelay.relay import (
     select_rate_avg_csi,
 )
 from fblrelay.scenario import Scenario, build
+from oracles import msdr_decomposition_check
 
 LN2 = math.log(2.0)
 GAINS, PARAMS = build(Scenario())

@@ -11,6 +11,7 @@ import pytest
 
 from fblrelay import cli
 from fblrelay.fading import QuadratureNonConvergence
+from fblrelay.scenario import KEYS, Scenario, save_scenario, with_overrides
 
 # frozen outputs of the reference scenario through the CLI plumbing; these
 # use the exact link-budget gains, so they differ in the seventh digit from
@@ -135,6 +136,20 @@ def test_non_finite_mc_samples_exits_2(capsys):
                 cli.main([*args, "--mc-samples", value])
             assert exc.value.code == 2
             assert "--mc-samples" in capsys.readouterr().err
+
+def test_workers_rejected_without_a_monte_carlo_scheme(capsys):
+    # quadrature grid points on threads only contend for the GIL, so
+    # --workers would slow such a run down
+    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
+                  "--schemes", "relay_avg", "--workers", "2"],
+                 ["compare", "--pair", "relay_vs_direct", "--workers", "2"],
+                 ["compare", "--pair", "fbl_vs_outage", "--workers", "1"]):
+        with mock.patch.object(cli, "expected_overall_error") as work:
+            code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--workers" in captured.err
+        assert work.call_count == 0
 
 def test_mc_samples_rejected_without_a_monte_carlo_scheme(capsys):
     # no chosen scheme draws samples, so the flag would be ignored
@@ -294,6 +309,44 @@ def test_scenario_file_loads_and_flags_override(capsys, tmp_path):
     err_over = float(out_over.strip().split("\n")[1].split(",")[1])
     assert err_file != err_over
     assert err_over == pytest.approx(0.15255714074488147, rel=1e-12)
+
+def test_every_scenario_key_is_a_flag():
+    parser = cli._build_parser()
+    required = {"sweep": ["--variable", "eta"], "optimize": [],
+                "compare": ["--pair", "fbl_vs_outage"]}
+    for command, extra in required.items():
+        for key in KEYS:
+            value = "fixed_gains" if key == "pathloss_model" else "3"
+            args = parser.parse_args([command, *extra,
+                                      "--" + key.replace("_", "-"), value])
+            assert getattr(args, key) == (
+                value if key == "pathloss_model" else 3.0), (command, key)
+
+# a non-default value for every scenario key
+SCENARIO_VALUES = {
+    "d_backhaul": 180.0, "d_relaying": 230.0, "d_direct": 390.0,
+    "p_tx_dbm": 27.0, "noise_dbm": -93.0, "f_c": 1.8, "m": 700.0,
+    "eta": 0.25, "eps_nominal": 2e-3, "qos_d": 2e4, "qos_p_d": 0.02,
+    "ant_gain_db": 16.0, "direct_extra_loss_db": 10.0,
+    "g1": 3.0, "g2": 250.0, "g3": 200.0}
+
+@pytest.mark.parametrize("model", ["cost231_hata_urban", "fixed_gains"])
+def test_scenario_file_and_flags_agree_byte_for_byte(capsys, tmp_path, model):
+    values = {**SCENARIO_VALUES, "pathloss_model": model}
+    assert set(values) == set(KEYS)
+    path = tmp_path / "scn.txt"
+    save_scenario(with_overrides(Scenario(), **values), path)
+    sweep = ["sweep", "--variable", "blocklength", "--grid-list", "200,900",
+             "--schemes", "relay_avg,direct_weighted", "--metrics",
+             "bl_throughput,msdr,expected_error,coding_rate"]
+    flags = [arg for key, value in values.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
+    code_file, from_file = run_cli(sweep + ["--scenario-file", str(path)],
+                                   capsys)
+    code_flags, from_flags = run_cli(sweep + flags, capsys)
+    assert code_file == code_flags == 0
+    assert from_file == from_flags
+    assert from_file.count("\n") == 3
 
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.csv"

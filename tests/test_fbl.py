@@ -173,6 +173,15 @@ class TestBlockError:
         assert block_error(0.0, 0.5, 500) == 1.0
         assert block_error(0.0, 0.0, 500) == 0.5
 
+    def test_vanishing_spread_limits(self):
+        # sqrt(V/m) underflows to 0 at a subnormal SNR or an infinite
+        # blocklength; the error is then the step Q(+-inf), and Q(0) where
+        # the rate equals the capacity (it was 0/0 = NaN)
+        assert block_error(1e-320, 0.0, 1e7) == 0.5
+        assert block_error(1e-320, 1e-3, 1e7) == 1.0
+        assert block_error(2.0, shannon_c(2.0), math.inf) == 0.5
+        assert block_error(2.0, 1.0, math.inf) == 0.0
+
     def test_round_trip_frozen(self):
         assert block_error(2.5, achievable_rate(2.5, 1e-2, 500), 500) == pytest.approx(
             1e-2, rel=1e-10

@@ -8,15 +8,17 @@ from hypothesis import given, strategies as st
 
 from fblrelay.linklayer import (
     QoSPair,
-    QosExponentPoint,
     ServiceStats,
-    effective_capacity_clt,
     msdr,
-    msdr_decomposition_check,
     msdr_feasible,
-    qos_exponent_point,
     qos_penalty_factor,
     service_stats,
+)
+from oracles import (
+    QosExponentPoint,
+    effective_capacity_clt,
+    msdr_decomposition_check,
+    qos_exponent_point,
 )
 
 REF_QOS = QoSPair(d=1e4, p_d=1e-2)

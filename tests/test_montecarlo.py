@@ -13,7 +13,6 @@ from fblrelay.relay import (
     LinkGains,
     SystemParams,
     expected_overall_error,
-    overall_error_instant,
 )
 from fblrelay.linklayer import QoSPair, msdr, qos_penalty_factor, service_stats
 from fblrelay.montecarlo import (
@@ -25,6 +24,7 @@ from fblrelay.montecarlo import (
     mc_expected_overall_error,
     mc_service_stats,
 )
+from oracles import overall_error_instant
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 REF_PARAMS = SystemParams(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)

@@ -12,11 +12,11 @@ from fblrelay.relay import (
     SystemParams,
     _maximize_per_draw,
     expected_overall_error,
-    overall_error_instant,
     select_rate_avg_csi,
 )
 from fblrelay.linklayer import QoSPair, msdr
 from fblrelay.optimize import maximize_unimodal
+from oracles import overall_error_instant
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 REF_QOS = QoSPair(d=1e4, p_d=1e-2)

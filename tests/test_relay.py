@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fblrelay.cli import SCHEMES, Point
-from fblrelay.fbl import achievable_rate, block_error
+from fblrelay.fbl import achievable_rate, block_error, shannon_c
 from fblrelay.fading import FadingDraw
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import (
@@ -17,9 +17,9 @@ from fblrelay.relay import (
     bl_throughput_perfect_csi,
     bottleneck_snr,
     expected_overall_error,
-    overall_error_instant,
     select_rate_avg_csi,
 )
+from oracles import overall_error_instant
 
 LN2 = math.log(2.0)
 
@@ -329,17 +329,22 @@ def _per_draw_throughput(r, snr2, snr_mrc, m):
     emrc = block_error(snr_mrc, r, m)
     return 0.5 * r * (1.0 - (e2 + (1.0 - e2) * emrc))
 
-@pytest.mark.parametrize("m", [100, 1e4, 1e7])
-@pytest.mark.parametrize("mean_snr", [1e-8, 1e-3, 1.0, 1e3, 1e8])
-def test_per_draw_solver_total(m, mean_snr):
+def _totality_draws(mean_snr):
+    """200 draws at one mean SNR; the first three have a zero-SNR link."""
     rng = np.random.default_rng(7)
     z = rng.standard_exponential((3, 200))
     snr2 = z[1] * mean_snr
     snr_mrc = 0.01 * z[0] * mean_snr + z[2] * mean_snr
     snr2[:2] = 0.0
     snr_mrc[1:3] = 0.0
+    return snr2, snr_mrc
+
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("mean_snr", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_per_draw_solver_total(m, mean_snr):
+    snr2, snr_mrc = _totality_draws(mean_snr)
     rate, value = _maximize_per_draw(snr2, snr_mrc, m)
-    top = 1.5 * np.log2(1.0 + np.minimum(snr2, snr_mrc)) + 1e-5
+    top = 1.5 * shannon_c(np.minimum(snr2, snr_mrc)) + 1e-5
     assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
     assert np.all((rate >= 0.0) & (rate <= top))
     assert np.all(rate[:3] == 0.0) and np.all(value[:3] == 0.0)
@@ -348,12 +353,21 @@ def test_per_draw_solver_total(m, mean_snr):
         best = np.max(_per_draw_throughput(grid, snr2[k], snr_mrc[k], m))
         assert value[k] >= best * (1.0 - 1e-12)
 
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("mean_snr", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_per_draw_value_is_the_block_error_formula(m, mean_snr):
+    # the solver scores its rates with fbl's normal approximation, so
+    # its value is bitwise the throughput that block_error gives
+    snr2, snr_mrc = _totality_draws(mean_snr)
+    rate, value = _maximize_per_draw(snr2, snr_mrc, m)
+    assert np.array_equal(value, _per_draw_throughput(rate, snr2, snr_mrc, m))
+
 def test_per_draw_solver_boundary_optimum():
     # C << sqrt(V/m) on both links: the throughput still rises at the
     # right end of the feasible set, so that end is the optimum
     snr2, snr_mrc = np.array([1e-8]), np.array([1e-6])
     rate, value = _maximize_per_draw(snr2, snr_mrc, 100)
-    top = 1.5 * np.log2(1.0 + 1e-8) + 1e-5
+    top = 1.5 * shannon_c(1e-8) + 1e-5
     assert rate[0] == top
     grid = np.linspace(0.0, top, 20001)
     assert value[0] == np.max(_per_draw_throughput(grid, 1e-8, 1e-6, 100))

@@ -13,9 +13,9 @@ from fblrelay.scenario import (
     load_scenario,
     pathloss_db,
     save_scenario,
-    watt_to_dbm,
     with_overrides,
 )
+from oracles import watt_to_dbm
 
 # frozen urban-macro losses at 2 GHz, 30 m / 1.5 m antennas
 LOSS_200 = 113.12289081478252
@@ -110,6 +110,19 @@ def test_with_overrides_replaces_and_revalidates():
     assert s.eta == 0.1 and s.m == 1000.0 and s.d_direct == 360.0
     with pytest.raises(ValueError):
         with_overrides(Scenario(), eta=5.0)
+
+def test_with_overrides_takes_the_flat_keys():
+    s = with_overrides(Scenario(), qos_d="5000", qos_p_d=0.05, g2=250,
+                       pathloss_model="fixed_gains", g1="3", g3=200.0)
+    assert s.qos == QoSPair(d=5000.0, p_d=0.05)
+    assert s.pathloss_model == "fixed_gains"
+    assert (s.g1, s.g2, s.g3) == (3.0, 250.0, 200.0)
+    assert all(isinstance(v, float) for v in (s.qos.d, s.g1, s.g2))
+    with pytest.raises(ValueError, match="qos_d and qos_p_d"):
+        with_overrides(Scenario(), qos_p_d=0.05)
+    for key in ("bandwidth", "qos"):
+        with pytest.raises(ValueError, match=f"unknown scenario key: {key}"):
+            with_overrides(Scenario(), **{key: 1.0})
 
 
 # ---------------------------------------------------------------------------
