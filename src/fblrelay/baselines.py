@@ -8,12 +8,11 @@ the ergodic Shannon capacity of the bottleneck link.  Both ignore the
 blocklength entirely.
 """
 
-import math
-
 import numpy as np
 
 from .fbl import shannon_c
-from .fading import _link_snrs, avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
+from .fading import avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
+from .montecarlo import _check_n, _sample_mean
 
 
 def outage_prob_relay(r, gains, params):
@@ -36,12 +35,11 @@ def outage_prob_relay(r, gains, params):
 # ergodic Shannon capacity
 # ---------------------------------------------------------------------------
 
-def _ergodic_from_draws(z, gains, params):
+def _ergodic_per_draw(snr2, snr_mrc):
     """Per-draw bottleneck capacity, halved for the two-hop period.
 
     Capacity rises with SNR: one log, of the weaker SNR, written in place.
     """
-    snr2, snr_mrc = _link_snrs(*z, gains, params)
     return 0.5 * shannon_c(np.minimum(snr2, snr_mrc, out=snr2))
 
 def ergodic_capacity_relay(gains, params, n_samples=1000000, seed=None):
@@ -50,12 +48,5 @@ def ergodic_capacity_relay(gains, params, n_samples=1000000, seed=None):
     Independent of any coding rate or blocklength by construction.
     Returns (mean, standard error).
     """
-    n_samples = int(n_samples)
-    if n_samples < 1000000:
-        raise ValueError("ergodic capacity estimate needs at least 1e6 samples")
-    rng = np.random.default_rng(seed)
-    cap = _ergodic_from_draws(rng.standard_exponential((3, n_samples)),
-                              gains, params)
-    mean = float(np.mean(cap))
-    se = float(np.std(cap, ddof=1) / math.sqrt(n_samples))
-    return mean, se
+    return _sample_mean(_ergodic_per_draw, _check_n(n_samples, 1000000),
+                        seed, gains, params)

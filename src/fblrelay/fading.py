@@ -62,24 +62,6 @@ def _link_snrs(z1, z2, z3, gains, params):
             z1 * avg_snr(gains.g1, params) + z3 * avg_snr(gains.g3, params))
 
 
-class FadingDraw:
-    """One realization (or an array batch) of the three fading powers.
-
-    z1: direct link, z2: source-relay, z3: relay-destination; unit-mean
-    exponential, mutually independent, all nonnegative.
-    """
-
-    __slots__ = ("z1", "z2", "z3")
-
-    def __init__(self, z1, z2, z3):
-        if np.any(np.asarray(z1) < 0) or np.any(np.asarray(z2) < 0) \
-                or np.any(np.asarray(z3) < 0):
-            raise ValueError("fading powers must be nonnegative")
-        self.z1 = z1
-        self.z2 = z2
-        self.z3 = z3
-
-
 # ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------

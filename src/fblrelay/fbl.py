@@ -52,8 +52,12 @@ def _mills(r, c, s):
 
 
 def _capacity(snr):
-    """log2(1 + snr): the one capacity expression of the package."""
-    return np.log2(1.0 + snr)
+    """log2(1 + snr): the one capacity expression of the package.
+
+    Written through log1p, so it keeps full precision below snr 1e-16,
+    where 1 + snr rounds to 1.
+    """
+    return np.log1p(snr) * LOG2E
 
 
 def shannon_c(snr: float) -> float:
@@ -70,8 +74,9 @@ def dispersion_real(snr: float) -> float:
     # the ratio is exactly 1/2 from about snr 3.6e16 on; the cap keeps the
     # products below overflow (inf/inf) beyond snr 1e154
     g = np.minimum(np.asarray(snr, dtype=float), 1e100)
-    # written as g*(g+2)/(1+g)^2 to avoid cancellation at small snr
-    out = (0.5 * g) * (g + 2.0) / ((1.0 + g) * (1.0 + g)) * _LOG2E_SQ
+    # written as g*(g+2)/(1+g)^2 to avoid cancellation at small snr, and
+    # with the 1/2 inside so it does not round the least subnormal to 0
+    out = g * (0.5 * g + 1.0) / ((1.0 + g) * (1.0 + g)) * _LOG2E_SQ
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,8 +87,12 @@ def dispersion_complex(snr: float) -> float:
 
 
 def _cap_spread(snr, m):
-    """Capacity C and spread s = sqrt(V/m) of the Q argument (C - r)/s."""
-    return _capacity(snr), np.sqrt(dispersion_complex(snr) / m)
+    """Capacity C and spread s = sqrt(V/m) of the Q argument (C - r)/s.
+
+    s is taken as sqrt(V)/sqrt(m): V/m underflows to 0 below snr ~1e-300
+    at large m, where C does not.
+    """
+    return _capacity(snr), np.sqrt(dispersion_complex(snr)) / np.sqrt(m)
 
 
 def _error_at(r, c, s):

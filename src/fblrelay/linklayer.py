@@ -79,9 +79,7 @@ def msdr(r, m, eps_bar, qos):
         return 0.0
     phi = qos_penalty_factor(m, qos)
     keep = 1.0 - eps_bar
-    if phi == 0.0:
-        # vanishing penalty (e.g. unbounded delay budget): exactly the
-        # blocklength-limited throughput r*(1 - eps)/2
-        return 0.5 * r * keep
+    # a vanishing penalty (unbounded delay budget) gives exactly the
+    # throughput r*(1 - eps)/2: sqrt(keep**2) is keep in floating point
     disc = keep**2 + phi * eps_bar * keep
     return 0.25 * r * keep + 0.25 * r * math.sqrt(disc)

@@ -6,6 +6,11 @@ decode events mirroring the backhaul-then-MRC error composition, and
 streaming (Welford) accumulation over seeded substreams.  Chunk streams
 are spawned from one SeedSequence and merged in chunk order, so results
 are bit-identical for any worker count.
+
+The module also owns the per-draw path that the perfect-CSI and ergodic
+references share: fading draws are one (3, n) array, mapped to per-draw
+SNRs in cache-sized slices (_per_draw), averaged with their standard
+error (_sample_mean), and every sample count meets its floor (_check_n).
 """
 
 import math
@@ -15,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbl import block_error
-from .fading import FadingDraw, _link_snrs
-from .relay import _BLOCK
+from .fading import _link_snrs
 
 _CHUNK = 1 << 18
+_SLICE = 1 << 14   # draws mapped together; their temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -37,16 +42,36 @@ class McEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def draw_fading(rng, size=None):
-    """Independent unit-mean exponential triple(s) by inverse CDF.
+def draw_fading(rng, size):
+    """size independent unit-mean exponential triples, by inverse CDF.
 
-    Maps uniforms through z = -ln(1 - u) so the open-interval endpoint
-    of the generator cannot produce an infinite variate.
+    Returns one (3, size) array z: rows z[0] direct link, z[1]
+    source-relay, z[2] relay-destination.  Maps uniforms through
+    z = -ln(1 - u) so the open-interval endpoint of the generator cannot
+    produce an infinite variate.
     """
-    z = rng.random(3 if size is None else (3, size))
+    z = rng.random((3, size))
     # -log1p(-u) in place: no chunk-sized temporaries
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
-    return FadingDraw(z[0], z[1], z[2])
+    return z
+
+def _per_draw(fn, z, gains, params, outputs=1):
+    """fn(snr2, snr_mrc) of every draw of z, as an (outputs, n) array.
+
+    fn must be elementwise and return outputs rows.  It runs on slices
+    of 2^14 draws, so the result is bitwise that of one call on all of z.
+    """
+    out = np.empty((outputs, z.shape[1]))
+    for i in range(0, z.shape[1], _SLICE):
+        blk = slice(i, i + _SLICE)
+        out[:, blk] = fn(*_link_snrs(*z[:, blk], gains, params))
+    return out
+
+def _sample_mean(fn, n, seed, gains, params):
+    """Mean and standard error of fn(snr2, snr_mrc) over n fading draws."""
+    z = np.random.default_rng(seed).standard_exponential((3, n))
+    vals = _per_draw(fn, z, gains, params)[0]
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +121,11 @@ def _stream_welford(sample_chunk, n, seed, workers=1):
     std = math.sqrt(m2 / (cnt - 1)) if cnt > 1 else 0.0
     return mean, std / math.sqrt(cnt), cnt
 
-def _link_errors(draw, r, m, gains, params):
-    """Per-draw backhaul and MRC block errors (e2, emrc) of one chunk.
-
-    block_error runs on slices of 2^14 draws, whose temporaries stay in
-    cache; it is elementwise, so the result is bitwise that of one call
-    on the whole chunk.
-    """
-    e2 = np.empty_like(draw.z2)
-    emrc = np.empty_like(draw.z2)
-    for i in range(0, draw.z2.size, _BLOCK):
-        blk = slice(i, i + _BLOCK)
-        snr2, snr_mrc = _link_snrs(draw.z1[blk], draw.z2[blk], draw.z3[blk],
-                                   gains, params)
-        e2[blk] = block_error(snr2, r, m)
-        emrc[blk] = block_error(snr_mrc, r, m)
-    return e2, emrc
+def _link_errors(z, r, m, gains, params):
+    """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
+    return _per_draw(lambda snr2, snr_mrc: (block_error(snr2, r, m),
+                                            block_error(snr_mrc, r, m)),
+                     z, gains, params, outputs=2)
 
 def _decode_success(rng, k, r, m, gains, params):
     """Two-stage per-period decode events: backhaul, then MRC given it.
@@ -129,17 +143,18 @@ def _decode_success(rng, k, r, m, gains, params):
 # estimators
 # ---------------------------------------------------------------------------
 
-def _check_n(n):
+def _check_n(n, floor):
+    """n as an int, or ValueError naming the flag when it is below floor."""
     n = int(n)
-    if n < 10000:
-        raise ValueError("Monte Carlo estimate needs at least 1e4 samples "
-                         "(n, --mc-samples)")
+    if n < floor:
+        raise ValueError(f"Monte Carlo estimate needs at least {floor} "
+                         "samples (--mc-samples)")
     return n
 
 def mc_expected_overall_error(r, m, gains, params, n=1000000, seed=None,
                               workers=1):
     """Sample mean of the instantaneous overall error over fading."""
-    n = _check_n(n)
+    n = _check_n(n, 10000)
 
     def chunk(rng, k):
         e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains, params)
@@ -150,7 +165,7 @@ def mc_expected_overall_error(r, m, gains, params, n=1000000, seed=None,
 
 def mc_bl_throughput(r, m, gains, params, n=1000000, seed=None, workers=1):
     """Decode-event estimate of the average throughput r/2 per success."""
-    n = _check_n(n)
+    n = _check_n(n, 10000)
 
     def chunk(rng, k):
         ok = _decode_success(rng, k, r, m, gains, params)
@@ -177,7 +192,7 @@ def mc_service_stats(r, m, gains, params, n=1000000, seed=None, workers=1):
     estimates (and the standard error of the variance, via the exact
     fourth central moment) follow in closed form from the count.
     """
-    n = _check_n(n)
+    n = _check_n(n, 10000)
 
     def count(rng, k):
         return int(np.count_nonzero(_decode_success(rng, k, r, m, gains,

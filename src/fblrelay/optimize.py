@@ -17,6 +17,7 @@ import numpy as np
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 33
 _MAX_ITER = 200
+_NOISE_TOL = 1e-9   # scan differences below this are quadrature noise
 
 
 @dataclass(frozen=True)
@@ -26,16 +27,15 @@ class OptResult:
     argmax: float
     value: float
     iterations: int
-    bracket: float  # final interval width
     flag: str       # converged | budget_exhausted | non_unimodal_detected
 
 
-def maximize_unimodal(objective, lo, hi, tol, noise_tol=1e-9):
+def maximize_unimodal(objective, lo, hi, tol):
     """Coarse scan plus golden-section search for a rise-fall objective.
 
     A 33-point scan seeds the bracket around the best point and checks
     the shape: any fall-then-rise pattern in the scan (ignoring
-    differences below noise_tol, the quadrature noise floor) flags
+    differences below 1e-9, the quadrature noise floor) flags
     non_unimodal_detected and returns the best scanned point as-is.
     Otherwise golden-section refines until the bracket is within tol.
     The returned value is never below the scan best.
@@ -46,10 +46,10 @@ def maximize_unimodal(objective, lo, hi, tol, noise_tol=1e-9):
     fs = np.array([objective(x) for x in xs])
     k = int(np.argmax(fs))
     d = np.diff(fs)
-    s = np.sign(d[np.abs(d) > noise_tol])
+    s = np.sign(d[np.abs(d) > _NOISE_TOL])
     if s.size > 1 and np.any((s[:-1] < 0) & (s[1:] > 0)):
         return OptResult(float(xs[k]), float(fs[k]), 0,
-                         float(xs[1] - xs[0]), "non_unimodal_detected")
+                         "non_unimodal_detected")
     a = float(xs[max(k - 1, 0)])
     b = float(xs[min(k + 1, _SCAN_POINTS - 1)])
     c = b - _GOLDEN * (b - a)
@@ -71,4 +71,4 @@ def maximize_unimodal(objective, lo, hi, tol, noise_tol=1e-9):
     if fs[k] > f_best:
         x_best, f_best = float(xs[k]), float(fs[k])
     flag = "converged" if b - a <= tol else "budget_exhausted"
-    return OptResult(float(x_best), float(f_best), it, float(b - a), flag)
+    return OptResult(float(x_best), float(f_best), it, flag)

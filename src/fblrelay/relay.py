@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbl import LN2, _cap_spread, _error_at, _mills, achievable_rate
-from .fading import (_link_snrs, avg_snr, expected_error_backhaul,
-                     expected_error_mrc)
+from .fading import avg_snr, expected_error_backhaul, expected_error_mrc
+from .montecarlo import _check_n, _sample_mean
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -80,7 +80,6 @@ def expected_overall_error(r, m, gains, params):
 # genie-aided perfect-CSI reference
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 14       # draws solved together; bounds the temporaries
 _R_PAD = 1e-5          # feasible rates: [0, 1.5*C(min SNR) + _R_PAD]
 _RTOL = 1e-12          # a draw is done once its relative step is this small
 _MAX_STEPS = 100       # guard only: 7 steps suffice for m in [100, 1e7]
@@ -97,18 +96,26 @@ def _start(c, s):
     return s * np.maximum(u - np.sqrt(2.0 * np.log1p(u / _SQRT_2PI)), 0.75)
 
 def _solve_block(c2, s2, cm, sm):
-    """Optimal rate of each draw, from both links' C and s."""
+    """Optimal rate of each draw, from both links' C and s.
+
+    The iteration runs in units of the smaller spread t = min(s2, sm),
+    where its terms stay of order one however faint the draw: in plain
+    units 1/r^2 and the squared Mills ratios overflow below a per-draw
+    SNR of about 1e-290.
+    """
     top = 1.5 * np.minimum(c2, cm) + _R_PAD
     rate = np.zeros_like(top)
     # a link with zero SNR fails at every r > 0: the rate stays 0
     idx = np.flatnonzero((s2 > 0.0) & (sm > 0.0))
-    c2, s2, cm, sm, hi = c2[idx], s2[idx], cm[idx], sm[idx], top[idx]
+    t = np.minimum(s2[idx], sm[idx])
+    c2, s2, cm, sm, hi = (a[idx] / t for a in (c2, s2, cm, sm, top))
     # log f is concave, so its slope g falls from +inf at r = 0;
     # g(top) >= 0 puts the optimum on the right end of the feasible set
     g_top = 1.0 / hi - _mills(hi, c2, s2)[1] - _mills(hi, cm, sm)[1]
     at_top = g_top >= 0.0
-    rate[idx[at_top]] = hi[at_top]
-    idx, c2, s2, cm, sm, hi = (a[~at_top] for a in (idx, c2, s2, cm, sm, hi))
+    rate[idx[at_top]] = top[idx[at_top]]
+    idx, t, c2, s2, cm, sm, hi = (a[~at_top]
+                                  for a in (idx, t, c2, s2, cm, sm, hi))
     lo = np.zeros_like(hi)
     x = np.minimum(_start(c2, s2), _start(cm, sm))
     x = np.where(x < hi, x, 0.5 * hi)
@@ -129,10 +136,10 @@ def _solve_block(c2, s2, cm, sm):
         x_new = np.where((x_new >= lo) & (x_new <= hi) & (x_new > 0.0),
                          x_new, 0.5 * (lo + hi))
         done = np.abs(x_new - x) <= _RTOL * x_new
-        rate[idx[done]] = x_new[done]
-        idx, x, lo, hi, c2, s2, cm, sm = (
-            a[~done] for a in (idx, x_new, lo, hi, c2, s2, cm, sm))
-    rate[idx] = x
+        rate[idx[done]] = x_new[done] * t[done]
+        idx, t, x, lo, hi, c2, s2, cm, sm = (
+            a[~done] for a in (idx, t, x_new, lo, hi, c2, s2, cm, sm))
+    rate[idx] = x * t
     return rate
 
 def _maximize_per_draw(snr2, snr_mrc, m):
@@ -141,25 +148,20 @@ def _maximize_per_draw(snr2, snr_mrc, m):
     Maximizes f(r) = r*(1 - overall error)/2 over [0, 1.5*C(min SNR) +
     1e-5] for every draw.  f is log-concave, so the rate is the root of
     the closed-form d/dr log f, found by a safeguarded Newton iteration
-    in which each draw stops once converged.  Draws are solved in fixed
-    blocks of 2^14.  The value is block_error's formula at that rate.
+    in which each draw stops once converged.  Elementwise: a draw's
+    result does not depend on the others.  The value is block_error's
+    formula at that rate.
     """
     snr2 = np.asarray(snr2, dtype=float)
     snr_mrc = np.asarray(snr_mrc, dtype=float)
     if np.any(snr2 < 0.0) or np.any(snr_mrc < 0.0):
         raise ValueError("per-draw SNRs must be >= 0")
-    rate = np.empty_like(snr2)
-    value = np.empty_like(snr2)
-    for i in range(0, snr2.size, _BLOCK):
-        blk = slice(i, i + _BLOCK)
-        c2, s2 = _cap_spread(snr2[blk], m)
-        cm, sm = _cap_spread(snr_mrc[blk], m)
-        r = _solve_block(c2, s2, cm, sm)
-        e2 = _error_at(r, c2, s2)
-        em = _error_at(r, cm, sm)
-        rate[blk] = r
-        value[blk] = 0.5 * r * (1.0 - (e2 + (1.0 - e2) * em))
-    return rate, value
+    c2, s2 = _cap_spread(snr2, m)
+    cm, sm = _cap_spread(snr_mrc, m)
+    rate = _solve_block(c2, s2, cm, sm)
+    e2 = _error_at(rate, c2, s2)
+    em = _error_at(rate, cm, sm)
+    return rate, 0.5 * rate * (1.0 - (e2 + (1.0 - e2) * em))
 
 def bl_throughput_perfect_csi(m, gains, params, n_samples=100000, seed=None):
     """Monte Carlo average of the per-draw optimal throughput.
@@ -167,13 +169,6 @@ def bl_throughput_perfect_csi(m, gains, params, n_samples=100000, seed=None):
     For every fading draw the coding rate is re-optimized against the
     instantaneous overall error.  Returns (mean, standard error).
     """
-    n_samples = int(n_samples)
-    if n_samples < 100000:
-        raise ValueError("perfect-CSI estimate needs at least 1e5 samples "
-                         "(n_samples, --mc-samples)")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_exponential((3, n_samples))
-    _, vals = _maximize_per_draw(*_link_snrs(*z, gains, params), m)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return mean, se
+    return _sample_mean(lambda snr2, snr_mrc: _maximize_per_draw(
+                            snr2, snr_mrc, m)[1],
+                        _check_n(n_samples, 100000), seed, gains, params)

@@ -15,14 +15,13 @@ from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr, msdr_feasible, qos_penalty_factor
 
 
-def overall_error_instant(draw, r, m, gains, params):
+def overall_error_instant(z, r, m, gains, params):
     """Per-draw overall relaying error: backhaul plus surviving MRC loss.
 
-    Accepts scalar or array fading draws and broadcasts; one unsliced
-    block_error call per link.
+    z is the fading triple (z1, z2, z3), of scalars or of arrays (a
+    (3, n) draw), and broadcasts; one unsliced block_error call per link.
     """
-    snr2, snr_mrc = _link_snrs(np.asarray(draw.z1), np.asarray(draw.z2),
-                               np.asarray(draw.z3), gains, params)
+    snr2, snr_mrc = _link_snrs(*(np.asarray(zi) for zi in z), gains, params)
     e2 = block_error(snr2, r, m)
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc

@@ -15,11 +15,11 @@ from fblrelay.relay import (
     select_rate_avg_csi,
 )
 from fblrelay.baselines import (
-    _ergodic_from_draws,
+    _ergodic_per_draw,
     ergodic_capacity_relay,
     outage_prob_relay,
 )
-from fblrelay.fading import avg_snr, rayleigh_outage_cdf
+from fblrelay.fading import _link_snrs, avg_snr, rayleigh_outage_cdf
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
@@ -161,7 +161,7 @@ def test_outage_capacity_dominance_flag():
 def test_ergodic_degenerate_draws():
     # variance-free fading pins the estimate at the bottleneck capacity
     z = np.ones((3, 8))
-    vals = _ergodic_from_draws(z, REF_GAINS, _params())
+    vals = _ergodic_per_draw(*_link_snrs(*z, REF_GAINS, _params()))
     expect = 0.5 * min(shannon_c(307.405), shannon_c(2.4463 + 307.405))
     np.testing.assert_allclose(vals, expect, rtol=1e-15)
 

@@ -442,16 +442,21 @@ def test_compare_relay_vs_direct_without_positive_direct(capsys):
                           "both_zero_points=0")
 
 def test_compare_avg_vs_perfect_zero_references(capsys):
-    # links so faint that the outage reference and relay_avg are both 0
+    # links so faint that relay_avg selects rate 0; the capacity-based
+    # references are of order 1e-19, not rounded to 0, so relay_avg's gap
+    # to outage is the whole reference and both gaps are finite
     code, out = run_cli(["compare", "--pair", "avg_vs_perfect", "--grid-list",
                          "100,200", "--mc-samples", "100000",
                          "--pathloss-model", "fixed_gains", "--g1", "1e-30",
                          "--g2", "1e-30", "--g3", "1e-30"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
-    assert [float(line.split(",")[4]) for line in lines[1:3]] == [0.0, 0.0]
-    assert lines[-2] == ("# summary,avg_gap_to_outage,final=0.0,"
-                         "first_m_below_2pct=100.0")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:3]]
+    assert [row[1] for row in rows] == [0.0, 0.0]
+    assert all(0.0 < row[k] < 1e-18 for row in rows for k in (3, 4))
+    assert lines[-2] == ("# summary,avg_gap_to_outage,final=1.0,"
+                         "first_m_below_2pct=none")
+    assert math.isfinite(float(lines[-1].split("final=")[1].split(",")[0]))
 
 def test_compare_avg_vs_perfect_convergence_order(capsys):
     code, out = run_cli(["compare", "--pair", "avg_vs_perfect", "--grid-list",

@@ -71,6 +71,10 @@ class TestCapacityAndDispersion:
         assert shannon_c(1.0) == pytest.approx(1.0, rel=1e-15)
         assert shannon_c(3.0) == pytest.approx(2.0, rel=1e-15)
 
+    def test_shannon_below_machine_epsilon(self):
+        # 1 + snr rounds to 1 below snr ~1e-16; capacity is snr*log2(e)
+        assert shannon_c(1e-30) == pytest.approx(1e-30 * LOG2E, rel=1e-15)
+
     def test_dispersion_complex_values(self):
         assert dispersion_complex(0.0) == 0.0
         assert dispersion_complex(1.0) == pytest.approx(1.5610267357542058, abs=1e-12)
@@ -174,10 +178,12 @@ class TestBlockError:
         assert block_error(0.0, 0.0, 500) == 0.5
 
     def test_vanishing_spread_limits(self):
-        # sqrt(V/m) underflows to 0 at a subnormal SNR or an infinite
-        # blocklength; the error is then the step Q(+-inf), and Q(0) where
-        # the rate equals the capacity (it was 0/0 = NaN)
+        # sqrt(V/m) underflows to 0 at an infinite blocklength; the error
+        # is then the step Q(+-inf), and Q(0) where the rate equals the
+        # capacity (it was 0/0 = NaN).  At a subnormal SNR the spread
+        # stays positive and C/s ~ sqrt(snr*m) is far below one
         assert block_error(1e-320, 0.0, 1e7) == 0.5
+        assert block_error(5e-324, 0.0, 100) == 0.5
         assert block_error(1e-320, 1e-3, 1e7) == 1.0
         assert block_error(2.0, shannon_c(2.0), math.inf) == 0.5
         assert block_error(2.0, 1.0, math.inf) == 0.0

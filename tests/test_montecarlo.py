@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from fblrelay import montecarlo
-from fblrelay.fading import avg_snr
+from fblrelay.baselines import _ergodic_per_draw, ergodic_capacity_relay
+from fblrelay.fading import _link_snrs, avg_snr
 from fblrelay.fbl import block_error
 from fblrelay.relay import (
     LinkGains,
     SystemParams,
+    _maximize_per_draw,
+    bl_throughput_perfect_csi,
     expected_overall_error,
 )
 from fblrelay.linklayer import QoSPair, msdr, qos_penalty_factor, service_stats
@@ -19,6 +22,7 @@ from fblrelay.montecarlo import (
     McEstimate,
     _chunk_layout,
     _link_errors,
+    _per_draw,
     draw_fading,
     mc_bl_throughput,
     mc_expected_overall_error,
@@ -48,22 +52,18 @@ MC_SVAR_SE = 1650.8843970790679
 
 def test_draws_have_unit_mean():
     d = draw_fading(np.random.default_rng(42), 1000000)
-    assert abs(np.mean(d.z2) - 1.0) < 0.004
+    assert abs(np.mean(d[1]) - 1.0) < 0.004
 
 def test_draws_have_log_two_median():
     d = draw_fading(np.random.default_rng(42), 1000000)
-    assert abs(np.mean(d.z1 < math.log(2.0)) - 0.5) < 0.002
+    assert abs(np.mean(d[0] < math.log(2.0)) - 0.5) < 0.002
 
 def test_draws_reproducible_and_nonnegative():
     a = draw_fading(np.random.default_rng(7), 1000)
     b = draw_fading(np.random.default_rng(7), 1000)
-    np.testing.assert_array_equal(a.z1, b.z1)
-    np.testing.assert_array_equal(a.z3, b.z3)
-    assert np.all(a.z1 >= 0.0) and np.all(a.z2 >= 0.0) and np.all(a.z3 >= 0.0)
-
-def test_scalar_draw():
-    d = draw_fading(np.random.default_rng(0))
-    assert np.ndim(d.z1) == 0 and np.ndim(d.z2) == 0 and np.ndim(d.z3) == 0
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[2], b[2])
+    assert np.all(a[0] >= 0.0) and np.all(a[1] >= 0.0) and np.all(a[2] >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +77,21 @@ def test_estimate_validation():
         McEstimate(mean=0.0, std_err=-1.0, n=10, seed=None)
 
 def test_sample_floor_enforced():
-    for fn in (mc_expected_overall_error, mc_bl_throughput, mc_service_stats):
-        with pytest.raises(ValueError):
-            fn(1.0, 500, REF_GAINS, REF_PARAMS, n=9999)
+    # every Monte Carlo entry point rejects a count below its floor with
+    # a message that names the CLI flag
+    for fn, floor in (
+            (lambda n: mc_expected_overall_error(1.0, 500, REF_GAINS,
+                                                 REF_PARAMS, n=n), 10000),
+            (lambda n: mc_bl_throughput(1.0, 500, REF_GAINS, REF_PARAMS,
+                                        n=n), 10000),
+            (lambda n: mc_service_stats(1.0, 500, REF_GAINS, REF_PARAMS,
+                                        n=n), 10000),
+            (lambda n: bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS,
+                                                 n_samples=n), 100000),
+            (lambda n: ergodic_capacity_relay(REF_GAINS, REF_PARAMS,
+                                              n_samples=n), 1000000)):
+        with pytest.raises(ValueError, match="--mc-samples"):
+            fn(floor - 1)
 
 def test_chunk_layout_covers_n():
     sizes, seqs = _chunk_layout(600000, 3)
@@ -147,11 +159,18 @@ def test_sliced_link_errors_equal_one_call(k):
     s1, s2, s3 = (avg_snr(g, REF_PARAMS)
                   for g in (REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3))
     e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS, REF_PARAMS)
-    assert np.array_equal(e2, block_error(draw.z2 * s2, REF_RATE, 500))
-    assert np.array_equal(emrc, block_error(draw.z1 * s1 + draw.z3 * s3,
+    assert np.array_equal(e2, block_error(draw[1] * s2, REF_RATE, 500))
+    assert np.array_equal(emrc, block_error(draw[0] * s1 + draw[2] * s3,
                                             REF_RATE, 500))
     assert np.array_equal(e2 + (1.0 - e2) * emrc, overall_error_instant(
         draw, REF_RATE, 500, REF_GAINS, REF_PARAMS))
+    # the perfect-CSI and ergodic per-draw maps, through the same slices
+    perfect = lambda snr2, snr_mrc: _maximize_per_draw(snr2, snr_mrc, 500)[1]
+    for fn in (perfect, _ergodic_per_draw):
+        sliced = _per_draw(fn, draw, REF_GAINS, REF_PARAMS)
+        assert sliced.shape == (1, k)
+        assert np.array_equal(sliced[0], fn(*_link_snrs(*draw, REF_GAINS,
+                                                        REF_PARAMS)))
 
 def test_error_estimate_seed_sensitivity():
     a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,

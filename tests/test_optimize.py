@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fblrelay.fbl import shannon_c
-from fblrelay.fading import FadingDraw, avg_snr
+from fblrelay.fading import avg_snr
 from fblrelay.relay import (
     LinkGains,
     SystemParams,
@@ -44,7 +44,6 @@ MSDR_STAR = 1.9526991319671367
 def test_parabola_argmax():
     res = maximize_unimodal(lambda x: -(x - 0.3)**2, 0.0, 1.0, 1e-6)
     assert res.flag == "converged"
-    assert res.bracket <= 1e-6
     assert res.argmax == pytest.approx(0.3, abs=1e-6)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
@@ -112,24 +111,24 @@ def test_msdr_optimum_below_throughput_optimum():
 
 def _solve_draw(draw, m, gains, p):
     """(rate, value) of one draw, through the batch solver."""
-    snr2 = np.array([draw.z2 * avg_snr(gains.g2, p)])
-    snr_mrc = np.array([draw.z1 * avg_snr(gains.g1, p)
-                        + draw.z3 * avg_snr(gains.g3, p)])
+    snr2 = np.array([draw[1] * avg_snr(gains.g2, p)])
+    snr_mrc = np.array([draw[0] * avg_snr(gains.g1, p)
+                        + draw[2] * avg_snr(gains.g3, p)])
     rate, value = _maximize_per_draw(snr2, snr_mrc, m)
     return rate[0], value[0]
 
 def test_zero_gain_draw():
-    rate, value = _solve_draw(FadingDraw(1.0, 0.0, 1.0), 500, REF_GAINS,
+    rate, value = _solve_draw((1.0, 0.0, 1.0), 500, REF_GAINS,
                               _params(0.148))
     assert rate == 0.0 and value == 0.0
 
 def test_big_gain_draw_approaches_half_capacity():
     g = LinkGains(g1=1e8, g2=1e8, g3=1e8)
-    _, value = _solve_draw(FadingDraw(1.0, 1.0, 1.0), 500, g, _params(0.148))
+    _, value = _solve_draw((1.0, 1.0, 1.0), 500, g, _params(0.148))
     assert value == pytest.approx(0.5 * shannon_c(1e8), rel=0.01)
 
 def test_error_at_argmax_interior():
-    draw = FadingDraw(0.7, 1.3, 0.9)
+    draw = (0.7, 1.3, 0.9)
     rate, _ = _solve_draw(draw, 500, REF_GAINS, _params(0.148))
     e = overall_error_instant(draw, rate, 500, REF_GAINS, _params(0.148))
     assert 0.0 < e < 0.5
@@ -140,7 +139,7 @@ def test_matches_grid_oracle_and_batch_route():
     p = _params(0.148)
     rng = np.random.default_rng(5)
     for z1, z2, z3 in rng.standard_exponential((3, 100)).T:
-        draw = FadingDraw(z1, z2, z3)
+        draw = (z1, z2, z3)
         rate, value = _solve_draw(draw, 500, REF_GAINS, p)
         cap = shannon_c(min(z2 * 307.405, z1 * 2.4463 + z3 * 307.405))
         grid = np.linspace(1e-9, 1.5 * cap + 1e-5, 10000)

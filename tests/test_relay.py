@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fblrelay.cli import SCHEMES, Point
-from fblrelay.fbl import achievable_rate, block_error, shannon_c
-from fblrelay.fading import FadingDraw
+from fblrelay.fbl import (achievable_rate, block_error, dispersion_complex,
+                          shannon_c)
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import (
     LinkGains,
@@ -160,14 +160,14 @@ def test_overall_error_composition_example():
     # unit average SNRs so the draw values are the instantaneous SNRs
     p = _params()
     g = LinkGains(g1=1.0, g2=1.0, g3=1.0)
-    draw = FadingDraw(z1=SNR_ERR_02, z2=SNR_ERR_01, z3=0.0)
+    draw = (SNR_ERR_02, SNR_ERR_01, 0.0)
     # backhaul fails with 0.1, MRC decoding with 0.2: 0.1 + 0.9*0.2 = 0.28
     assert overall_error_instant(draw, 1.0, 500, g, p) == pytest.approx(0.28, abs=1e-12)
 
 def test_overall_error_backhaul_outage_is_total():
     p = _params()
     g = REF_GAINS
-    draw = FadingDraw(z1=5.0, z2=0.0, z3=5.0)
+    draw = (5.0, 0.0, 5.0)
     assert overall_error_instant(draw, 2.0, 500, g, p) == 1.0
 
 def test_overall_error_bounds():
@@ -175,9 +175,8 @@ def test_overall_error_bounds():
     g = LinkGains(g1=2.4463, g2=5.0, g3=3.0)
     rng = np.random.default_rng(7)
     z = rng.standard_exponential((3, 200))
-    draw = FadingDraw(z1=z[0], z2=z[1], z3=z[2])
     r, m = 1.5, 500
-    err = overall_error_instant(draw, r, m, g, p)
+    err = overall_error_instant(z, r, m, g, p)
     e2 = block_error(z[1] * 5.0, r, m)
     emrc = block_error(z[0] * 2.4463 + z[2] * 3.0, r, m)
     assert np.all(err >= np.maximum(e2, emrc) - 1e-15)
@@ -189,8 +188,8 @@ def test_overall_error_broadcasts_like_scalar():
     g = REF_GAINS
     rng = np.random.default_rng(3)
     z = rng.standard_exponential((3, 16))
-    batch = overall_error_instant(FadingDraw(*z), 4.0, 500, g, p)
-    singles = [overall_error_instant(FadingDraw(a, b, c), 4.0, 500, g, p)
+    batch = overall_error_instant(z, 4.0, 500, g, p)
+    singles = [overall_error_instant((a, b, c), 4.0, 500, g, p)
                for a, b, c in z.T]
     assert batch.shape == (16,)
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
@@ -362,6 +361,23 @@ def test_per_draw_value_is_the_block_error_formula(m, mean_snr):
     rate, value = _maximize_per_draw(snr2, snr_mrc, m)
     assert np.array_equal(value, _per_draw_throughput(rate, snr2, snr_mrc, m))
 
+@pytest.mark.parametrize("m", [100, 1e7])
+@pytest.mark.parametrize("mean_snr", [1e-300, 1e-310])
+def test_per_draw_solver_faint_draws(m, mean_snr):
+    # in plain units the Newton terms 1/r^2 and l*l overflowed here (an
+    # error under the suite's RuntimeWarning filter); the optimum sits
+    # near the spread s = sqrt(V/m), far below the feasible top
+    snr2, snr_mrc = _totality_draws(mean_snr)
+    rate, value = _maximize_per_draw(snr2, snr_mrc, m)
+    assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
+    assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+    assert np.all(value[:3] == 0.0)
+    spread = np.sqrt(dispersion_complex(np.maximum(snr2, snr_mrc)) / m)
+    for k in range(3, 200, 7):
+        grid = np.linspace(0.0, 5.0 * spread[k], 20001)
+        best = np.max(_per_draw_throughput(grid, snr2[k], snr_mrc[k], m))
+        assert value[k] >= best * (1.0 - 1e-12)
+
 def test_per_draw_solver_boundary_optimum():
     # C << sqrt(V/m) on both links: the throughput still rises at the
     # right end of the feasible set, so that end is the optimum
@@ -373,8 +389,8 @@ def test_per_draw_solver_boundary_optimum():
     assert value[0] == np.max(_per_draw_throughput(grid, 1e-8, 1e-6, 100))
 
 def test_per_draw_solver_block_invariant():
-    # the draws are solved in fixed blocks; where the blocks split must
-    # not change any draw's result
+    # each draw is solved on its own; where the batch splits must not
+    # change any draw's result
     rng = np.random.default_rng(11)
     z = rng.standard_exponential((3, 100003))
     snr2 = z[1] * 307.405

@@ -1,4 +1,4 @@
-"""Guards for the benchmark tracer and for where scipy is imported."""
+"""Guards for the benchmark tracer and for which module imports what."""
 
 import ast
 import importlib.util
@@ -32,16 +32,27 @@ def test_benchmark_tracer_installs_and_traces(capsys):
     assert {"fbl.block_error", "relay.bl_throughput_perfect_csi"} <= names
 
 
+def _imports(path):
+    """Every module name imported by one source file, relative ones bare."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+    return names
+
+
 def test_only_fbl_imports_scipy():
-    importers = set()
-    for path in (ROOT / "src" / "fblrelay").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in modules):
-                importers.add(path.name)
+    importers = {path.name for path in (ROOT / "src" / "fblrelay").glob("*.py")
+                 if any(name.split(".")[0] == "scipy"
+                        for name in _imports(path))}
     assert importers == {"fbl.py"}
+
+
+def test_montecarlo_sits_below_the_schemes():
+    # relay and baselines draw their samples through montecarlo, so an
+    # import the other way would be a cycle
+    names = _imports(ROOT / "src" / "fblrelay" / "montecarlo.py")
+    assert not names & {"relay", "baselines", "cli", "fblrelay.relay",
+                        "fblrelay.baselines", "fblrelay.cli"}
