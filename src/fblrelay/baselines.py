@@ -11,11 +11,11 @@ blocklength entirely.
 import numpy as np
 
 from .fbl import shannon_c
-from .fading import avg_snr, mrc_outage_cdf, rayleigh_outage_cdf
+from .fading import mrc_outage_cdf, rayleigh_outage_cdf
 from .montecarlo import _check_n, _sample_mean
 
 
-def outage_prob_relay(r, gains, params):
+def outage_prob_relay(r, gains):
     """Overall relaying outage at per-hop rate r, infinite blocklength.
 
     A period fails when the backhaul hop is in outage or, that
@@ -26,9 +26,8 @@ def outage_prob_relay(r, gains, params):
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
     t = 2.0**r - 1.0
-    p2 = rayleigh_outage_cdf(t, avg_snr(gains.g2, params))
-    pmrc = mrc_outage_cdf(t, avg_snr(gains.g1, params),
-                          avg_snr(gains.g3, params))
+    p2 = rayleigh_outage_cdf(t, gains.g2)
+    pmrc = mrc_outage_cdf(t, gains.g1, gains.g3)
     return p2 + (1.0 - p2) * pmrc
 
 # ---------------------------------------------------------------------------
@@ -42,11 +41,11 @@ def _ergodic_per_draw(snr2, snr_mrc):
     """
     return 0.5 * shannon_c(np.minimum(snr2, snr_mrc, out=snr2))
 
-def ergodic_capacity_relay(gains, params, n_samples=1000000, seed=None):
+def ergodic_capacity_relay(gains, n_samples=1000000, seed=None):
     """Monte Carlo ergodic capacity of the bottleneck link, with its SE.
 
     Independent of any coding rate or blocklength by construction.
     Returns (mean, standard error).
     """
     return _sample_mean(_ergodic_per_draw, _check_n(n_samples, 1000000),
-                        seed, gains, params)
+                        seed, gains)

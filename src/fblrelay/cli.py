@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import ergodic_capacity_relay, outage_prob_relay
-from .fading import QuadratureNonConvergence, avg_snr, expected_error_single
+from .fading import QuadratureNonConvergence, expected_error_single
 from .fbl import LN2, achievable_rate, shannon_c
 from .linklayer import QoSPair, msdr, service_stats
 from .montecarlo import (
@@ -69,13 +69,13 @@ def _relay_avg(r, pt):
     g, p = pt.gains, pt.params
     if r is None:
         r = select_rate_avg_csi(g, p)
-    err = expected_overall_error(r, p.m, g, p)
+    err = expected_overall_error(r, p.m, g)
     return {"coding_rate": r, "expected_error": err,
             "bl_throughput": 0.5 * r * (1.0 - err),
             "msdr": msdr(r, p.m, err, pt.qos)}
 
 def _relay_perfect(r, pt):
-    mean, _ = bl_throughput_perfect_csi(pt.params.m, pt.gains, pt.params,
+    mean, _ = bl_throughput_perfect_csi(pt.params.m, pt.gains,
                                         n_samples=pt.mc_samples,
                                         seed=pt.seed + (1,))
     return {"bl_throughput": mean}
@@ -91,8 +91,8 @@ def _direct(r, pt, matched):
     if matched:
         r = 0.5 * (select_rate_avg_csi(g, p) if r is None else r)
     elif r is None:
-        r = achievable_rate(p.eta * avg_snr(g.g1, p), p.eps_nominal, 2.0 * p.m)
-    err = expected_error_single(r, 2.0 * p.m, avg_snr(g.g1, p))
+        r = achievable_rate(p.eta * g.g1, p.eps_nominal, 2.0 * p.m)
+    err = expected_error_single(r, 2.0 * p.m, g.g1)
     # direct sends r*2m bits per 2m-symbol period, which is the
     # relay-normalized service law at twice the per-hop rate
     return {"coding_rate": r, "expected_error": err,
@@ -105,8 +105,8 @@ def _shannon_ergodic(r, pt):
 def _outage(r, pt):
     g, p = pt.gains, pt.params
     if r is None:
-        r = shannon_c(p.eta * bottleneck_snr(g, p))
-    p_out = outage_prob_relay(r, g, p)
+        r = shannon_c(p.eta * bottleneck_snr(g))
+    p_out = outage_prob_relay(r, g)
     # each hop must sustain r; a payload occupies two hops, so the
     # end-to-end rate is r/2
     return {"coding_rate": 0.5 * r, "expected_error": p_out,
@@ -218,8 +218,7 @@ def _run_sweep(spec, scn, args):
     if "shannon_ergodic" in spec.schemes:
         # constant column: estimated once, before the grid loop
         ergodic, _ = ergodic_capacity_relay(
-            gains, params, n_samples=max(mc_samples, 1000000),
-            seed=(seed, 10001))
+            gains, n_samples=max(mc_samples, 1000000), seed=(seed, 10001))
     base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
     points = list(enumerate(spec.grid))
     # one worker runs serially: a one-thread pool made the 100-point
@@ -408,17 +407,16 @@ def _cmd_validate(args):
         m = int(rng.integers(100, 2001))
         frac = rng.uniform(0.2, 0.8)
         sub = int(rng.integers(1 << 30))
-        p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.2)
-        r = float(frac * math.log2(1.0 + bottleneck_snr(g, p)))
-        err = expected_overall_error(r, m, g, p)
+        r = float(frac * math.log2(1.0 + bottleneck_snr(g)))
+        err = expected_overall_error(r, m, g)
         checks = []
-        est = mc_expected_overall_error(r, m, g, p, n=n, seed=(sub, 1),
+        est = mc_expected_overall_error(r, m, g, n=n, seed=(sub, 1),
                                         workers=args.workers)
         checks.append(("expected_error", err, est))
-        thr = mc_bl_throughput(r, m, g, p, n=n, seed=(sub, 2),
+        thr = mc_bl_throughput(r, m, g, n=n, seed=(sub, 2),
                                workers=args.workers)
         checks.append(("bl_throughput", 0.5 * r * (1.0 - err), thr))
-        stats = mc_service_stats(r, m, g, p, n=n, seed=(sub, 3),
+        stats = mc_service_stats(r, m, g, n=n, seed=(sub, 3),
                                  workers=args.workers)
         ana = service_stats(r, m, err)
         checks.append(("service_mean", ana.mean, stats.mean))

@@ -1,6 +1,7 @@
 """Rayleigh fading model and fading-averaged block error expectations.
 
-Unit-mean exponential fading powers z modulate each link's average SNR.
+Unit-mean exponential fading powers z modulate each link's mean SNR
+(the fields g1, g2, g3 of relay.LinkGains).
 The expected block error of a hop is a 1-D integral of the normal
 approximation against the exponential weight; the maximum-ratio-combined
 two-branch error is the corresponding 2-D integral, which collapses to
@@ -15,9 +16,6 @@ geometrically toward z = 0 so the square-root kink is resolved.  Every
 panel is then halved until two successive refinements agree; budget
 exhaustion raises QuadratureNonConvergence instead of returning a bad
 value.
-
-LinkGains/SystemParams are accessed by attribute only (g1, g2, g3,
-p_tx, sigma2), so any object with those fields works.
 """
 
 from functools import lru_cache
@@ -52,14 +50,9 @@ class QuadratureNonConvergence(RuntimeError):
     """Successive quadrature refinements failed to agree within budget."""
 
 
-def avg_snr(gain, params):
-    """Average received SNR of a link: gain * p_tx / sigma2."""
-    return gain * params.p_tx / params.sigma2
-
-def _link_snrs(z1, z2, z3, gains, params):
-    """Per-draw (backhaul, MRC) SNRs (z2*s2, z1*s1 + z3*s3), s = avg_snr."""
-    return (z2 * avg_snr(gains.g2, params),
-            z1 * avg_snr(gains.g1, params) + z3 * avg_snr(gains.g3, params))
+def _link_snrs(z1, z2, z3, gains):
+    """Per-draw (backhaul, MRC) SNRs (z2*g2, z1*g1 + z3*g3)."""
+    return z2 * gains.g2, z1 * gains.g1 + z3 * gains.g3
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +178,10 @@ def expected_error_single(r, m, mean_snr):
         raise ValueError("rate must be nonnegative")
     return _expected_error_1d(mean_snr, 0.0, r, m, _TOL_BACKHAUL)
 
-def expected_error_backhaul(r, m, gains, params):
-    """Fading-averaged block error of the source-relay hop.
-
-    m is taken from the argument, not from params, so blocklength sweeps
-    can reuse one params object.
-    """
-    return expected_error_single(r, m, avg_snr(gains.g2, params))
-
-def expected_error_mrc(r, m, gains, params):
+def expected_error_mrc(r, m, gains):
     """Fading-averaged block error after combining direct and relay copies.
 
-    Equals the double integral of block_error(z1*snr1 + z3*snr3, r, m)
+    Equals the double integral of block_error(z1*g1 + z3*g3, r, m)
     against the product exponential weight, absolute tolerance 1e-7.
     The combined SNR is a sum of two independent exponentials, so the
     double integral collapses exactly to a single integral against the
@@ -207,7 +192,7 @@ def expected_error_mrc(r, m, gains, params):
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
-    b, a = sorted((avg_snr(gains.g1, params), avg_snr(gains.g3, params)))
+    b, a = sorted((gains.g1, gains.g3))
     if b <= 0.0:
         return _expected_error_1d(a, 0.0, r, m, _TOL_BACKHAUL)
 

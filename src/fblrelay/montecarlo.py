@@ -55,7 +55,7 @@ def draw_fading(rng, size):
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return z
 
-def _per_draw(fn, z, gains, params, outputs=1):
+def _per_draw(fn, z, gains, outputs=1):
     """fn(snr2, snr_mrc) of every draw of z, as an (outputs, n) array.
 
     fn must be elementwise and return outputs rows.  It runs on slices
@@ -64,13 +64,13 @@ def _per_draw(fn, z, gains, params, outputs=1):
     out = np.empty((outputs, z.shape[1]))
     for i in range(0, z.shape[1], _SLICE):
         blk = slice(i, i + _SLICE)
-        out[:, blk] = fn(*_link_snrs(*z[:, blk], gains, params))
+        out[:, blk] = fn(*_link_snrs(*z[:, blk], gains))
     return out
 
-def _sample_mean(fn, n, seed, gains, params):
+def _sample_mean(fn, n, seed, gains):
     """Mean and standard error of fn(snr2, snr_mrc) over n fading draws."""
     z = np.random.default_rng(seed).standard_exponential((3, n))
-    vals = _per_draw(fn, z, gains, params)[0]
+    vals = _per_draw(fn, z, gains)[0]
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
 
 
@@ -121,19 +121,19 @@ def _stream_welford(sample_chunk, n, seed, workers=1):
     std = math.sqrt(m2 / (cnt - 1)) if cnt > 1 else 0.0
     return mean, std / math.sqrt(cnt), cnt
 
-def _link_errors(z, r, m, gains, params):
+def _link_errors(z, r, m, gains):
     """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
     return _per_draw(lambda snr2, snr_mrc: (block_error(snr2, r, m),
                                             block_error(snr_mrc, r, m)),
-                     z, gains, params, outputs=2)
+                     z, gains, outputs=2)
 
-def _decode_success(rng, k, r, m, gains, params):
+def _decode_success(rng, k, r, m, gains):
     """Two-stage per-period decode events: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
     one Bernoulli from the composed probability.
     """
-    e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains, params)
+    e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
     backhaul_ok = rng.random(k) >= e2
     mrc_ok = rng.random(k) >= emrc
     return backhaul_ok & mrc_ok
@@ -151,24 +151,23 @@ def _check_n(n, floor):
                          "samples (--mc-samples)")
     return n
 
-def mc_expected_overall_error(r, m, gains, params, n=1000000, seed=None,
-                              workers=1):
+def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
     """Sample mean of the instantaneous overall error over fading."""
     n = _check_n(n, 10000)
 
     def chunk(rng, k):
-        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains, params)
+        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
         return e2 + (1.0 - e2) * emrc
 
     mean, se, cnt = _stream_welford(chunk, n, seed, workers)
     return McEstimate(mean, se, cnt, seed)
 
-def mc_bl_throughput(r, m, gains, params, n=1000000, seed=None, workers=1):
+def mc_bl_throughput(r, m, gains, n=1000000, seed=None, workers=1):
     """Decode-event estimate of the average throughput r/2 per success."""
     n = _check_n(n, 10000)
 
     def chunk(rng, k):
-        ok = _decode_success(rng, k, r, m, gains, params)
+        ok = _decode_success(rng, k, r, m, gains)
         return np.where(ok, 0.5 * r, 0.0)
 
     mean, se, cnt = _stream_welford(chunk, n, seed, workers)
@@ -184,7 +183,7 @@ class McServiceStats:
     eps_hat: float  # empirical overall error frequency
 
 
-def mc_service_stats(r, m, gains, params, n=1000000, seed=None, workers=1):
+def mc_service_stats(r, m, gains, n=1000000, seed=None, workers=1):
     """Empirical mean and variance of the per-period payload increments.
 
     Increments take only the values 0 and r*m, so the success count is
@@ -195,8 +194,7 @@ def mc_service_stats(r, m, gains, params, n=1000000, seed=None, workers=1):
     n = _check_n(n, 10000)
 
     def count(rng, k):
-        return int(np.count_nonzero(_decode_success(rng, k, r, m, gains,
-                                                    params)))
+        return int(np.count_nonzero(_decode_success(rng, k, r, m, gains)))
 
     successes = sum(_map_chunks(count, n, seed, workers))
     payload = r * m

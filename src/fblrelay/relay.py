@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbl import LN2, _cap_spread, _error_at, _mills, achievable_rate
-from .fading import avg_snr, expected_error_backhaul, expected_error_mrc
+from .fading import expected_error_mrc, expected_error_single
 from .montecarlo import _check_n, _sample_mean
 
 @dataclass(frozen=True)
@@ -21,16 +21,12 @@ class SystemParams:
     """Static transmission parameters shared by all schemes."""
 
     m: float            # per-hop blocklength, channel uses
-    p_tx: float         # transmit power, linear scale
-    sigma2: float       # noise power, linear scale
     eps_nominal: float  # nominal error target for rate selection
     eta: float          # CSI weight factor, in (0, ln 2]
 
     def __post_init__(self):
         if self.m < 100:
             raise ValueError("per-hop blocklength must be at least 100")
-        if self.p_tx <= 0.0 or self.sigma2 <= 0.0:
-            raise ValueError("powers must be positive")
         if not 0.0 < self.eps_nominal < 1.0:
             raise ValueError("eps_nominal must lie in (0, 1)")
         if not 0.0 < self.eta <= LN2 + 1e-12:
@@ -39,7 +35,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class LinkGains:
-    """Average channel power gains: g1 direct, g2 backhaul, g3 relaying."""
+    """Mean received SNRs of the links: g1 direct, g2 backhaul, g3 relaying.
+
+    Each is the link's average channel power gain times the transmit
+    power over the noise power; scenario.build applies that budget.
+    """
 
     g1: float
     g2: float
@@ -47,15 +47,12 @@ class LinkGains:
 
     def __post_init__(self):
         if self.g1 <= 0.0 or self.g2 <= 0.0 or self.g3 <= 0.0:
-            raise ValueError("average gains must be positive")
+            raise ValueError("mean SNRs must be positive")
 
 
-def bottleneck_snr(gains, params):
+def bottleneck_snr(gains):
     """Average SNR of the weaker of the backhaul and the combined branch."""
-    s1 = avg_snr(gains.g1, params)
-    s2 = avg_snr(gains.g2, params)
-    s3 = avg_snr(gains.g3, params)
-    return min(s2, s1 + s3)
+    return min(gains.g2, gains.g1 + gains.g3)
 
 def select_rate_avg_csi(gains, params):
     """Coding rate from the weighted bottleneck of the average SNRs.
@@ -64,15 +61,15 @@ def select_rate_avg_csi(gains, params):
     Returns 0.0 when the blocklength penalty exceeds capacity
     (infeasible selection).
     """
-    bottleneck = params.eta * bottleneck_snr(gains, params)
+    bottleneck = params.eta * bottleneck_snr(gains)
     if bottleneck <= 0.0:
         raise ValueError("bottleneck SNR must be positive")
     return achievable_rate(bottleneck, params.eps_nominal, params.m)
 
-def expected_overall_error(r, m, gains, params):
+def expected_overall_error(r, m, gains):
     """Fading-averaged overall relaying error probability."""
-    e2 = expected_error_backhaul(r, m, gains, params)
-    emrc = expected_error_mrc(r, m, gains, params)
+    e2 = expected_error_single(r, m, gains.g2)
+    emrc = expected_error_mrc(r, m, gains)
     return e2 + (1.0 - e2) * emrc
 
 
@@ -163,7 +160,7 @@ def _maximize_per_draw(snr2, snr_mrc, m):
     em = _error_at(rate, cm, sm)
     return rate, 0.5 * rate * (1.0 - (e2 + (1.0 - e2) * em))
 
-def bl_throughput_perfect_csi(m, gains, params, n_samples=100000, seed=None):
+def bl_throughput_perfect_csi(m, gains, n_samples=100000, seed=None):
     """Monte Carlo average of the per-draw optimal throughput.
 
     For every fading draw the coding rate is re-optimized against the
@@ -171,4 +168,4 @@ def bl_throughput_perfect_csi(m, gains, params, n_samples=100000, seed=None):
     """
     return _sample_mean(lambda snr2, snr_mrc: _maximize_per_draw(
                             snr2, snr_mrc, m)[1],
-                        _check_n(n_samples, 100000), seed, gains, params)
+                        _check_n(n_samples, 100000), seed, gains)

@@ -1,4 +1,4 @@
-"""Physical setup ingestion: distances and powers to gains and parameters.
+"""Physical setup ingestion: distances and powers to mean SNRs and parameters.
 
 The urban reference layout places the relay 200 m from both endpoints
 with a 360 m direct path, transmits 30 dBm against -90 dBm noise at
@@ -7,6 +7,8 @@ with a 360 m direct path, transmits 30 dBm against -90 dBm noise at
 budget fields complete the link budget: a combined antenna/system gain
 on all links and an extra obstruction loss on the (much weaker) direct
 path.  A fixed-gains mode bypasses propagation modeling entirely.
+build applies the whole budget, transmit over noise power included, so
+every other module sees a link only through its mean SNR.
 
 Scenario files are flat text, one `key = value` per line with `#`
 comments; keys match the field names below, with the QoS pair flattened
@@ -72,19 +74,24 @@ class Scenario:
                 raise ValueError("g1, g2, g3 must be positive in fixed_gains mode")
 
 
-def dbm_to_watt(x_dbm):
-    return 10.0**((x_dbm - 30.0) / 10.0)
+def _db_to_linear(x_db):
+    """10^(x_db/10), or inf where that leaves the float range."""
+    try:
+        return 10.0**(x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
-def pathloss_db(model, distance_m, f_c):
-    """Distance cost in dB at carrier f_c (GHz) under the named model.
+def dbm_to_watt(x_dbm):
+    return _db_to_linear(x_dbm - 30.0)
+
+def pathloss_db(distance_m, f_c):
+    """COST-231 Hata urban-macro distance cost in dB at carrier f_c (GHz).
 
     The COST-231 Hata urban-macro fit is nominally valid for 1-20 km
     and 1.5-2 GHz; the reference distances sit below 1 km, so the
     formula is extrapolated there and a warning is emitted rather than
     clamping (clamping would collapse distinct distances to one loss).
     """
-    if model != "cost231_hata_urban":
-        raise ValueError(f"no path-loss formula for model {model!r}")
     if distance_m <= 0.0:
         raise ValueError("distance_m must be positive")
     d_km = distance_m / 1000.0
@@ -98,24 +105,39 @@ def pathloss_db(model, distance_m, f_c):
     return (46.3 + 33.9 * lf - 13.82 * math.log10(_H_BASE) - a_hm
             + (44.9 - 6.55 * math.log10(_H_BASE)) * math.log10(d_km) + _C_M)
 
+# each link's LinkGains field, name, and the path-loss keys that set it
+_LINKS = (("g1", "direct", "d_direct, direct_extra_loss_db"),
+          ("g2", "backhaul", "d_backhaul"), ("g3", "relaying", "d_relaying"))
+
 def build(scenario):
-    """Materialize (LinkGains, SystemParams) from a scenario."""
-    if scenario.pathloss_model == "fixed_gains":
-        gains = LinkGains(scenario.g1, scenario.g2, scenario.g3)
+    """Materialize (LinkGains, SystemParams) from a scenario.
+
+    Each LinkGains field is a mean SNR, the link's average channel gain
+    times p_tx / sigma2.  Raises ValueError naming the link and the keys
+    that set it when a mean SNR is not positive and finite.
+    """
+    fixed = scenario.pathloss_model == "fixed_gains"
+    if fixed:
+        budget = [scenario.g1, scenario.g2, scenario.g3]
     else:
         budget = []
         for dist, extra in ((scenario.d_direct, scenario.direct_extra_loss_db),
                             (scenario.d_backhaul, 0.0),
                             (scenario.d_relaying, 0.0)):
-            loss = pathloss_db(scenario.pathloss_model, dist, scenario.f_c)
-            budget.append(10.0**((scenario.ant_gain_db - loss - extra) / 10.0))
-        gains = LinkGains(*budget)
-    params = SystemParams(m=scenario.m,
-                          p_tx=dbm_to_watt(scenario.p_tx_dbm),
-                          sigma2=dbm_to_watt(scenario.noise_dbm),
-                          eps_nominal=scenario.eps_nominal,
+            loss = pathloss_db(dist, scenario.f_c)
+            budget.append(_db_to_linear(scenario.ant_gain_db - loss - extra))
+    p_tx = dbm_to_watt(scenario.p_tx_dbm)
+    sigma2 = dbm_to_watt(scenario.noise_dbm)
+    snrs = [g * p_tx / sigma2 if sigma2 > 0.0 else math.inf for g in budget]
+    for snr, (field, link, keys) in zip(snrs, _LINKS):
+        if not 0.0 < snr < math.inf:
+            keys = field if fixed else keys + ", f_c, ant_gain_db"
+            raise ValueError(f"mean SNR of the {link} link ({field}) must be "
+                             f"positive and finite, got {snr!r}; set by "
+                             f"{keys}, p_tx_dbm and noise_dbm")
+    params = SystemParams(m=scenario.m, eps_nominal=scenario.eps_nominal,
                           eta=scenario.eta)
-    return gains, params
+    return LinkGains(*snrs), params
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +152,18 @@ KEYS = tuple(k for f in fields(Scenario)
 def with_overrides(scenario, **flat):
     """scenario with the flat keys of KEYS replaced and re-validated.
 
-    Values are converted to float, except pathloss_model; qos_d and
-    qos_p_d must be given together.
+    Values are converted to float, except pathloss_model, and NaN is
+    rejected; qos_d and qos_p_d must be given together.
     """
     kwargs = {}
     for key, value in flat.items():
         if key not in KEYS:
             raise ValueError(f"unknown scenario key: {key}")
-        kwargs[key] = value if key == "pathloss_model" else float(value)
+        if key != "pathloss_model":
+            value = float(value)
+            if math.isnan(value):
+                raise ValueError(f"{key} must be a number, got nan")
+        kwargs[key] = value
     qos_d = kwargs.pop("qos_d", None)
     qos_p_d = kwargs.pop("qos_p_d", None)
     if (qos_d is None) != (qos_p_d is None):

@@ -15,13 +15,13 @@ from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr, msdr_feasible, qos_penalty_factor
 
 
-def overall_error_instant(z, r, m, gains, params):
+def overall_error_instant(z, r, m, gains):
     """Per-draw overall relaying error: backhaul plus surviving MRC loss.
 
     z is the fading triple (z1, z2, z3), of scalars or of arrays (a
     (3, n) draw), and broadcasts; one unsliced block_error call per link.
     """
-    snr2, snr_mrc = _link_snrs(*(np.asarray(zi) for zi in z), gains, params)
+    snr2, snr_mrc = _link_snrs(*(np.asarray(zi) for zi in z), gains)
     e2 = block_error(snr2, r, m)
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc

@@ -17,12 +17,11 @@ import pytest
 from fblrelay import cli
 from fblrelay.baselines import outage_prob_relay
 from fblrelay.fbl import achievable_rate, block_error, q_func, q_inv
-from fblrelay.fading import avg_snr, expected_error_single
+from fblrelay.fading import expected_error_single
 from fblrelay.linklayer import QoSPair, msdr
 from fblrelay.montecarlo import mc_expected_overall_error
 from fblrelay.relay import (
     LinkGains,
-    SystemParams,
     bl_throughput_perfect_csi,
     expected_overall_error,
     select_rate_avg_csi,
@@ -38,7 +37,7 @@ QOS = Scenario().qos
 def bl_throughput_at(eta, m=None):
     p = replace(PARAMS, eta=eta) if m is None else replace(PARAMS, eta=eta, m=m)
     r = select_rate_avg_csi(GAINS, p)
-    err = expected_overall_error(r, p.m, GAINS, p)
+    err = expected_overall_error(r, p.m, GAINS)
     return r, err, 0.5 * r * (1.0 - err)
 
 def msdr_at(eta, m=None):
@@ -65,10 +64,9 @@ def test_expected_error_matches_monte_carlo_battery():
         m = int(rng.integers(100, 2001))
         frac = rng.uniform(0.2, 0.8)
         sub = int(rng.integers(1 << 30))
-        p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.2)
         r = float(frac * math.log2(1.0 + min(g.g2, g.g1 + g.g3)))
-        err = expected_overall_error(r, m, g, p)
-        est = mc_expected_overall_error(r, m, g, p, n=10_000_000,
+        err = expected_overall_error(r, m, g)
+        est = mc_expected_overall_error(r, m, g, n=10_000_000,
                                         seed=(sub, 1), workers=os.cpu_count())
         assert abs(est.mean - err) <= 3.0 * est.std_err
     assert time.monotonic() - start < 300.0
@@ -83,7 +81,7 @@ def test_throughput_concave_in_coding_rate():
     start = time.monotonic()
     rs = np.linspace(0.5, 7.0, 50)
     f = np.array([0.5 * r * (1.0 - expected_overall_error(r, PARAMS.m,
-                                                          GAINS, PARAMS))
+                                                          GAINS))
                   for r in rs])
     d2 = f[:-2] - 2.0 * f[1:-1] + f[2:]
     assert np.all(d2 <= 1e-6)
@@ -94,7 +92,7 @@ def test_sustainable_rate_concave_in_coding_rate():
     start = time.monotonic()
     rs = np.linspace(0.5, 6.797, 50)
     f = np.array([msdr(r, PARAMS.m,
-                       expected_overall_error(r, PARAMS.m, GAINS, PARAMS),
+                       expected_overall_error(r, PARAMS.m, GAINS),
                        QOS) for r in rs])
     assert np.all(f > 0.0)
     d2 = f[:-2] - 2.0 * f[1:-1] + f[2:]
@@ -155,8 +153,8 @@ def test_sustainable_rate_decomposition_identities():
 
 def test_expected_error_converges_to_outage_probability():
     r = select_rate_avg_csi(GAINS, replace(PARAMS, eta=0.148))
-    p_out = outage_prob_relay(r, GAINS, PARAMS)
-    gaps = [abs(expected_overall_error(r, m, GAINS, PARAMS) - p_out)
+    p_out = outage_prob_relay(r, GAINS)
+    gaps = [abs(expected_overall_error(r, m, GAINS) - p_out)
             for m in (1e3, 1e4, 1e6, 1e8)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0] < 1e-4
@@ -171,8 +169,7 @@ def test_relaying_dominates_equal_payload_direct():
     for eta in np.linspace(0.01, LN2, 100):
         r, err, thr = bl_throughput_at(eta)
         r_dir = 0.5 * r
-        err_dir = expected_error_single(r_dir, 2.0 * PARAMS.m,
-                                        avg_snr(GAINS.g1, PARAMS))
+        err_dir = expected_error_single(r_dir, 2.0 * PARAMS.m, GAINS.g1)
         thr_dir = r_dir * (1.0 - err_dir)
         assert thr > thr_dir
         sus = msdr(r, PARAMS.m, err, QOS)
@@ -186,9 +183,8 @@ def test_relaying_dominates_equal_payload_direct():
 def test_perfect_csi_beats_average_csi_at_the_optimum():
     eta_star = 0.15093695130331053
     _, _, thr_avg = bl_throughput_at(eta_star)
-    mean, se = bl_throughput_perfect_csi(PARAMS.m, GAINS,
-                                         replace(PARAMS, eta=eta_star),
-                                         n_samples=100000, seed=2)
+    mean, se = bl_throughput_perfect_csi(PARAMS.m, GAINS, n_samples=100000,
+                                         seed=2)
     assert mean - 3.0 * se > thr_avg
 
 def test_throughput_loss_to_outage_capacity_small():

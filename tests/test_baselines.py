@@ -19,12 +19,12 @@ from fblrelay.baselines import (
     ergodic_capacity_relay,
     outage_prob_relay,
 )
-from fblrelay.fading import _link_snrs, avg_snr, rayleigh_outage_cdf
+from fblrelay.fading import _link_snrs, rayleigh_outage_cdf
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
 def _params(eta=0.148, m=500):
-    return SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
+    return SystemParams(m=m, eps_nominal=1e-3, eta=eta)
 
 def _outage(eta, m=500):
     """The CLI's outage scheme at its own rate: end-to-end rate r/2,
@@ -36,7 +36,7 @@ def _outage(eta, m=500):
 def _relay_avg_throughput(eta):
     p = _params(eta=eta)
     r = select_rate_avg_csi(REF_GAINS, p)
-    return 0.5 * r * (1.0 - expected_overall_error(r, p.m, REF_GAINS, p))
+    return 0.5 * r * (1.0 - expected_overall_error(r, p.m, REF_GAINS))
 
 # frozen: overall outage at the reference operating rate
 REF_RATE = 5.33969938461749
@@ -55,46 +55,44 @@ ERGODIC_SE_REF = 0.00084201559387313
 # ---------------------------------------------------------------------------
 
 def test_outage_prob_zero_rate():
-    assert outage_prob_relay(0.0, REF_GAINS, _params()) == 0.0
+    assert outage_prob_relay(0.0, REF_GAINS) == 0.0
 
 def test_outage_prob_rejects_negative_rate():
     with pytest.raises(ValueError):
-        outage_prob_relay(-0.1, REF_GAINS, _params())
+        outage_prob_relay(-0.1, REF_GAINS)
 
 def test_outage_prob_reference_value():
-    p = outage_prob_relay(REF_RATE, REF_GAINS, _params())
+    p = outage_prob_relay(REF_RATE, REF_GAINS)
     assert p == pytest.approx(POUT_REF, rel=1e-12)
 
 def test_outage_prob_monotone_in_rate():
-    ps = [outage_prob_relay(r, REF_GAINS, _params()) for r in (0.5, 2.0, 5.0, 8.0)]
+    ps = [outage_prob_relay(r, REF_GAINS) for r in (0.5, 2.0, 5.0, 8.0)]
     assert all(0.0 <= p <= 1.0 for p in ps)
     assert all(b > a for a, b in zip(ps, ps[1:]))
 
 def test_outage_prob_equal_branch_gains_erlang():
     # equal direct and relaying means collapse the combined CDF to Erlang-2
     g = LinkGains(g1=5.0, g2=8.0, g3=5.0)
-    p = _params()
     r = 2.5
     t = 2.0**r - 1.0
     p2 = -math.expm1(-t / 8.0)
     perl = 1.0 - (1.0 + t / 5.0) * math.exp(-t / 5.0)
     expect = p2 + (1.0 - p2) * perl
-    assert outage_prob_relay(r, g, p) == pytest.approx(expect, rel=1e-12)
+    assert outage_prob_relay(r, g) == pytest.approx(expect, rel=1e-12)
 
-def outage_prob_direct(r, gains, params):
+def outage_prob_direct(r, gains):
     """Single-link Rayleigh outage of the direct source-destination hop."""
-    return rayleigh_outage_cdf(2.0**r - 1.0, avg_snr(gains.g1, params))
+    return rayleigh_outage_cdf(2.0**r - 1.0, gains.g1)
 
 def test_outage_prob_direct_closed_form():
-    p = _params()
     r = 1.3
     t = 2.0**r - 1.0
-    assert outage_prob_direct(r, REF_GAINS, p) == pytest.approx(
+    assert outage_prob_direct(r, REF_GAINS) == pytest.approx(
         -math.expm1(-t / 2.4463), rel=1e-12)
 
 def test_large_m_error_converges_to_outage():
-    pout = outage_prob_relay(REF_RATE, REF_GAINS, _params())
-    gaps = [expected_overall_error(REF_RATE, m, REF_GAINS, _params(m=m)) - pout
+    pout = outage_prob_relay(REF_RATE, REF_GAINS)
+    gaps = [expected_overall_error(REF_RATE, m, REF_GAINS) - pout
             for m in (1000, 10000, 1000000, 100000000)]
     assert all(g > 0.0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -115,7 +113,7 @@ def test_outage_point_internal_consistency():
     rate, p_out, cap = _outage(0.2)
     s1, s2, s3 = 2.4463, 307.405, 307.405
     assert rate == pytest.approx(0.5 * shannon_c(0.2 * min(s2, s1 + s3)), rel=1e-15)
-    assert p_out == outage_prob_relay(2.0 * rate, REF_GAINS, _params(eta=0.2))
+    assert p_out == outage_prob_relay(2.0 * rate, REF_GAINS)
     assert cap == rate * (1.0 - p_out)
 
 def test_outage_capacity_ignores_blocklength():
@@ -161,23 +159,23 @@ def test_outage_capacity_dominance_flag():
 def test_ergodic_degenerate_draws():
     # variance-free fading pins the estimate at the bottleneck capacity
     z = np.ones((3, 8))
-    vals = _ergodic_per_draw(*_link_snrs(*z, REF_GAINS, _params()))
+    vals = _ergodic_per_draw(*_link_snrs(*z, REF_GAINS))
     expect = 0.5 * min(shannon_c(307.405), shannon_c(2.4463 + 307.405))
     np.testing.assert_allclose(vals, expect, rtol=1e-15)
 
 def test_ergodic_deterministic_and_frozen():
-    a = ergodic_capacity_relay(REF_GAINS, _params(), seed=42)
-    b = ergodic_capacity_relay(REF_GAINS, _params(), seed=42)
+    a = ergodic_capacity_relay(REF_GAINS, seed=42)
+    b = ergodic_capacity_relay(REF_GAINS, seed=42)
     assert a == b
     assert a[0] == pytest.approx(ERGODIC_REF, rel=1e-9)
     assert a[1] == pytest.approx(ERGODIC_SE_REF, rel=1e-9)
 
 def test_ergodic_rejects_small_sample():
     with pytest.raises(ValueError):
-        ergodic_capacity_relay(REF_GAINS, _params(), n_samples=10000)
+        ergodic_capacity_relay(REF_GAINS, n_samples=10000)
 
 def test_ergodic_exceeds_every_finite_blocklength_throughput():
-    mean, se = ergodic_capacity_relay(REF_GAINS, _params(), seed=7)
+    mean, se = ergodic_capacity_relay(REF_GAINS, seed=7)
     assert se > 0.0
     best_fbl = _relay_avg_throughput(0.148)
     assert mean - 3.0 * se > best_fbl

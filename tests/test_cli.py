@@ -59,6 +59,23 @@ def test_bad_scenario_value_exits_2(capsys):
                        "3", "--m", "50"], capsys)
     assert code == 2
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308"])
+@pytest.mark.parametrize("key", [k for k in KEYS if k != "pathloss_model"])
+def test_extreme_scenario_value_exits_0_or_2(capsys, key, value):
+    # the QoS pair and the fixed gains are all given, so the flag under
+    # test overrides one value of a complete, valid set
+    args = ["sweep", "--variable", "eta", "--grid-list", "0.2",
+            "--metrics", "bl_throughput,msdr", "--qos-d", "10000",
+            "--qos-p-d", "0.01"]
+    if key in ("g1", "g2", "g3"):
+        args += ["--pathloss-model", "fixed_gains", "--g1", "1e-12",
+                 "--g2", "1e-12", "--g3", "1e-12"]
+    code = cli.main(args + [f"--{key.replace('_', '-')}={value}"])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if value == "nan":
+        assert code == 2 and key in err
+
 def test_half_qos_pair_exits_2(capsys):
     code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
                        "3", "--qos-d", "100"], capsys)
@@ -385,8 +402,9 @@ def test_optimize_evaluates_each_weight_once(capsys):
                            wraps=cli.expected_overall_error) as spy:
         code, _ = run_cli(["optimize"], capsys)
     assert code == 0
-    etas = {call.args[3].eta for call in spy.call_args_list}
-    assert spy.call_count == len(etas) == 65
+    # the selected rate rises strictly with eta: one rate per eta
+    rates = {call.args[0] for call in spy.call_args_list}
+    assert spy.call_count == len(rates) == 65
 
 def test_optimize_tighter_qos_shrinks_argmax(capsys):
     _, out = run_cli(["optimize", "--objective", "msdr", "--qos-d", "1000",

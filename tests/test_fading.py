@@ -22,15 +22,12 @@ from fblrelay.fading import (
     _halve,
     _panel_edges,
     _transition_hint,
-    avg_snr,
     exp_average,
-    expected_error_backhaul,
     expected_error_mrc,
+    expected_error_single,
     mrc_outage_cdf,
     rayleigh_outage_cdf,
 )
-
-PARAMS = SimpleNamespace(p_tx=1.0, sigma2=1.0)
 
 def gains(g1=1.0, g2=1.0, g3=1.0):
     return SimpleNamespace(g1=g1, g2=g2, g3=g3)
@@ -75,14 +72,14 @@ CONV_CDF_ORACLE = {
 }
 
 
-def mrc_nested(r, m, gains, params):
+def mrc_nested(r, m, gains):
     """Nested-rule evaluation of the combined-branch expected error.
 
     Integrates the inner link conditionally on each outer node, with the
     larger-SNR branch innermost.  Far slower than expected_error_mrc but
     structurally independent of its hypoexponential collapse.
     """
-    s_out, s_in = sorted((avg_snr(gains.g1, params), avg_snr(gains.g3, params)))
+    s_out, s_in = sorted((gains.g1, gains.g3))
 
     def outer(z_arr):
         return np.array([_expected_error_1d(s_in, z * s_out, r, m, 3e-9)
@@ -106,12 +103,12 @@ class TestExpectedErrorBackhaul:
     @pytest.mark.parametrize("key", sorted(BACKHAUL_ORACLE))
     def test_frozen_oracle(self, key):
         snr, r, m = key
-        val = expected_error_backhaul(r, m, gains(g2=snr), PARAMS)
+        val = expected_error_single(r, m, snr)
         assert val == pytest.approx(BACKHAUL_ORACLE[key], abs=1e-8)
 
     def test_zero_rate(self):
-        lo = expected_error_backhaul(0.0, 500, gains(g2=300.0), PARAMS)
-        hi = expected_error_backhaul(0.0, 50000, gains(g2=300.0), PARAMS)
+        lo = expected_error_single(0.0, 500, 300.0)
+        hi = expected_error_single(0.0, 50000, 300.0)
         assert 0.0 < hi < lo < 0.5
         # the sharp origin drop carries mass ~1/(m*snr); a global rule
         # that misses it would return ~0 here
@@ -119,18 +116,18 @@ class TestExpectedErrorBackhaul:
 
     def test_large_m_reaches_outage(self):
         for snr, r in [(5.0, 1.0), (307.405, 2.0), (0.5, 0.2)]:
-            val = expected_error_backhaul(r, 1e8, gains(g2=snr), PARAMS)
+            val = expected_error_single(r, 1e8, snr)
             out = rayleigh_outage_cdf(2.0**r - 1.0, snr)
             assert val == pytest.approx(out, abs=1e-7)
 
     def test_strictly_inside_unit_interval(self):
         for r in (0.1, 1.0, 4.0):
-            val = expected_error_backhaul(r, 500, gains(g2=20.0), PARAMS)
+            val = expected_error_single(r, 500, 20.0)
             assert 0.0 < val < 1.0
 
     def test_increasing_in_r(self):
         rs = np.linspace(0.2, 4.0, 12)
-        vals = [expected_error_backhaul(r, 500, gains(g2=20.0), PARAMS) for r in rs]
+        vals = [expected_error_single(r, 500, 20.0) for r in rs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_convex_in_r_over_operating_region(self):
@@ -139,68 +136,68 @@ class TestExpectedErrorBackhaul:
         r_cap = achievable_rate(math.log(2.0) * snr, 1e-3, 500)
         h = 1e-3
         for r in np.linspace(0.3, r_cap, 7):
-            f = lambda x: expected_error_backhaul(x, 500, gains(g2=snr), PARAMS)
+            f = lambda x: expected_error_single(x, 500, snr)
             second = f(r + h) - 2.0 * f(r) + f(r - h)
             assert second > 0.0
 
     def test_rate_domain(self):
         with pytest.raises(ValueError):
-            expected_error_backhaul(-0.1, 500, gains(), PARAMS)
+            expected_error_single(-0.1, 500, 1.0)
 
 
 class TestExpectedErrorMrc:
     @pytest.mark.parametrize("key", sorted(MRC_ORACLE))
     def test_frozen_oracle(self, key):
         s1, s3, r, m = key
-        val = expected_error_mrc(r, m, gains(g1=s1, g3=s3), PARAMS)
+        val = expected_error_mrc(r, m, gains(g1=s1, g3=s3))
         assert val == pytest.approx(MRC_ORACLE[key], abs=1e-7)
 
     @pytest.mark.parametrize("key", sorted(MRC_ORACLE))
     def test_nested_route_agrees(self, key):
         # structurally independent evaluation of the same double integral
         s1, s3, r, m = key
-        a = expected_error_mrc(r, m, gains(g1=s1, g3=s3), PARAMS)
-        b = mrc_nested(r, m, gains(g1=s1, g3=s3), PARAMS)
+        a = expected_error_mrc(r, m, gains(g1=s1, g3=s3))
+        b = mrc_nested(r, m, gains(g1=s1, g3=s3))
         assert a == pytest.approx(b, abs=1e-7)
 
     def test_swap_symmetry_exact(self):
-        a = expected_error_mrc(2.0, 500, gains(g1=2.4463, g3=307.405), PARAMS)
-        b = expected_error_mrc(2.0, 500, gains(g1=307.405, g3=2.4463), PARAMS)
+        a = expected_error_mrc(2.0, 500, gains(g1=2.4463, g3=307.405))
+        b = expected_error_mrc(2.0, 500, gains(g1=307.405, g3=2.4463))
         assert a == b
 
     def test_degenerate_branch_is_single_link(self):
-        a = expected_error_mrc(1.5, 500, gains(g1=0.0, g3=5.0), PARAMS)
-        b = expected_error_backhaul(1.5, 500, gains(g2=5.0), PARAMS)
+        a = expected_error_mrc(1.5, 500, gains(g1=0.0, g3=5.0))
+        b = expected_error_single(1.5, 500, 5.0)
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_near_equal_means_stable(self):
         # straddles the Erlang branch: no cancellation blowup allowed
-        base = expected_error_mrc(1.0, 500, gains(g1=10.0, g3=10.0), PARAMS)
+        base = expected_error_mrc(1.0, 500, gains(g1=10.0, g3=10.0))
         for wiggle in (1e-16, 1e-12, 1e-9, 1e-6):
-            val = expected_error_mrc(1.0, 500, gains(g1=10.0, g3=10.0 * (1 + wiggle)), PARAMS)
+            val = expected_error_mrc(1.0, 500, gains(g1=10.0, g3=10.0 * (1 + wiggle)))
             assert val == pytest.approx(base, abs=1e-6)
 
     def test_large_m_reaches_hypoexp_outage(self):
         for s1, s3, r in [(2.4463, 307.405, 2.0), (300.0, 300.0, 5.0)]:
-            val = expected_error_mrc(r, 1e8, gains(g1=s1, g3=s3), PARAMS)
+            val = expected_error_mrc(r, 1e8, gains(g1=s1, g3=s3))
             out = mrc_outage_cdf(2.0**r - 1.0, s1, s3)
             assert val == pytest.approx(out, abs=1e-7)
 
     def test_increasing_and_convex_in_r(self):
         g = gains(g1=2.4463, g3=307.405)
         rs = np.linspace(0.3, 5.0, 9)
-        vals = [expected_error_mrc(r, 500, g, PARAMS) for r in rs]
+        vals = [expected_error_mrc(r, 500, g) for r in rs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         h = 1e-3
         for r in (0.5, 2.0, 4.0):
-            f = lambda x: expected_error_mrc(x, 500, g, PARAMS)
+            f = lambda x: expected_error_mrc(x, 500, g)
             assert f(r + h) - 2.0 * f(r) + f(r - h) > 0.0
 
     def test_below_single_branch_error(self):
         # an extra combining branch can only help
         g = gains(g1=2.0, g3=5.0)
-        mrc = expected_error_mrc(1.0, 500, g, PARAMS)
-        single = expected_error_backhaul(1.0, 500, gains(g2=5.0), PARAMS)
+        mrc = expected_error_mrc(1.0, 500, g)
+        single = expected_error_single(1.0, 500, 5.0)
         assert mrc < single
 
 
@@ -211,7 +208,7 @@ class TestQuadratureEngine:
         phi = lambda z: block_error(z * 0.2, 0.3, 100)
         edges = _panel_edges(_transition_hint(0.2, 0.0, 0.3, 100))
         doubled = _eval_panels(phi, edges, order=32)
-        val = expected_error_backhaul(0.3, 100, gains(g2=0.2), PARAMS)
+        val = expected_error_single(0.3, 100, 0.2)
         assert val == pytest.approx(doubled, abs=1e-7)
 
     def test_panel_doubling_invariance(self):
@@ -221,10 +218,6 @@ class TestQuadratureEngine:
         coarse = _eval_panels(phi, edges)
         fine = _eval_panels(phi, _halve(edges))
         assert fine == pytest.approx(coarse, abs=1e-7)
-
-    def test_avg_snr(self):
-        p = SimpleNamespace(p_tx=2.0, sigma2=0.5)
-        assert avg_snr(3.0, p) == 12.0
 
     def test_non_convergence_raises(self):
         # a jump off every panel edge converges only linearly in the
@@ -244,13 +237,13 @@ class TestSmallRates:
     @pytest.mark.parametrize("key", sorted(SMALL_R_BACKHAUL_ORACLE))
     def test_frozen_backhaul_oracle(self, key):
         r, snr, m = key
-        val = expected_error_backhaul(r, m, gains(g2=snr), PARAMS)
+        val = expected_error_single(r, m, snr)
         assert val == pytest.approx(SMALL_R_BACKHAUL_ORACLE[key], abs=1e-9)
 
     @pytest.mark.parametrize("key", sorted(SMALL_R_MRC_ORACLE))
     def test_frozen_mrc_oracle(self, key):
         r, s1, s3, m = key
-        val = expected_error_mrc(r, m, gains(g1=s1, g3=s3), PARAMS)
+        val = expected_error_mrc(r, m, gains(g1=s1, g3=s3))
         assert val == pytest.approx(SMALL_R_MRC_ORACLE[key], abs=1e-9)
 
     @pytest.mark.parametrize("r", RATES_NEAR_ZERO)
@@ -258,9 +251,8 @@ class TestSmallRates:
         # a point the engine cannot resolve raises QuadratureNonConvergence
         for snr in MEAN_SNRS:
             for m in (100, 1000, 1e4, 1e5):
-                single = expected_error_backhaul(r, m, gains(g2=snr), PARAMS)
-                mrc = expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr),
-                                         PARAMS)
+                single = expected_error_single(r, m, snr)
+                mrc = expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr))
                 assert 0.0 <= single <= 1.0 and 0.0 <= mrc <= 1.0
 
     @pytest.mark.parametrize("r", RATES_NEAR_ZERO)
@@ -270,10 +262,10 @@ class TestSmallRates:
         m = 1e8
         for snr in MEAN_SNRS:
             slack = 1e-7 + 1.0 / (m * snr)
-            single = expected_error_backhaul(r, m, gains(g2=snr), PARAMS)
+            single = expected_error_single(r, m, snr)
             assert single == pytest.approx(
                 rayleigh_outage_cdf(2.0**r - 1.0, snr), abs=slack)
-            mrc = expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr), PARAMS)
+            mrc = expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr))
             assert mrc == pytest.approx(
                 mrc_outage_cdf(2.0**r - 1.0, snr, 3.0 * snr), abs=slack)
 

@@ -199,9 +199,9 @@ def _relay_avg_msdr(eta, m, qos):
     from fblrelay.relay import (LinkGains, SystemParams,
                                 expected_overall_error, select_rate_avg_csi)
     g = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
-    p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=eta)
+    p = SystemParams(m=m, eps_nominal=1e-3, eta=eta)
     r = select_rate_avg_csi(g, p)
-    return msdr(r, m, expected_overall_error(r, m, g, p), qos)
+    return msdr(r, m, expected_overall_error(r, m, g), qos)
 
 def _scenario_curve(qos, etas, m=500):
     return [_relay_avg_msdr(eta, m, qos) for eta in etas]

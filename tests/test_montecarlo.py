@@ -8,11 +8,10 @@ import pytest
 
 from fblrelay import montecarlo
 from fblrelay.baselines import _ergodic_per_draw, ergodic_capacity_relay
-from fblrelay.fading import _link_snrs, avg_snr
+from fblrelay.fading import _link_snrs
 from fblrelay.fbl import block_error
 from fblrelay.relay import (
     LinkGains,
-    SystemParams,
     _maximize_per_draw,
     bl_throughput_perfect_csi,
     expected_overall_error,
@@ -31,7 +30,6 @@ from fblrelay.montecarlo import (
 from oracles import overall_error_instant
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
-REF_PARAMS = SystemParams(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)
 REF_RATE = 5.33969938461749
 REF_ERR = 0.22057725077852786
 REF_THR = 2.0809415871873838
@@ -80,16 +78,14 @@ def test_sample_floor_enforced():
     # every Monte Carlo entry point rejects a count below its floor with
     # a message that names the CLI flag
     for fn, floor in (
-            (lambda n: mc_expected_overall_error(1.0, 500, REF_GAINS,
-                                                 REF_PARAMS, n=n), 10000),
-            (lambda n: mc_bl_throughput(1.0, 500, REF_GAINS, REF_PARAMS,
-                                        n=n), 10000),
-            (lambda n: mc_service_stats(1.0, 500, REF_GAINS, REF_PARAMS,
-                                        n=n), 10000),
-            (lambda n: bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS,
-                                                 n_samples=n), 100000),
-            (lambda n: ergodic_capacity_relay(REF_GAINS, REF_PARAMS,
-                                              n_samples=n), 1000000)):
+            (lambda n: mc_expected_overall_error(1.0, 500, REF_GAINS, n=n),
+             10000),
+            (lambda n: mc_bl_throughput(1.0, 500, REF_GAINS, n=n), 10000),
+            (lambda n: mc_service_stats(1.0, 500, REF_GAINS, n=n), 10000),
+            (lambda n: bl_throughput_perfect_csi(500, REF_GAINS, n_samples=n),
+             100000),
+            (lambda n: ergodic_capacity_relay(REF_GAINS, n_samples=n),
+             1000000)):
         with pytest.raises(ValueError, match="--mc-samples"):
             fn(floor - 1)
 
@@ -100,12 +96,12 @@ def test_chunk_layout_covers_n():
 
 def test_welford_merge_matches_flat_computation():
     # stream over several chunks, then recompute on the concatenated draws
-    est = mc_expected_overall_error(2.0, 500, REF_GAINS, REF_PARAMS,
+    est = mc_expected_overall_error(2.0, 500, REF_GAINS,
                                     n=600000, seed=3)
     sizes, seqs = _chunk_layout(600000, 3)
     vals = np.concatenate([
         overall_error_instant(draw_fading(np.random.default_rng(s), k),
-                              2.0, 500, REF_GAINS, REF_PARAMS)
+                              2.0, 500, REF_GAINS)
         for s, k in zip(seqs, sizes)])
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-13)
     assert est.std_err == pytest.approx(
@@ -118,7 +114,7 @@ def test_welford_merge_matches_flat_computation():
 # ---------------------------------------------------------------------------
 
 def test_error_estimate_frozen_and_within_band():
-    est = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    est = mc_expected_overall_error(REF_RATE, 500, REF_GAINS,
                                     n=1000000, seed=42)
     assert est.mean == pytest.approx(MC_ERR, rel=1e-12)
     assert est.std_err == pytest.approx(MC_ERR_SE, rel=1e-9)
@@ -127,7 +123,7 @@ def test_error_estimate_frozen_and_within_band():
 def test_error_estimate_deterministic_across_workers():
     # 1e6 draws: three full chunks and one of 213568
     for fn in (mc_expected_overall_error, mc_bl_throughput, mc_service_stats):
-        a, b, c = (fn(REF_RATE, 500, REF_GAINS, REF_PARAMS, n=1000000,
+        a, b, c = (fn(REF_RATE, 500, REF_GAINS, n=1000000,
                       seed=42, workers=w) for w in (1, 2, 4))
         assert a == b == c
         if fn is mc_expected_overall_error:
@@ -149,38 +145,36 @@ def test_every_estimator_maps_its_chunks_on_the_pool(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
     for fn in (mc_expected_overall_error, mc_bl_throughput, mc_service_stats):
         submitted.clear()
-        fn(REF_RATE, 500, REF_GAINS, REF_PARAMS, n=600000, seed=3, workers=2)
+        fn(REF_RATE, 500, REF_GAINS, n=600000, seed=3, workers=2)
         assert submitted == [2, 2, 2]
 
 @pytest.mark.parametrize("k", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
                                213568, 1 << 18])
 def test_sliced_link_errors_equal_one_call(k):
     draw = draw_fading(np.random.default_rng(k), k)
-    s1, s2, s3 = (avg_snr(g, REF_PARAMS)
-                  for g in (REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3))
-    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS, REF_PARAMS)
+    s1, s2, s3 = REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3
+    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS)
     assert np.array_equal(e2, block_error(draw[1] * s2, REF_RATE, 500))
     assert np.array_equal(emrc, block_error(draw[0] * s1 + draw[2] * s3,
                                             REF_RATE, 500))
     assert np.array_equal(e2 + (1.0 - e2) * emrc, overall_error_instant(
-        draw, REF_RATE, 500, REF_GAINS, REF_PARAMS))
+        draw, REF_RATE, 500, REF_GAINS))
     # the perfect-CSI and ergodic per-draw maps, through the same slices
     perfect = lambda snr2, snr_mrc: _maximize_per_draw(snr2, snr_mrc, 500)[1]
     for fn in (perfect, _ergodic_per_draw):
-        sliced = _per_draw(fn, draw, REF_GAINS, REF_PARAMS)
+        sliced = _per_draw(fn, draw, REF_GAINS)
         assert sliced.shape == (1, k)
-        assert np.array_equal(sliced[0], fn(*_link_snrs(*draw, REF_GAINS,
-                                                        REF_PARAMS)))
+        assert np.array_equal(sliced[0], fn(*_link_snrs(*draw, REF_GAINS)))
 
 def test_error_estimate_seed_sensitivity():
-    a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS,
                                   n=100000, seed=1)
-    b = mc_expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    b = mc_expected_overall_error(REF_RATE, 500, REF_GAINS,
                                   n=100000, seed=2)
     assert a.mean != b.mean
 
 def test_error_estimate_vanishing_rate():
-    est = mc_expected_overall_error(0.0, 500, REF_GAINS, REF_PARAMS,
+    est = mc_expected_overall_error(0.0, 500, REF_GAINS,
                                     n=100000, seed=0)
     assert est.mean < 1e-3
 
@@ -190,7 +184,7 @@ def test_error_estimate_vanishing_rate():
 # ---------------------------------------------------------------------------
 
 def test_throughput_estimate_frozen_and_within_band():
-    est = mc_bl_throughput(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    est = mc_bl_throughput(REF_RATE, 500, REF_GAINS,
                            n=1000000, seed=42)
     assert est.mean == pytest.approx(MC_THR, rel=1e-12)
     assert est.std_err == pytest.approx(MC_THR_SE, rel=1e-9)
@@ -199,13 +193,13 @@ def test_throughput_estimate_frozen_and_within_band():
 def test_throughput_error_free_links():
     # enormous gains: every decode succeeds, the estimate collapses to r/2
     g = LinkGains(g1=1e15, g2=1e15, g3=1e15)
-    est = mc_bl_throughput(1.0, 500, g, REF_PARAMS, n=10000, seed=0)
+    est = mc_bl_throughput(1.0, 500, g, n=10000, seed=0)
     assert est.mean == 0.5
     assert est.std_err == 0.0
 
 def test_throughput_dead_backhaul():
     g = LinkGains(g1=1e15, g2=1e-15, g3=1e15)
-    est = mc_bl_throughput(1.0, 500, g, REF_PARAMS, n=10000, seed=0)
+    est = mc_bl_throughput(1.0, 500, g, n=10000, seed=0)
     assert est.mean == 0.0
 
 
@@ -214,7 +208,7 @@ def test_throughput_dead_backhaul():
 # ---------------------------------------------------------------------------
 
 def test_service_stats_frozen_and_within_band():
-    est = mc_service_stats(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    est = mc_service_stats(REF_RATE, 500, REF_GAINS,
                            n=1000000, seed=42)
     ana = service_stats(REF_RATE, 500, REF_ERR)
     assert est.mean.mean == pytest.approx(MC_SMEAN, rel=1e-12)
@@ -226,22 +220,22 @@ def test_service_stats_frozen_and_within_band():
 
 def test_service_stats_consistent_with_throughput_stream():
     # same substreams and decode events: mean increment = 2m * throughput
-    thr = mc_bl_throughput(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    thr = mc_bl_throughput(REF_RATE, 500, REF_GAINS,
                            n=200000, seed=9)
-    stats = mc_service_stats(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    stats = mc_service_stats(REF_RATE, 500, REF_GAINS,
                              n=200000, seed=9)
     assert stats.mean.mean == pytest.approx(1000.0 * thr.mean, rel=1e-12)
 
 def test_service_stats_error_free_links():
     g = LinkGains(g1=1e15, g2=1e15, g3=1e15)
-    est = mc_service_stats(1.0, 500, g, REF_PARAMS, n=10000, seed=0)
+    est = mc_service_stats(1.0, 500, g, n=10000, seed=0)
     assert est.variance.mean == 0.0
     assert est.variance.std_err == 0.0
     assert est.eps_hat == 0.0
 
 def test_empirical_stats_reproduce_msdr():
     qos = QoSPair(d=1e4, p_d=1e-2)
-    est = mc_service_stats(REF_RATE, 500, REF_GAINS, REF_PARAMS,
+    est = mc_service_stats(REF_RATE, 500, REF_GAINS,
                            n=1000000, seed=42)
     phi = qos_penalty_factor(500, qos)
     emp = (est.mean.mean + math.sqrt(est.mean.mean**2
@@ -256,9 +250,8 @@ def test_quadrature_agreement_on_parameter_battery():
     for _ in range(5):
         g = LinkGains(*np.exp(rng.uniform(np.log(0.5), np.log(300.0), 3)))
         m = int(rng.integers(100, 2000))
-        p = SystemParams(m=m, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.2)
         r = float(rng.uniform(0.2, 0.8)
                   * math.log2(1.0 + min(g.g2, g.g1 + g.g3)))
-        ana = expected_overall_error(r, m, g, p)
-        est = mc_expected_overall_error(r, m, g, p, n=400000, seed=int(rng.integers(1 << 30)))
+        ana = expected_overall_error(r, m, g)
+        est = mc_expected_overall_error(r, m, g, n=400000, seed=int(rng.integers(1 << 30)))
         assert abs(est.mean - ana) < 4.0 * max(est.std_err, 1e-6)

@@ -24,7 +24,7 @@ from oracles import overall_error_instant
 LN2 = math.log(2.0)
 
 # reference urban scenario: weak direct link, strong backhaul and relaying
-REF_PARAMS = SystemParams(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)
+REF_PARAMS = SystemParams(m=500, eps_nominal=1e-3, eta=0.148)
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 
 # frozen rate selection and its expected error on the reference scenario
@@ -42,19 +42,19 @@ SNR_ERR_02 = 1.066977885182034
 
 
 def _params(**kw):
-    base = dict(m=500, p_tx=1.0, sigma2=1.0, eps_nominal=1e-3, eta=0.148)
+    base = dict(m=500, eps_nominal=1e-3, eta=0.148)
     base.update(kw)
     return SystemParams(**base)
 
 def _relay_avg(gains, params):
     """Selected rate, expected error and throughput of average-CSI relaying."""
     r = select_rate_avg_csi(gains, params)
-    err = expected_overall_error(r, params.m, gains, params)
+    err = expected_overall_error(r, params.m, gains)
     return r, err, 0.5 * r * (1.0 - err)
 
 def _thr(r, gains=REF_GAINS):
     """Relaying throughput at a fixed per-hop rate."""
-    return 0.5 * r * (1.0 - expected_overall_error(r, 500, gains, REF_PARAMS))
+    return 0.5 * r * (1.0 - expected_overall_error(r, 500, gains))
 
 def _scheme(name, r=None):
     """All metrics of one scheme of the CLI table on the reference scenario."""
@@ -69,12 +69,6 @@ def _scheme(name, r=None):
 def test_params_reject_short_blocklength():
     with pytest.raises(ValueError):
         _params(m=99)
-
-def test_params_reject_nonpositive_powers():
-    with pytest.raises(ValueError):
-        _params(p_tx=0.0)
-    with pytest.raises(ValueError):
-        _params(sigma2=-1.0)
 
 def test_params_reject_bad_error_target():
     with pytest.raises(ValueError):
@@ -101,9 +95,8 @@ def test_gains_reject_nonpositive():
 # ---------------------------------------------------------------------------
 
 def test_bottleneck_snr_is_weaker_branch():
-    p = _params(p_tx=2.0)
-    assert bottleneck_snr(LinkGains(g1=50.0, g2=4.0, g3=60.0), p) == 8.0
-    assert bottleneck_snr(LinkGains(g1=1.0, g2=400.0, g3=2.5), p) == 7.0
+    assert bottleneck_snr(LinkGains(g1=50.0, g2=4.0, g3=60.0)) == 4.0
+    assert bottleneck_snr(LinkGains(g1=1.0, g2=400.0, g3=2.5)) == 3.5
 
 def test_select_rate_backhaul_bottleneck():
     # g2 far below g1 + g3: selection must track the backhaul alone
@@ -117,15 +110,6 @@ def test_select_rate_combined_bottleneck():
     g = LinkGains(g1=1.0, g2=400.0, g3=2.5)
     expect = achievable_rate(0.3 * 3.5, p.eps_nominal, p.m)
     assert select_rate_avg_csi(g, p) == pytest.approx(expect, rel=1e-12)
-
-def test_select_rate_scales_with_power_ratio():
-    # doubling p_tx at fixed sigma2 doubles every SNR entering selection
-    p1 = _params(eta=0.2)
-    p2 = _params(eta=0.2, p_tx=2.0)
-    g = LinkGains(g1=2.0, g2=30.0, g3=40.0)
-    expect = achievable_rate(0.2 * 60.0, p2.eps_nominal, p2.m)
-    assert select_rate_avg_csi(g, p2) == pytest.approx(expect, rel=1e-12)
-    assert select_rate_avg_csi(g, p2) > select_rate_avg_csi(g, p1)
 
 def test_select_rate_strictly_increasing_in_weight():
     g = REF_GAINS
@@ -157,26 +141,23 @@ def test_select_rate_rejects_zero_bottleneck():
 # ---------------------------------------------------------------------------
 
 def test_overall_error_composition_example():
-    # unit average SNRs so the draw values are the instantaneous SNRs
-    p = _params()
+    # unit mean SNRs so the draw values are the instantaneous SNRs
     g = LinkGains(g1=1.0, g2=1.0, g3=1.0)
     draw = (SNR_ERR_02, SNR_ERR_01, 0.0)
     # backhaul fails with 0.1, MRC decoding with 0.2: 0.1 + 0.9*0.2 = 0.28
-    assert overall_error_instant(draw, 1.0, 500, g, p) == pytest.approx(0.28, abs=1e-12)
+    assert overall_error_instant(draw, 1.0, 500, g) == pytest.approx(0.28, abs=1e-12)
 
 def test_overall_error_backhaul_outage_is_total():
-    p = _params()
     g = REF_GAINS
     draw = (5.0, 0.0, 5.0)
-    assert overall_error_instant(draw, 2.0, 500, g, p) == 1.0
+    assert overall_error_instant(draw, 2.0, 500, g) == 1.0
 
 def test_overall_error_bounds():
-    p = _params()
     g = LinkGains(g1=2.4463, g2=5.0, g3=3.0)
     rng = np.random.default_rng(7)
     z = rng.standard_exponential((3, 200))
     r, m = 1.5, 500
-    err = overall_error_instant(z, r, m, g, p)
+    err = overall_error_instant(z, r, m, g)
     e2 = block_error(z[1] * 5.0, r, m)
     emrc = block_error(z[0] * 2.4463 + z[2] * 3.0, r, m)
     assert np.all(err >= np.maximum(e2, emrc) - 1e-15)
@@ -184,12 +165,11 @@ def test_overall_error_bounds():
     assert np.all((err >= 0.0) & (err <= 1.0))
 
 def test_overall_error_broadcasts_like_scalar():
-    p = _params()
     g = REF_GAINS
     rng = np.random.default_rng(3)
     z = rng.standard_exponential((3, 16))
-    batch = overall_error_instant(z, 4.0, 500, g, p)
-    singles = [overall_error_instant((a, b, c), 4.0, 500, g, p)
+    batch = overall_error_instant(z, 4.0, 500, g)
+    singles = [overall_error_instant((a, b, c), 4.0, 500, g)
                for a, b, c in z.T]
     assert batch.shape == (16,)
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
@@ -200,20 +180,20 @@ def test_overall_error_broadcasts_like_scalar():
 # ---------------------------------------------------------------------------
 
 def test_expected_error_reference_value():
-    err = expected_overall_error(REF_RATE, 500, REF_GAINS, REF_PARAMS)
+    err = expected_overall_error(REF_RATE, 500, REF_GAINS)
     assert err == pytest.approx(REF_ERR, rel=1e-9)
 
 def test_expected_error_monotone_in_rate():
-    errs = [expected_overall_error(r, 500, REF_GAINS, REF_PARAMS)
+    errs = [expected_overall_error(r, 500, REF_GAINS)
             for r in (1.0, 2.0, 4.0, 6.0, 8.0)]
     assert all(b > a for a, b in zip(errs, errs[1:]))
     assert all(0.0 <= e <= 1.0 for e in errs)
 
 def test_expected_error_saturates_for_huge_rate():
-    assert expected_overall_error(20.0, 500, REF_GAINS, REF_PARAMS) > 1.0 - 1e-6
+    assert expected_overall_error(20.0, 500, REF_GAINS) > 1.0 - 1e-6
 
 def test_expected_error_small_for_tiny_rate():
-    assert expected_overall_error(0.01, 10000, REF_GAINS, REF_PARAMS) < 1e-3
+    assert expected_overall_error(0.01, 10000, REF_GAINS) < 1e-3
 
 def test_reference_scenario_regression():
     rate, err, thr = _relay_avg(REF_GAINS, REF_PARAMS)
@@ -229,7 +209,7 @@ def test_reference_scenario_regression():
 def test_throughput_matches_rate_error_identity():
     # the CLI's relay_avg evaluator at a swept rate
     res = _scheme("relay_avg", 3.0)
-    err = expected_overall_error(3.0, 500, REF_GAINS, REF_PARAMS)
+    err = expected_overall_error(3.0, 500, REF_GAINS)
     assert res["coding_rate"] == 3.0
     assert res["expected_error"] == err
     assert res["bl_throughput"] == pytest.approx(0.5 * 3.0 * (1.0 - err),
@@ -303,20 +283,20 @@ def test_relay_beats_direct_on_reference_scenario():
 # ---------------------------------------------------------------------------
 
 def test_perfect_csi_deterministic_under_seed():
-    a = bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS, seed=42)
-    b = bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS, seed=42)
+    a = bl_throughput_perfect_csi(500, REF_GAINS, seed=42)
+    b = bl_throughput_perfect_csi(500, REF_GAINS, seed=42)
     assert a == b
     assert a[0] == pytest.approx(REF_PERFECT_MEAN, rel=1e-9)
     assert a[1] == pytest.approx(REF_PERFECT_SE, rel=1e-9)
 
 def test_perfect_csi_dominates_average_csi():
-    mean, se = bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS, seed=1)
+    mean, se = bl_throughput_perfect_csi(500, REF_GAINS, seed=1)
     assert se > 0.0
     assert mean - 3.0 * se > REF_THR
 
 def test_perfect_csi_rejects_small_sample():
     with pytest.raises(ValueError):
-        bl_throughput_perfect_csi(500, REF_GAINS, REF_PARAMS, n_samples=1000)
+        bl_throughput_perfect_csi(500, REF_GAINS, n_samples=1000)
 
 
 # ---------------------------------------------------------------------------

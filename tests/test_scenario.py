@@ -29,7 +29,7 @@ LOSS_360 = 122.1148279920507
 def _loss(d):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return pathloss_db("cost231_hata_urban", d, 2.0)
+        return pathloss_db(d, 2.0)
 
 def test_pathloss_frozen_values():
     assert _loss(200.0) == pytest.approx(LOSS_200, rel=1e-12)
@@ -41,18 +41,16 @@ def test_pathloss_monotone_in_distance():
 
 def test_pathloss_warns_below_validity():
     with pytest.warns(UserWarning, match="validity"):
-        pathloss_db("cost231_hata_urban", 200.0, 2.0)
+        pathloss_db(200.0, 2.0)
 
 def test_pathloss_silent_inside_validity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pathloss_db("cost231_hata_urban", 1500.0, 2.0)
+        pathloss_db(1500.0, 2.0)
 
 def test_pathloss_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        pathloss_db("fixed_gains", 200.0, 2.0)
-    with pytest.raises(ValueError):
-        pathloss_db("cost231_hata_urban", 0.0, 2.0)
+        pathloss_db(0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -69,27 +67,59 @@ def test_dbm_conversions_round_trip():
 # scenario building
 # ---------------------------------------------------------------------------
 
+def _powers(s):
+    """(p_tx, sigma2) of a scenario in watts, as build forms them."""
+    return dbm_to_watt(s.p_tx_dbm), dbm_to_watt(s.noise_dbm)
+
 def test_reference_build():
+    s = Scenario()
     with pytest.warns(UserWarning):
-        gains, params = build(Scenario())
+        gains, params = build(s)
     assert gains.g2 == gains.g3  # equal 200 m hops
     assert gains.g1 < gains.g2 and gains.g1 < gains.g3
-    assert params.p_tx == 1.0
-    assert params.sigma2 == pytest.approx(1e-12, rel=1e-12)
-    snr2_db = 10.0 * math.log10(gains.g2 * params.p_tx / params.sigma2)
-    assert 10.0 <= snr2_db <= 40.0
-    assert gains.g2 * params.p_tx / params.sigma2 == pytest.approx(
-        307.40499392638634, rel=1e-12)
-    assert gains.g1 * params.p_tx / params.sigma2 == pytest.approx(
-        2.4463421646795456, rel=1e-12)
+    # each mean SNR is the channel gain times p_tx / sigma2, bitwise
+    p_tx, sigma2 = _powers(s)
+    for snr, d, extra in ((gains.g1, 360.0, 12.0), (gains.g2, 200.0, 0.0),
+                          (gains.g3, 200.0, 0.0)):
+        g = 10.0**((18.0 - _loss(d) - extra) / 10.0)
+        assert snr == g * p_tx / sigma2
+    assert 10.0 <= 10.0 * math.log10(gains.g2) <= 40.0
+    assert gains.g2 == pytest.approx(307.40499392638634, rel=1e-12)
+    assert gains.g1 == pytest.approx(2.4463421646795456, rel=1e-12)
 
 def test_fixed_gains_pass_through():
     s = Scenario(pathloss_model="fixed_gains", g1=2.0, g2=5.5, g3=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no path-loss evaluation, no warning
         gains, params = build(s)
-    assert (gains.g1, gains.g2, gains.g3) == (2.0, 5.5, 4.0)
+    p_tx, sigma2 = _powers(s)
+    assert (gains.g1, gains.g2, gains.g3) == tuple(
+        g * p_tx / sigma2 for g in (2.0, 5.5, 4.0))
     assert params.eta == s.eta and params.m == s.m
+
+@pytest.mark.parametrize("model", ["cost231_hata_urban", "fixed_gains"])
+def test_ten_db_more_power_multiplies_every_mean_snr_by_ten(model):
+    s = Scenario(pathloss_model=model, g1=2.0, g2=5.5, g3=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        low, _ = build(s)
+        high, _ = build(with_overrides(s, p_tx_dbm=s.p_tx_dbm + 10.0))
+    for field in ("g1", "g2", "g3"):
+        assert getattr(high, field) == pytest.approx(
+            10.0 * getattr(low, field), rel=1e-15)
+
+def test_build_rejects_unusable_mean_snr_naming_link_and_keys():
+    # a noise power that rounds to 0 W, and an infinite fixed gain
+    with pytest.raises(ValueError, match=r"direct link \(g1\).*noise_dbm"):
+        build(Scenario(pathloss_model="fixed_gains", g1=1.0, g2=1.0, g3=1.0,
+                       noise_dbm=-1e308))
+    with pytest.raises(ValueError, match=r"backhaul link \(g2\).*g2"):
+        build(Scenario(pathloss_model="fixed_gains", g1=1.0, g2=math.inf,
+                       g3=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"direct link.*ant_gain_db"):
+            build(Scenario(ant_gain_db=1e308))
 
 def test_validation_names_offending_field():
     with pytest.raises(ValueError, match="d_relaying"):

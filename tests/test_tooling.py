@@ -11,25 +11,43 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_benchmark_tracer_installs_and_traces(capsys):
     # bench/tracer.py patches fblrelay's public functions and the CLI and
-    # Monte Carlo thread pools by name, so renaming one breaks --trace 1
+    # Monte Carlo thread pools by name, and its draw counters bind
+    # parameters by name, so renaming either breaks --trace 1
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
-    args = ["sweep", "--variable", "eta", "--grid-list", "0.2,0.4",
-            "--schemes", "relay_avg,relay_perfect", "--mc-samples", "100000",
-            "--workers", "2"]
-    assert cli.main(args) == 0
-    plain = capsys.readouterr().out
+    commands = (["sweep", "--variable", "eta", "--grid-list", "0.2,0.4",
+                 "--schemes", "relay_avg,relay_perfect,shannon_ergodic",
+                 "--mc-samples", "100000", "--workers", "2"],
+                ["validate", "--points", "1", "--mc-samples", "10000",
+                 "--workers", "2", "--seed", "3"])
+    plain = []
+    for args in commands:
+        assert cli.main(args) == 0
+        plain.append(capsys.readouterr().out)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        assert cli.main(args) == 0
+        for args in commands:
+            assert cli.main(args) == 0
+            assert capsys.readouterr().out == plain.pop(0)
     finally:
         tracer.uninstall()
-    assert capsys.readouterr().out == plain
-    names = {span[2] for span in tracer.spans}
-    assert {"fbl.block_error", "relay.bl_throughput_perfect_csi"} <= names
+    totals, _ = tracer_mod.aggregate(tracer.spans, tracer.main_thread)
+    assert totals["fbl.block_error"]["calls"] > 0
+    # one ergodic estimate of 1e6 draws, two perfect-CSI points of 1e5,
+    # and three 1e4-draw estimators that each draw one chunk
+    draws = {name: totals[name]["draws"] for name in (
+        "relay.bl_throughput_perfect_csi", "baselines.ergodic_capacity_relay",
+        "montecarlo.draw_fading", "montecarlo.mc_expected_overall_error",
+        "montecarlo.mc_bl_throughput", "montecarlo.mc_service_stats")}
+    assert draws == {"relay.bl_throughput_perfect_csi": 200000,
+                     "baselines.ergodic_capacity_relay": 1000000,
+                     "montecarlo.draw_fading": 30000,
+                     "montecarlo.mc_expected_overall_error": 10000,
+                     "montecarlo.mc_bl_throughput": 10000,
+                     "montecarlo.mc_service_stats": 10000}
 
 
 def _imports(path):
@@ -56,3 +74,24 @@ def test_montecarlo_sits_below_the_schemes():
     names = _imports(ROOT / "src" / "fblrelay" / "montecarlo.py")
     assert not names & {"relay", "baselines", "cli", "fblrelay.relay",
                         "fblrelay.baselines", "fblrelay.cli"}
+
+
+def test_only_scenario_applies_the_link_budget():
+    # scenario.build turns transmit and noise power into mean SNRs; every
+    # other module sees a link only through its mean SNR
+    found = []
+    for path in sorted((ROOT / "src" / "fblrelay").glob("*.py")):
+        if path.name == "scenario.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                name = node.arg
+            else:
+                continue
+            if name in ("p_tx", "sigma2"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
