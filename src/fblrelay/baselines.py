@@ -10,7 +10,7 @@ blocklength entirely.
 
 import numpy as np
 
-from .fbl import shannon_c
+from .fbl import _threshold, shannon_c
 from .fading import mrc_outage_cdf, rayleigh_outage_cdf
 from .montecarlo import _check_n, _sample_mean
 
@@ -25,7 +25,7 @@ def outage_prob_relay(r, gains):
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
-    t = 2.0**r - 1.0
+    t = _threshold(r)
     p2 = rayleigh_outage_cdf(t, gains.g2)
     pmrc = mrc_outage_cdf(t, gains.g1, gains.g3)
     return p2 + (1.0 - p2) * pmrc

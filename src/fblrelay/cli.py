@@ -193,17 +193,20 @@ def _mc_flags(args, schemes):
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _eval_point(spec, base, i, x):
+def _on_axis(variable, params, x):
+    """(params, swept rate or None) at axis value x; ValueError off its domain."""
+    if variable == "eta":
+        return replace(params, eta=x), None
+    if variable == "blocklength":
+        return replace(params, m=x), None
+    if not 0.0 <= x < math.inf:
+        raise ValueError("coding rate must be finite and nonnegative")
+    return params, x
+
+def _eval_point(spec, base, i, x, params, r):
     """One CSV row: the axis value, then every (scheme, metric) cell."""
-    params, r = base.params, None
-    if spec.variable == "eta":
-        params = replace(params, eta=float(x))
-    elif spec.variable == "blocklength":
-        params = replace(params, m=float(x))
-    else:
-        r = float(x)
     pt = replace(base, params=params, seed=base.seed + (i,))
-    row = [float(x)]
+    row = [x]
     for scheme in spec.schemes:
         values = SCHEMES[scheme].evaluate(r, pt)
         row.extend(values[metric] for metric in spec.metrics)
@@ -214,13 +217,19 @@ def _run_sweep(spec, scn, args):
     mc_samples, workers = _mc_flags(args, spec.schemes)
     seed = args.seed
     gains, params = build(scn)
+    points = []
+    for i, x in enumerate(map(float, spec.grid)):
+        try:
+            points.append((i, x, *_on_axis(spec.variable, params, x)))
+        except ValueError as exc:
+            flag = "--grid" if args.grid is not None else "--grid-list"
+            raise ValueError(f"{flag} value {x!r}: {exc}") from None
     ergodic = math.nan
     if "shannon_ergodic" in spec.schemes:
         # constant column: estimated once, before the grid loop
         ergodic, _ = ergodic_capacity_relay(
             gains, n_samples=max(mc_samples, 1000000), seed=(seed, 10001))
     base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
-    points = list(enumerate(spec.grid))
     # one worker runs serially: a one-thread pool made the 100-point
     # quadrature sweep 1.3x (best run) to 1.9x (median) slower
     if workers > 1:
@@ -265,15 +274,16 @@ def _add_run(p, monte_carlo=True):
     if monte_carlo:
         # None: 1e6 samples and one worker where a scheme draws samples,
         # and an error if given where none does (see _mc_flags)
-        p.add_argument("--mc-samples", type=_finite, default=None)
+        p.add_argument("--mc-samples", type=_positive_finite, default=None)
         p.add_argument("--workers", type=_at_least_one, default=None)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
-def _finite(text):
-    """Type of --mc-samples: a finite number, such as 1e6."""
+def _positive_finite(text):
+    """Type of --mc-samples and --tol: a finite number above 0, such as 1e6."""
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, "
+                                         f"got {text}")
     return value
 
 def _at_least_one(text):
@@ -289,12 +299,13 @@ def _scenario_from_args(args):
                                   if getattr(args, key) is not None})
 
 def _grid_from_args(args, default=None):
+    """Values of --grid or --grid-list, else default; _run_sweep checks each."""
     if args.grid is not None and args.grid_list is not None:
         raise ValueError("give either --grid or --grid-list, not both")
     if args.grid is not None:
         lo, hi, n = args.grid
-        if int(n) < 1 or not lo < hi:
-            raise ValueError("--grid needs lo < hi and n >= 1")
+        if not (-math.inf < lo < hi < math.inf and 1.0 <= n < math.inf):
+            raise ValueError("--grid needs finite lo < hi and n >= 1")
         return tuple(np.linspace(lo, hi, int(n)))
     if args.grid_list is not None:
         values = tuple(float(v) for v in args.grid_list.split(",") if v.strip())
@@ -460,7 +471,7 @@ def _build_parser():
     _add_scenario(p, monte_carlo=False)
     p.add_argument("--objective", default="both",
                    choices=("bl_throughput", "msdr", "both"))
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_finite, default=1e-4)
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("compare", help="paired scheme comparison with summary")

@@ -6,6 +6,7 @@ The expected block error of a hop is a 1-D integral of the normal
 approximation against the exponential weight; the maximum-ratio-combined
 two-branch error is the corresponding 2-D integral, which collapses to
 a 1-D integral against the hypoexponential density of the summed SNR.
+Each average has one path, for positive mean SNRs.
 
 Quadrature: one route, tiled 16-point Gauss-Legendre panels on [0, 40].
 At large blocklength the block error drops from one toward zero across
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbl import LN2, _cap_spread, block_error
+from .fbl import LN2, _cap_spread, _threshold, block_error
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -63,61 +64,51 @@ def _link_snrs(z1, z2, z3, gains):
 def _legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
-def _transition_hint(gain, offset, r, m):
-    """Locate the block-error drop in z, or None if there is none.
+def _transition_hint(gain, r, m):
+    """Locate the block-error drop in z as (z_star, halfwidth).
 
-    The integrand block_error(offset + gain*z, r, m) crosses one half
-    where capacity meets the rate, i.e. at snr = 2^r - 1.  Returns
-    (z_star, halfwidth) of the crossing window in z; z_star can be
-    negative when the offset already exceeds the threshold but the
-    window still reaches into z > 0.  At r = 0 the error drops from
-    one half across a root-dispersion window at the origin.
+    The integrand block_error(gain*z, r, m) crosses one half where
+    capacity meets the rate, at snr = 2^r - 1, so z_star >= 0.  At
+    r = 0 the error drops from one half across a root-dispersion window
+    at the origin.  A crossing beyond every finite z gives (inf, 0).
     """
-    if gain <= 0.0:
-        return None
     if r <= 0.0:
         # block_error(gain*z, 0, m) = Q(sqrt(m*gain*z/2) * ...) to first
         # order, falling below Q(10) near z = 2*10^2/(m*gain)
         return 0.0, 2.0 * _TRANSITION_SIGMAS**2 / (m * gain)
-    z_star = (2.0**r - 1.0 - offset) / gain
+    t = _threshold(r)
+    z_star = t / gain
+    if z_star == np.inf:
+        return z_star, 0.0
     c_slope = gain / (2.0**r * LN2)
-    h = _TRANSITION_SIGMAS * float(_cap_spread(2.0**r - 1.0, m)[1]) / c_slope
-    if z_star + h <= 0.0:
-        return None
+    h = _TRANSITION_SIGMAS * float(_cap_spread(t, m)[1]) / c_slope
     return z_star, h
 
 def _panel_edges(hint, extra=()):
     """Panel boundaries on [0, Z_CUTOFF] concentrated at the transition."""
     edges = {0.0, Z_CUTOFF}
     edges.update(e for e in extra if 0.0 < e < Z_CUTOFF)
-    if hint is not None:
-        z_star, h = hint
-        a = min(max(z_star - h, 0.0), Z_CUTOFF)
-        b = min(max(z_star + h, 0.0), Z_CUTOFF)
-        if b > a:
-            edges.update(np.linspace(a, b, 13))
-            if a == 0.0:
-                # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
-                edges.update(b / 12.0 * 2.0**-np.arange(1, _ORIGIN_GRADING + 1))
-        # geometric growth away from the window, width capped at 3
-        w = max(h, 1e-12 * max(abs(z_star), 1.0))
-        x = a
-        while x > 0.0:
-            x = max(x - w, 0.0)
-            edges.add(x)
-            w = min(2.0 * w, 3.0)
-        w = max(h, 1e-12 * max(abs(z_star), 1.0))
-        x = b
-        while x < Z_CUTOFF:
-            x = min(x + w, Z_CUTOFF)
-            edges.add(x)
-            w = min(2.0 * w, 3.0)
-    else:
-        w, x = 0.1, 0.0
-        while x < Z_CUTOFF:
-            x = min(x + w, Z_CUTOFF)
-            edges.add(x)
-            w = min(1.5 * w, 3.0)
+    z_star, h = hint
+    a = min(max(z_star - h, 0.0), Z_CUTOFF)
+    b = min(max(z_star + h, 0.0), Z_CUTOFF)
+    if b > a:
+        edges.update(np.linspace(a, b, 13))
+        if a == 0.0:
+            # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
+            edges.update(b / 12.0 * 2.0**-np.arange(1, _ORIGIN_GRADING + 1))
+    # geometric growth away from the window, width capped at 3
+    w = max(h, 1e-12 * max(abs(z_star), 1.0))
+    x = a
+    while x > 0.0:
+        x = max(x - w, 0.0)
+        edges.add(x)
+        w = min(2.0 * w, 3.0)
+    w = max(h, 1e-12 * max(abs(z_star), 1.0))
+    x = b
+    while x < Z_CUTOFF:
+        x = min(x + w, Z_CUTOFF)
+        edges.add(x)
+        w = min(2.0 * w, 3.0)
     return np.array(sorted(edges))
 
 def _eval_panels(phi, edges, order=16):
@@ -131,11 +122,11 @@ def _eval_panels(phi, edges, order=16):
 def _halve(edges):
     return np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
 
-def exp_average(phi, tol, hint=None, extra_edges=()):
+def exp_average(phi, tol, hint, extra_edges=()):
     """E[phi(z)] for z ~ Exp(1), with a panel-halving self check.
 
     phi must be vectorized and bounded.  hint = (z_star, halfwidth)
-    marks a sharp feature; the panels concentrate there and, when the
+    marks its sharp feature; the panels concentrate there and, when the
     window reaches the origin, grade geometrically toward z = 0.
     extra_edges adds panel boundaries for features the hint does not
     describe (e.g. a short-scale weight factor folded into phi).
@@ -154,15 +145,6 @@ def exp_average(phi, tol, hint=None, extra_edges=()):
         f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
         f"({len(edges) - 1} panels, last estimate {prev:.12g})")
 
-def _expected_error_1d(gain, offset, r, m, tol):
-    """E_z[block_error(offset + gain*z, r, m)], clipped to [0, 1]."""
-    if gain <= 0.0:
-        return block_error(offset, r, m)
-    hint = _transition_hint(gain, offset, r, m)
-    val = exp_average(lambda z: block_error(offset + gain * z, r, m),
-                      tol, hint=hint)
-    return min(max(val, 0.0), 1.0)
-
 
 # ---------------------------------------------------------------------------
 # fading-averaged error expectations
@@ -172,11 +154,13 @@ def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
 
     Integrates e^{-z} * block_error(z * mean_snr, r, m) over z to an
-    absolute tolerance of 1e-8.
+    absolute tolerance of 1e-8, clipped to [0, 1].
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
-    return _expected_error_1d(mean_snr, 0.0, r, m, _TOL_BACKHAUL)
+    val = exp_average(lambda z: block_error(mean_snr * z, r, m),
+                      _TOL_BACKHAUL, hint=_transition_hint(mean_snr, r, m))
+    return min(max(val, 0.0), 1.0)
 
 def expected_error_mrc(r, m, gains):
     """Fading-averaged block error after combining direct and relay copies.
@@ -187,15 +171,11 @@ def expected_error_mrc(r, m, gains):
     double integral collapses exactly to a single integral against the
     hypoexponential density; in units of the larger mean snr the weight
     is e^{-u} times a smooth factor handled through expm1 with no
-    cancellation.  Exactly symmetric under swapping g1 and g3; a zero
-    branch degenerates to the single-link form.
+    cancellation.  Exactly symmetric under swapping g1 and g3.
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
     b, a = sorted((gains.g1, gains.g3))
-    if b <= 0.0:
-        return _expected_error_1d(a, 0.0, r, m, _TOL_BACKHAUL)
-
     kappa = (a - b) / b
     if kappa < 1e-15:
         phi = lambda u: u * block_error(a * u, r, m)
@@ -206,7 +186,7 @@ def expected_error_mrc(r, m, gains):
         # the weight factor turns on over u ~ 1/kappa near the origin
         extra = tuple(2.0**j / kappa for j in range(-2, 7))
     val = exp_average(phi, _TOL_MRC_OUTER,
-                      hint=_transition_hint(a, 0.0, r, m), extra_edges=extra)
+                      hint=_transition_hint(a, r, m), extra_edges=extra)
     return min(max(val, 0.0), 1.0)
 
 # ---------------------------------------------------------------------------
@@ -215,8 +195,6 @@ def expected_error_mrc(r, m, gains):
 
 def rayleigh_outage_cdf(t, mean_snr):
     """P(mean_snr * z <= t) for unit-mean exponential z."""
-    if mean_snr <= 0.0:
-        return 1.0 if t >= 0.0 else 0.0
     t = np.asarray(t, dtype=float)
     out = np.where(t > 0.0, -np.expm1(-t / mean_snr), 0.0)
     return out if out.ndim else float(out)
@@ -228,18 +206,18 @@ def mrc_outage_cdf(t, mean1, mean3):
     expm1 so the near-equal regime stays accurate; within a relative
     difference of 1e-9 it switches to the Erlang-2 limit.
     """
-    if mean1 <= 0.0:
-        return rayleigh_outage_cdf(t, mean3)
-    if mean3 <= 0.0:
-        return rayleigh_outage_cdf(t, mean1)
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     b, a = sorted((mean1, mean3))
     if a - b < 1e-9 * a:
-        g = 0.5 * (a + b)
-        out = -np.expm1(-tp / g) - (tp / g) * np.exp(-tp / g)
+        # exp(-x) is 0 from x = 746 on: the cap keeps inf*0 out at t = inf
+        x = np.minimum(tp / (0.5 * (a + b)), 1e3)
+        out = -np.expm1(-x) - x * np.exp(-x)
     else:
         d = a - b
-        out = 1.0 - np.exp(-tp / a) * (1.0 - (b / d) * np.expm1(-tp * d / (a * b)))
+        # tp*d overflows at thresholds near 2^1023: the exponent is -inf
+        with np.errstate(over="ignore"):
+            out = 1.0 - np.exp(-tp / a) * (1.0 - (b / d) * np.expm1(
+                -tp * d / (a * b)))
     out = np.clip(np.where(t > 0.0, out, 0.0), 0.0, 1.0)
     return out if out.ndim else float(out)

@@ -60,6 +60,11 @@ def _capacity(snr):
     return np.log1p(snr) * LOG2E
 
 
+def _threshold(r):
+    """SNR 2^r - 1 where capacity meets rate r; inf where 2^r overflows."""
+    return 2.0**r - 1.0 if r < 1024.0 else math.inf
+
+
 def shannon_c(snr: float) -> float:
     """Shannon capacity log2(1 + snr) of a complex channel at linear SNR."""
     snr = np.asarray(snr, dtype=float)
@@ -98,9 +103,10 @@ def _cap_spread(snr, m):
 def _error_at(r, c, s):
     """Q((C - r)/s), and its limit Q(+-inf) where s = 0; C = r gives Q(0).
 
-    So zero SNR (C = s = 0) gives 1 for r > 0 and 1/2 at r = 0.
+    So zero SNR (C = s = 0) gives 1 for r > 0 and 1/2 at r = 0; a
+    quotient beyond the float range (r near 1e308) is +-inf too.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = (c - r) / s
     return q_func(np.where(c == r, 0.0, w))
 

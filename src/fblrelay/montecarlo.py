@@ -118,7 +118,7 @@ def _stream_welford(sample_chunk, n, seed, workers=1):
     for part in parts[1:]:
         total = _merge_welford(total, part)
     cnt, mean, m2 = total
-    std = math.sqrt(m2 / (cnt - 1)) if cnt > 1 else 0.0
+    std = math.sqrt(m2 / (cnt - 1))
     return mean, std / math.sqrt(cnt), cnt
 
 def _link_errors(z, r, m, gains):

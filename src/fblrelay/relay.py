@@ -25,7 +25,7 @@ class SystemParams:
     eta: float          # CSI weight factor, in (0, ln 2]
 
     def __post_init__(self):
-        if self.m < 100:
+        if not self.m >= 100:
             raise ValueError("per-hop blocklength must be at least 100")
         if not 0.0 < self.eps_nominal < 1.0:
             raise ValueError("eps_nominal must lie in (0, 1)")
@@ -59,12 +59,10 @@ def select_rate_avg_csi(gains, params):
 
     Applies the nominal-error rate formula to eta * bottleneck_snr.
     Returns 0.0 when the blocklength penalty exceeds capacity
-    (infeasible selection).
+    (infeasible selection), also where that product underflows to 0.
     """
-    bottleneck = params.eta * bottleneck_snr(gains)
-    if bottleneck <= 0.0:
-        raise ValueError("bottleneck SNR must be positive")
-    return achievable_rate(bottleneck, params.eps_nominal, params.m)
+    return achievable_rate(params.eta * bottleneck_snr(gains),
+                           params.eps_nominal, params.m)
 
 def expected_overall_error(r, m, gains):
     """Fading-averaged overall relaying error probability."""
@@ -77,7 +75,6 @@ def expected_overall_error(r, m, gains):
 # genie-aided perfect-CSI reference
 # ---------------------------------------------------------------------------
 
-_R_PAD = 1e-5          # feasible rates: [0, 1.5*C(min SNR) + _R_PAD]
 _RTOL = 1e-12          # a draw is done once its relative step is this small
 _MAX_STEPS = 100       # guard only: 7 steps suffice for m in [100, 1e7]
                        # and mean SNR in [1e-8, 1e8]
@@ -100,7 +97,7 @@ def _solve_block(c2, s2, cm, sm):
     units 1/r^2 and the squared Mills ratios overflow below a per-draw
     SNR of about 1e-290.
     """
-    top = 1.5 * np.minimum(c2, cm) + _R_PAD
+    top = 1.5 * np.minimum(c2, cm)
     rate = np.zeros_like(top)
     # a link with zero SNR fails at every r > 0: the rate stays 0
     idx = np.flatnonzero((s2 > 0.0) & (sm > 0.0))
@@ -142,12 +139,12 @@ def _solve_block(c2, s2, cm, sm):
 def _maximize_per_draw(snr2, snr_mrc, m):
     """Per-draw optimal coding rate and throughput, as (rate, value).
 
-    Maximizes f(r) = r*(1 - overall error)/2 over [0, 1.5*C(min SNR) +
-    1e-5] for every draw.  f is log-concave, so the rate is the root of
-    the closed-form d/dr log f, found by a safeguarded Newton iteration
-    in which each draw stops once converged.  Elementwise: a draw's
-    result does not depend on the others.  The value is block_error's
-    formula at that rate.
+    Maximizes f(r) = r*(1 - overall error)/2 over [0, 1.5*C(min SNR)]
+    for every draw, so f stays below C/2.  f is log-concave, so the rate
+    is the root of the closed-form d/dr log f, found by a safeguarded
+    Newton iteration in which each draw stops once converged.
+    Elementwise: a draw's result does not depend on the others.  The
+    value is block_error's formula at that rate.
     """
     snr2 = np.asarray(snr2, dtype=float)
     snr_mrc = np.asarray(snr_mrc, dtype=float)

@@ -9,7 +9,6 @@ The engine under test never feeds the oracle.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from fblrelay.fbl import achievable_rate, block_error
 from fblrelay.fading import (
     QuadratureNonConvergence,
     _eval_panels,
-    _expected_error_1d,
     _halve,
     _panel_edges,
     _transition_hint,
@@ -28,9 +26,10 @@ from fblrelay.fading import (
     mrc_outage_cdf,
     rayleigh_outage_cdf,
 )
+from fblrelay.relay import LinkGains
 
 def gains(g1=1.0, g2=1.0, g3=1.0):
-    return SimpleNamespace(g1=g1, g2=g2, g3=g3)
+    return LinkGains(g1, g2, g3)
 
 # scipy.quad with transition-bracketing breakpoints, epsabs 1e-14
 BACKHAUL_ORACLE = {
@@ -77,17 +76,23 @@ def mrc_nested(r, m, gains):
 
     Integrates the inner link conditionally on each outer node, with the
     larger-SNR branch innermost.  Far slower than expected_error_mrc but
-    structurally independent of its hypoexponential collapse.
+    structurally independent of its hypoexponential collapse.  The inner
+    transition sits where offset + s_in*u crosses the threshold, so its
+    window is the single-link one shifted by offset/s_in.
     """
     s_out, s_in = sorted((gains.g1, gains.g3))
+    z_in, h_in = _transition_hint(s_in, r, m)
+
+    def inner(offset):
+        return exp_average(lambda u: block_error(offset + s_in * u, r, m),
+                           3e-9, hint=(z_in - offset / s_in, h_in))
 
     def outer(z_arr):
-        return np.array([_expected_error_1d(s_in, z * s_out, r, m, 3e-9)
-                         for z in z_arr])
+        return np.array([inner(z * s_out) for z in z_arr])
 
     # the outer integrand ramps down to a kink at the outage boundary;
     # the kink curvature lives in the usual transition window
-    val = exp_average(outer, 1e-8, hint=_transition_hint(s_out, 0.0, r, m))
+    val = exp_average(outer, 1e-8, hint=_transition_hint(s_out, r, m))
     return min(max(val, 0.0), 1.0)
 
 
@@ -95,7 +100,7 @@ class TestExpPdf:
     """The engine's weight is the unit-mean exponential density."""
 
     def test_normalization_under_engine(self):
-        total = exp_average(lambda z: np.ones_like(z), 1e-10)
+        total = exp_average(lambda z: np.ones_like(z), 1e-10, hint=(5.0, 1.0))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -165,8 +170,10 @@ class TestExpectedErrorMrc:
         b = expected_error_mrc(2.0, 500, gains(g1=307.405, g3=2.4463))
         assert a == b
 
-    def test_degenerate_branch_is_single_link(self):
-        a = expected_error_mrc(1.5, 500, gains(g1=0.0, g3=5.0))
+    def test_faint_branch_approaches_single_link(self):
+        # mean SNRs are positive; a branch 300 orders of magnitude below
+        # the other adds nothing the tolerance can see
+        a = expected_error_mrc(1.5, 500, gains(g1=1e-300, g3=5.0))
         b = expected_error_single(1.5, 500, 5.0)
         assert a == pytest.approx(b, abs=1e-8)
 
@@ -206,14 +213,14 @@ class TestQuadratureEngine:
         # wide transition at small gain*m: doubling the nodes of every
         # panel of the engine's mesh leaves its value
         phi = lambda z: block_error(z * 0.2, 0.3, 100)
-        edges = _panel_edges(_transition_hint(0.2, 0.0, 0.3, 100))
+        edges = _panel_edges(_transition_hint(0.2, 0.3, 100))
         doubled = _eval_panels(phi, edges, order=32)
         val = expected_error_single(0.3, 100, 0.2)
         assert val == pytest.approx(doubled, abs=1e-7)
 
     def test_panel_doubling_invariance(self):
         phi = lambda z: block_error(z * 307.405, 2.0, 500)
-        hint = _transition_hint(307.405, 0.0, 2.0, 500)
+        hint = _transition_hint(307.405, 2.0, 500)
         edges = _panel_edges(hint)
         coarse = _eval_panels(phi, edges)
         fine = _eval_panels(phi, _halve(edges))
@@ -221,10 +228,30 @@ class TestQuadratureEngine:
 
     def test_non_convergence_raises(self):
         # a jump off every panel edge converges only linearly in the
-        # panel width, far slower than the refinement budget allows
+        # panel width, far slower than the refinement budget allows; the
+        # window [4, 6] puts no edge at 1/3
         phi = lambda z: (z > 1.0 / 3.0).astype(float)
         with pytest.raises(QuadratureNonConvergence):
-            exp_average(phi, 1e-12)
+            exp_average(phi, 1e-12, hint=(5.0, 1.0))
+
+
+class TestRatesBeyondTheFloatRange:
+    """From r = 1024 on no finite SNR reaches the rate: the error is one."""
+
+    def test_hint_beyond_every_finite_z(self):
+        assert _transition_hint(307.405, 1024.0, 500) == (math.inf, 0.0)
+        assert _transition_hint(307.405, 1e308, 500) == (math.inf, 0.0)
+        # 2^1000/1e-30 overflows although 2^1000 does not
+        assert _transition_hint(1e-30, 1000.0, 500) == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("r, snr", [(1000.0, 1e-30), (1024.0, 307.405),
+                                        (1100.0, 2.4463), (1e308, 1e-30)])
+    def test_error_is_one(self, r, snr):
+        for m in (100, 500, 1e7):
+            assert expected_error_single(r, m, snr) == pytest.approx(
+                1.0, abs=1e-12)
+            assert expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr)) == (
+                pytest.approx(1.0, abs=1e-12))
 
 
 RATES_NEAR_ZERO = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1, 1.0)
@@ -277,7 +304,7 @@ class TestClosedFormOutage:
             1.0 - math.exp(-0.6), rel=1e-14
         )
         assert rayleigh_outage_cdf(-1.0, 5.0) == 0.0
-        assert rayleigh_outage_cdf(3.0, 0.0) == 1.0
+        assert rayleigh_outage_cdf(3.0, 1e-300) == 1.0
 
     @pytest.mark.parametrize("key", sorted(CONV_CDF_ORACLE))
     def test_mrc_cdf_against_convolution(self, key):
@@ -300,9 +327,22 @@ class TestClosedFormOutage:
         assert below == pytest.approx(erlang, abs=1e-9)
         assert above == pytest.approx(erlang, abs=1e-9)
 
-    def test_degenerate_mean(self):
-        assert mrc_outage_cdf(3.0, 0.0, 5.0) == rayleigh_outage_cdf(3.0, 5.0)
-        assert mrc_outage_cdf(3.0, 5.0, 0.0) == rayleigh_outage_cdf(3.0, 5.0)
+    def test_faint_mean(self):
+        # a branch far below the other leaves the single-link outage
+        expect = rayleigh_outage_cdf(3.0, 5.0)
+        assert mrc_outage_cdf(3.0, 1e-300, 5.0) == pytest.approx(expect,
+                                                                 rel=1e-14)
+        assert mrc_outage_cdf(3.0, 5.0, 1e-300) == pytest.approx(expect,
+                                                                 rel=1e-14)
+
+    def test_infinite_threshold_is_certain_outage(self):
+        # 2^r - 1 reads inf from r = 1024 on; the Erlang branch must not
+        # form inf*0 there (the suite turns a RuntimeWarning into an error)
+        assert rayleigh_outage_cdf(math.inf, 5.0) == 1.0
+        assert mrc_outage_cdf(math.inf, 5.0, 5.0) == 1.0
+        assert mrc_outage_cdf(math.inf, 2.0, 7.0) == 1.0
+        # at 2^1023 - 1 the distinct-means exponent overflows to -inf
+        assert mrc_outage_cdf(2.0**1023 - 1.0, 2.0, 7.0) == 1.0
 
     def test_monotone_in_t(self):
         ts = np.linspace(0.1, 30.0, 40)

@@ -1,22 +1,31 @@
-"""Guards for the benchmark tracer and for which module imports what."""
+"""Guards for the benchmark tracer and checker, and for which module imports what."""
 
 import ast
 import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 from fblrelay import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _load_bench(name):
+    """bench/<name>.py as a module, read from its path."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "bench" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_benchmark_tracer_installs_and_traces(capsys):
     # bench/tracer.py patches fblrelay's public functions and the CLI and
     # Monte Carlo thread pools by name, and its draw counters bind
     # parameters by name, so renaming either breaks --trace 1
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = _load_bench("tracer")
     commands = (["sweep", "--variable", "eta", "--grid-list", "0.2,0.4",
                  "--schemes", "relay_avg,relay_perfect,shannon_ergodic",
                  "--mc-samples", "100000", "--workers", "2"],
@@ -48,6 +57,21 @@ def test_benchmark_tracer_installs_and_traces(capsys):
                      "montecarlo.mc_expected_overall_error": 10000,
                      "montecarlo.mc_bl_throughput": 10000,
                      "montecarlo.mc_service_stats": 10000}
+
+
+@pytest.mark.parametrize("workload", ["quad_study", "perfect_csi"])
+def test_benchmark_outputs_pass_the_checker(capsys, monkeypatch, workload):
+    # the benchmark refuses a change whose output leaves the tolerances
+    # of bench/refs; replay its commands at a stored seed in process
+    for name in ("common", "workloads"):
+        monkeypatch.setitem(sys.modules, name, _load_bench(name))
+    check = _load_bench("check")
+    workloads = sys.modules["workloads"]
+    checker = check.Checker(workload, 42)
+    for index, command in enumerate(workloads.WORKLOADS[workload]["commands"]):
+        code = cli.main(workloads.argv(command, 42))
+        out = capsys.readouterr().out
+        assert checker.check(index, command, code, out) == ("ok", ""), command
 
 
 def _imports(path):
