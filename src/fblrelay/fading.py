@@ -215,9 +215,10 @@ def mrc_outage_cdf(t, mean1, mean3):
         out = -np.expm1(-x) - x * np.exp(-x)
     else:
         d = a - b
-        # tp*d overflows at thresholds near 2^1023: the exponent is -inf
+        # t/a times d/b: a*b under/overflows beyond means of 1e+-154; near
+        # t = 2^1023 over small means the exponent overflows to -inf, its limit
         with np.errstate(over="ignore"):
             out = 1.0 - np.exp(-tp / a) * (1.0 - (b / d) * np.expm1(
-                -tp * d / (a * b)))
+                -(tp / a) * (d / b)))
     out = np.clip(np.where(t > 0.0, out, 0.0), 0.0, 1.0)
     return out if out.ndim else float(out)

@@ -75,13 +75,14 @@ def expected_overall_error(r, m, gains):
 # genie-aided perfect-CSI reference
 # ---------------------------------------------------------------------------
 
-_RTOL = 1e-12          # a draw is done once its relative step is this small
-_MAX_STEPS = 100       # guard only: 7 steps suffice for m in [100, 1e7]
-                       # and mean SNR in [1e-8, 1e8]
+_RTOL = 1e-6           # relative Halley step ending a draw: f is flat at argmax
+_BRACKET = 1e-12       # relative bisection step that ends a draw
+_MAX_STEPS = 100       # guard only: 4 Halley steps suffice for m in
+                       # [100, 1e7] and mean SNR in [1e-8, 1e8]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _start(c, s):
-    """One link's optimal rate, approximately: the Newton start point.
+    """One link's optimal rate, approximately: the iteration's start point.
 
     For C >> s the optimum sits where phi(w) = s/C; for C << s it tends
     to 0.75*s.
@@ -103,36 +104,44 @@ def _solve_block(c2, s2, cm, sm):
     idx = np.flatnonzero((s2 > 0.0) & (sm > 0.0))
     t = np.minimum(s2[idx], sm[idx])
     c2, s2, cm, sm, hi = (a[idx] / t for a in (c2, s2, cm, sm, top))
-    # log f is concave, so its slope g falls from +inf at r = 0;
-    # g(top) >= 0 puts the optimum on the right end of the feasible set
-    g_top = 1.0 / hi - _mills(hi, c2, s2)[1] - _mills(hi, cm, sm)[1]
-    at_top = g_top >= 0.0
-    rate[idx[at_top]] = top[idx[at_top]]
-    idx, t, c2, s2, cm, sm, hi = (a[~at_top]
-                                  for a in (idx, t, c2, s2, cm, sm, hi))
+    # log f is concave: g(top) >= 0 puts the optimum at top.  That needs
+    # 1/top >= l >= sqrt(2/pi)/t on the weaker link (spread t): top < 1.3*t
+    at_top = hi < 1.3
+    ht = hi[at_top]
+    at_top[at_top] = (1.0 / ht - _mills(ht, c2[at_top], s2[at_top])[1]
+                      - _mills(ht, cm[at_top], sm[at_top])[1]) >= 0.0
+    if at_top.any():
+        rate[idx[at_top]] = top[idx[at_top]]
+        idx, t, c2, s2, cm, sm, hi = (a[~at_top]
+                                      for a in (idx, t, c2, s2, cm, sm, hi))
     lo = np.zeros_like(hi)
     x = np.minimum(_start(c2, s2), _start(cm, sm))
     x = np.where(x < hi, x, 0.5 * hi)
     for _ in range(_MAX_STEPS):
         if idx.size == 0:
             break
-        # g = d/dr log f for f = r * Phi(w2) * Phi(wm), and its slope
+        # h = r * d/dr log f for f = r * Phi(w2) * Phi(wm) has the same root
+        # as the slope but no pole at r = 0; dl/dr = l*a gives its slopes
         w2, l2 = _mills(x, c2, s2)
         wm, lm = _mills(x, cm, sm)
-        g = 1.0 / x - l2 - lm
-        dg = -1.0 / (x * x) - l2 * (w2 / s2 + l2) - lm * (wm / sm + lm)
-        lo = np.where(g > 0.0, x, lo)
-        hi = np.where(g > 0.0, hi, x)
-        # Newton step, or bisection when the step leaves [lo, hi]; a step
+        a2, am = w2 / s2 + l2, wm / sm + lm
+        d1 = l2 * a2 + lm * am
+        d2 = (l2 * (a2 * (a2 + l2) - 1.0 / (s2 * s2))
+              + lm * (am * (am + lm) - 1.0 / (sm * sm)))
+        h, dh = 1.0 - x * (l2 + lm), -(l2 + lm) - x * d1
+        lo, hi = np.where(h > 0.0, x, lo), np.where(h > 0.0, hi, x)
+        # Halley step, or bisection when the step leaves [lo, hi]; a step
         # onto a bracket end is kept, else rounding next to the root
         # would restart the bisection from the far end
-        x_new = x - g / dg
-        x_new = np.where((x_new >= lo) & (x_new <= hi) & (x_new > 0.0),
-                         x_new, 0.5 * (lo + hi))
-        done = np.abs(x_new - x) <= _RTOL * x_new
-        rate[idx[done]] = x_new[done] * t[done]
-        idx, t, x, lo, hi, c2, s2, cm, sm = (
-            a[~done] for a in (idx, t, x_new, lo, hi, c2, s2, cm, sm))
+        x_new = x - 2.0 * h * dh / (2.0 * dh * dh + h * (2.0 * d1 + x * d2))
+        step = (x_new >= lo) & (x_new <= hi) & (x_new > 0.0)
+        x, x_old = np.where(step, x_new, 0.5 * (lo + hi)), x
+        done = np.abs(x - x_old) <= np.where(step, _RTOL, _BRACKET) * x
+        if done.any():
+            fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            rate[idx[fin]] = x[fin] * t[fin]
+            idx, t, x, lo, hi, c2, s2, cm, sm = (
+                a[keep] for a in (idx, t, x, lo, hi, c2, s2, cm, sm))
     rate[idx] = x * t
     return rate
 
@@ -142,7 +151,7 @@ def _maximize_per_draw(snr2, snr_mrc, m):
     Maximizes f(r) = r*(1 - overall error)/2 over [0, 1.5*C(min SNR)]
     for every draw, so f stays below C/2.  f is log-concave, so the rate
     is the root of the closed-form d/dr log f, found by a safeguarded
-    Newton iteration in which each draw stops once converged.
+    Halley iteration in which each draw stops once its value is exact.
     Elementwise: a draw's result does not depend on the others.  The
     value is block_error's formula at that rate.
     """

@@ -145,6 +145,17 @@ def test_rates_no_finite_snr_reaches_fail_surely(capsys, extra):
     assert code == 0
     assert out.split("\n")[1].split(",")[1:] == ["1.0", "0.0"]
 
+def test_outage_at_faint_distinct_mean_snrs(capsys):
+    # the combined outage's exponent divided by the product of the two
+    # mean SNRs, which underflowed here: a RuntimeWarning, an error in
+    # this suite
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid-list", "0.5",
+                         "--schemes", "outage", "--pathloss-model",
+                         "fixed_gains", "--g1", "1e-212", "--g2", "1e-212",
+                         "--g3", "2e-212"], capsys)
+    assert code == 0
+    assert all(math.isfinite(float(v)) for v in out.split("\n")[1].split(","))
+
 def test_optimize_tol_must_be_finite_and_positive(capsys):
     for value in ("nan", "inf", "0", "-1"):
         with pytest.raises(SystemExit) as exc:

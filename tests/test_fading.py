@@ -10,6 +10,7 @@ The engine under test never feeds the oracle.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -343,6 +344,25 @@ class TestClosedFormOutage:
         assert mrc_outage_cdf(math.inf, 2.0, 7.0) == 1.0
         # at 2^1023 - 1 the distinct-means exponent overflows to -inf
         assert mrc_outage_cdf(2.0**1023 - 1.0, 2.0, 7.0) == 1.0
+
+    @pytest.mark.parametrize("mean1, mean3", [(1e-212, 2e-212),
+                                              (1e-300, 2e-300),
+                                              (1e160, 3e160)])
+    def test_distinct_means_at_extreme_scales(self, mean1, mean3):
+        # the exponent t*(a - b)/(a*b) formed a*b first: below means of
+        # about 1e-154 it underflowed (a RuntimeWarning, an error here; NaN
+        # where t*(a - b) did too), above 1e154 it overflowed to inf and
+        # the exponent read 0.  Thresholds from half the smaller mean on:
+        # below, 1 - exp(-t/a)*(...) cancels at every scale alike
+        a, b = mpmath.mpf(mean3), mpmath.mpf(mean1)
+        for t in (0.5 * mean1, mean1, 2.5 * mean1, 10.0 * mean3):
+            with mpmath.workdps(40):
+                tm = mpmath.mpf(t)
+                ref = 1 - (a * mpmath.exp(-tm / a)
+                           - b * mpmath.exp(-tm / b)) / (a - b)
+            out = mrc_outage_cdf(t, mean1, mean3)
+            assert abs(out - ref) <= 1e-14 * ref, t
+            assert mrc_outage_cdf(t, mean3, mean1) == out
 
     def test_monotone_in_t(self):
         ts = np.linspace(0.1, 30.0, 40)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -380,6 +381,48 @@ def test_per_draw_throughput_below_half_capacity(mean_snr):
     for m in (100, 500, 1e7):
         value = _maximize_per_draw(snr2, snr_mrc, m)[1]
         assert np.all(value <= 0.5 * shannon_c(np.minimum(snr2, snr_mrc)))
+
+def _oracle_value(snr2, snr_mrc, m):
+    """max of r*Phi(w2)*Phi(wm)/2 over r in [0, 1.5*C_min], at 30 digits.
+
+    The argmax is top where the closed-form slope of log f is still >= 0
+    there; else its root, bracketed by bisection, then found by findroot.
+    """
+    with mpmath.workdps(30):
+        links = []
+        for snr in (mpmath.mpf(float(snr2)), mpmath.mpf(float(snr_mrc))):
+            v = snr * (2 + snr) / ((1 + snr) ** 2 * mpmath.log(2) ** 2)
+            links.append((mpmath.log1p(snr) / mpmath.log(2),
+                          mpmath.sqrt(v / m)))
+        top = 1.5 * min(c for c, _ in links)
+
+        def slope(r):
+            return 1 / r - sum(mpmath.npdf((c - r) / s)
+                               / (mpmath.ncdf((c - r) / s) * s)
+                               for c, s in links)
+
+        r = top
+        if slope(top) < 0:
+            lo, hi = 0, top
+            for _ in range(40):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+            r = mpmath.findroot(slope, (lo, hi), solver="anderson")
+        return r / 2 * mpmath.ncdf((links[0][0] - r) / links[0][1]) \
+            * mpmath.ncdf((links[1][0] - r) / links[1][1])
+
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("mean_snr", [1e-300, 1e-8, 1.0, 1e8])
+def test_per_draw_value_matches_high_precision_argmax(m, mean_snr):
+    # the solver stops once a Halley step is below 1e-6 relative: f is
+    # flat at its argmax, so the value must still be exact to rounding
+    rng = np.random.default_rng(7)
+    z = rng.standard_exponential((3, 12))
+    snr2, snr_mrc = z[1] * mean_snr, (0.01 * z[0] + z[2]) * mean_snr
+    _, value = _maximize_per_draw(snr2, snr_mrc, m)
+    for k in range(12):
+        ref = _oracle_value(snr2[k], snr_mrc[k], m)
+        assert abs(value[k] - ref) <= 1e-15 * ref
 
 def test_per_draw_solver_block_invariant():
     # each draw is solved on its own; where the batch splits must not

@@ -3,11 +3,13 @@
 import ast
 import importlib.util
 import pathlib
+import re
 import sys
 
+import numpy as np
 import pytest
 
-from fblrelay import cli
+from fblrelay import cli, relay
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,6 +74,42 @@ def test_benchmark_outputs_pass_the_checker(capsys, monkeypatch, workload):
         code = cli.main(workloads.argv(command, 42))
         out = capsys.readouterr().out
         assert checker.check(index, command, code, out) == ("ok", ""), command
+
+
+def test_per_draw_solver_work_is_bounded(monkeypatch):
+    # a count, not a timing, so it repeats exactly: the perfect-CSI solver
+    # spends its time in Mills ratios (one erfcx each), 4.0-4.8 per draw
+    # of the reference scenario
+    evals = []
+    mills = relay._mills
+    monkeypatch.setattr(relay, "_mills",
+                        lambda r, c, s: (evals.append(r.size), mills(r, c, s))[1])
+    z = np.random.default_rng(42).standard_exponential((3, 1 << 14))
+    snr2 = z[1] * 307.405
+    snr_mrc = z[0] * 2.4463 + z[2] * 307.405
+    for m in (100, 500, 2000):
+        evals.clear()
+        relay._maximize_per_draw(snr2, snr_mrc, m)
+        assert sum(evals) <= 7 * z.shape[1], m
+
+
+def test_per_draw_solver_needs_the_steps_its_guard_states(monkeypatch):
+    # the _MAX_STEPS comment names the most steps a draw of the totality
+    # grid takes; capped there, every draw must end where it ends uncapped
+    source = (ROOT / "src" / "fblrelay" / "relay.py").read_text(encoding="utf-8")
+    steps = int(re.search(r"_MAX_STEPS = \d+ +# guard only: (\d+) Halley steps",
+                          source).group(1))
+    rng = np.random.default_rng(7)
+    z = rng.standard_exponential((3, 200))
+    for m in (100, 1e4, 1e7):
+        for mean_snr in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            snr2 = z[1] * mean_snr
+            snr_mrc = (0.01 * z[0] + z[2]) * mean_snr
+            free = relay._maximize_per_draw(snr2, snr_mrc, m)[0]
+            monkeypatch.setattr(relay, "_MAX_STEPS", steps)
+            capped = relay._maximize_per_draw(snr2, snr_mrc, m)[0]
+            monkeypatch.undo()
+            assert np.array_equal(capped, free), (m, mean_snr)
 
 
 def _imports(path):
