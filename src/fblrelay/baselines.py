@@ -45,7 +45,7 @@ def ergodic_capacity_relay(gains, n_samples=1000000, seed=None):
     """Monte Carlo ergodic capacity of the bottleneck link, with its SE.
 
     Independent of any coding rate or blocklength by construction.
-    Returns (mean, standard error).
+    Returns an McEstimate(mean, std_err).
     """
     return _sample_mean(_ergodic_per_draw, _check_n(n_samples, 1000000),
                         seed, gains)

@@ -432,13 +432,11 @@ def _cmd_validate(args):
         ana = service_stats(r, m, err)
         checks.append(("service_mean", ana.mean, stats.mean))
         checks.append(("service_variance", ana.variance, stats.variance))
-        for name, analytic, estimate in checks:
-            z = ((estimate.mean - analytic) / estimate.std_err
-                 if estimate.std_err > 0.0 else 0.0)
+        for name, analytic, (mean, se) in checks:
+            z = (mean - analytic) / se if se > 0.0 else 0.0
             worst = max(worst, abs(z))
             lines.append(f"{i},{r!r},{m},{g.g1!r},{g.g2!r},{g.g3!r},{name},"
-                         f"{analytic!r},{estimate.mean!r},"
-                         f"{estimate.std_err!r},{z!r}")
+                         f"{analytic!r},{mean!r},{se!r},{z!r}")
         print(f"validate: point {i + 1}/{args.points} done", file=sys.stderr)
     _emit("\n".join(lines) + "\n", args.output)
     if worst > 3.0:

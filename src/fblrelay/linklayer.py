@@ -12,6 +12,7 @@ on the physical-layer code.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -28,17 +29,11 @@ class QoSPair:
             raise ValueError("violation probability must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class ServiceStats:
+class ServiceStats(NamedTuple):
     """Per-period service increment moments of the Bernoulli delivery."""
 
     mean: float       # bits per period
     variance: float   # bits^2 per period^2
-    eps_bar: float    # overall error probability driving the law
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("variance must be nonnegative")
 
 
 def service_stats(r, m, eps_bar):
@@ -47,7 +42,7 @@ def service_stats(r, m, eps_bar):
         raise ValueError("error probability must lie in [0, 1]")
     payload = r * m
     return ServiceStats(payload * (1.0 - eps_bar),
-                        payload**2 * eps_bar * (1.0 - eps_bar), eps_bar)
+                        payload**2 * eps_bar * (1.0 - eps_bar))
 
 def qos_penalty_factor(m, qos):
     """Dimensionless delay-constraint factor 4m*ln(p_d)/d, always < 0."""

@@ -1,11 +1,12 @@
 """Monte Carlo twins of the analytic fading averages.
 
 Every quadrature-based expectation has a sampling estimate here for
-cross-validation: fading draws by inverse CDF, two-stage Bernoulli
-decode events mirroring the backhaul-then-MRC error composition, and
-streaming (Welford) accumulation over seeded substreams.  Chunk streams
-are spawned from one SeedSequence and merged in chunk order, so results
-are bit-identical for any worker count.
+cross-validation, each an McEstimate(mean, std_err): fading draws by
+inverse CDF, one count of two-stage Bernoulli decode events mirroring
+the backhaul-then-MRC error composition, and streaming (Welford)
+accumulation over seeded substreams.  Chunk streams are spawned from one
+SeedSequence and merged in chunk order, so results are bit-identical
+for any worker count.
 
 The module also owns the per-draw path that the perfect-CSI and ergodic
 references share: fading draws are one (3, n) array, mapped to per-draw
@@ -15,7 +16,7 @@ error (_sample_mean), and every sample count meets its floor (_check_n).
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,20 +27,11 @@ _CHUNK = 1 << 18
 _SLICE = 1 << 14   # draws mapped together; their temporaries stay in cache
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Sample mean with its standard error and provenance."""
+class McEstimate(NamedTuple):
+    """Sample mean with its standard error."""
 
     mean: float
     std_err: float
-    n: int
-    seed: object
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("estimate needs at least one sample")
-        if self.std_err < 0.0:
-            raise ValueError("standard error must be nonnegative")
 
 
 def draw_fading(rng, size):
@@ -71,7 +63,8 @@ def _sample_mean(fn, n, seed, gains):
     """Mean and standard error of fn(snr2, snr_mrc) over n fading draws."""
     z = np.random.default_rng(seed).standard_exponential((3, n))
     vals = _per_draw(fn, z, gains)[0]
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+    return McEstimate(float(np.mean(vals)),
+                      float(np.std(vals, ddof=1) / math.sqrt(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +112,7 @@ def _stream_welford(sample_chunk, n, seed, workers=1):
         total = _merge_welford(total, part)
     cnt, mean, m2 = total
     std = math.sqrt(m2 / (cnt - 1))
-    return mean, std / math.sqrt(cnt), cnt
+    return McEstimate(mean, std / math.sqrt(cnt))
 
 def _link_errors(z, r, m, gains):
     """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
@@ -127,16 +120,20 @@ def _link_errors(z, r, m, gains):
                                             block_error(snr_mrc, r, m)),
                      z, gains, outputs=2)
 
-def _decode_success(rng, k, r, m, gains):
-    """Two-stage per-period decode events: backhaul, then MRC given it.
+def _successes(r, m, gains, n, seed, workers):
+    """Decode successes in n two-stage periods: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
-    one Bernoulli from the composed probability.
+    one Bernoulli from the composed probability.  Each chunk draws its
+    fading, then its backhaul uniforms, then its MRC uniforms.
     """
-    e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
-    backhaul_ok = rng.random(k) >= e2
-    mrc_ok = rng.random(k) >= emrc
-    return backhaul_ok & mrc_ok
+    def count(rng, k):
+        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
+        backhaul_ok = rng.random(k) >= e2
+        mrc_ok = rng.random(k) >= emrc
+        return int(np.count_nonzero(backhaul_ok & mrc_ok))
+
+    return sum(_map_chunks(count, n, seed, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +156,21 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
         e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
         return e2 + (1.0 - e2) * emrc
 
-    mean, se, cnt = _stream_welford(chunk, n, seed, workers)
-    return McEstimate(mean, se, cnt, seed)
+    return _stream_welford(chunk, n, seed, workers)
 
 def mc_bl_throughput(r, m, gains, n=1000000, seed=None, workers=1):
     """Decode-event estimate of the average throughput r/2 per success."""
     n = _check_n(n, 10000)
-
-    def chunk(rng, k):
-        ok = _decode_success(rng, k, r, m, gains)
-        return np.where(ok, 0.5 * r, 0.0)
-
-    mean, se, cnt = _stream_welford(chunk, n, seed, workers)
-    return McEstimate(mean, se, cnt, seed)
+    q = _successes(r, m, gains, n, seed, workers) / n
+    return McEstimate(0.5 * r * q,
+                      0.5 * r * math.sqrt(q * (1.0 - q) / (n - 1)))
 
 
-@dataclass(frozen=True)
-class McServiceStats:
+class McServiceStats(NamedTuple):
     """Empirical service-increment moments with their standard errors."""
 
     mean: McEstimate
     variance: McEstimate
-    eps_hat: float  # empirical overall error frequency
 
 
 def mc_service_stats(r, m, gains, n=1000000, seed=None, workers=1):
@@ -192,11 +182,7 @@ def mc_service_stats(r, m, gains, n=1000000, seed=None, workers=1):
     fourth central moment) follow in closed form from the count.
     """
     n = _check_n(n, 10000)
-
-    def count(rng, k):
-        return int(np.count_nonzero(_decode_success(rng, k, r, m, gains)))
-
-    successes = sum(_map_chunks(count, n, seed, workers))
+    successes = _successes(r, m, gains, n, seed, workers)
     payload = r * m
     q = successes / n
     mean = payload * q
@@ -205,5 +191,4 @@ def mc_service_stats(r, m, gains, n=1000000, seed=None, workers=1):
     # exact central fourth moment of a two-point sample
     m4 = (payload - payload * q)**4 * q + (payload * q)**4 * (1.0 - q)
     se_var = math.sqrt(max(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
-    return McServiceStats(McEstimate(mean, se_mean, n, seed),
-                          McEstimate(var, se_var, n, seed), 1.0 - q)
+    return McServiceStats(McEstimate(mean, se_mean), McEstimate(var, se_var))

@@ -6,7 +6,7 @@ followed by golden-section refinement is reliable at the stated
 tolerances.  Derivatives are avoided on purpose: these objectives sit
 on quadrature with a 1e-8 tolerance floor, too noisy to difference.
 The per-draw coding-rate problem has a closed-form derivative and is
-solved by Newton iteration in relay instead.
+solved by safeguarded Halley steps in relay instead.
 """
 
 import math

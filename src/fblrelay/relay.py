@@ -170,7 +170,7 @@ def bl_throughput_perfect_csi(m, gains, n_samples=100000, seed=None):
     """Monte Carlo average of the per-draw optimal throughput.
 
     For every fading draw the coding rate is re-optimized against the
-    instantaneous overall error.  Returns (mean, standard error).
+    instantaneous overall error.  Returns an McEstimate(mean, std_err).
     """
     return _sample_mean(lambda snr2, snr_mrc: _maximize_per_draw(
                             snr2, snr_mrc, m)[1],

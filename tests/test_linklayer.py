@@ -44,10 +44,6 @@ def test_qos_pair_validation():
     with pytest.raises(ValueError):
         QoSPair(d=1e4, p_d=1.0)
 
-def test_service_stats_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        ServiceStats(mean=1.0, variance=-1e-9, eps_bar=0.5)
-
 def test_exponent_point_requires_positive_theta():
     with pytest.raises(ValueError):
         QosExponentPoint(theta=0.0, ec=1.0)
@@ -64,7 +60,8 @@ def test_service_stats_error_free():
 def test_service_stats_balanced():
     # payload 100 bits, even odds: mean 50, variance 2500
     s = service_stats(1.0, 100, 0.5)
-    assert s.mean == 50.0 and s.variance == 2500.0 and s.eps_bar == 0.5
+    assert s.mean == 50.0 and s.variance == 2500.0
+    assert 1.0 - s.mean / (1.0 * 100) == 0.5
 
 def test_service_stats_certain_failure():
     s = service_stats(2.0, 500, 1.0)
@@ -85,7 +82,7 @@ def test_effective_capacity_deterministic_service():
     assert effective_capacity_clt(s, 0.2) == s.mean
 
 def test_effective_capacity_arithmetic_example():
-    s = ServiceStats(mean=50.0, variance=2500.0, eps_bar=0.5)
+    s = ServiceStats(mean=50.0, variance=2500.0)
     assert effective_capacity_clt(s, 0.01) == 37.5
 
 def test_effective_capacity_rejects_negative_exponent():

@@ -68,11 +68,17 @@ def test_draws_reproducible_and_nonnegative():
 # estimate plumbing
 # ---------------------------------------------------------------------------
 
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        McEstimate(mean=0.0, std_err=0.0, n=0, seed=None)
-    with pytest.raises(ValueError):
-        McEstimate(mean=0.0, std_err=-1.0, n=10, seed=None)
+def test_every_estimate_unpacks_as_mean_and_std_err():
+    stats = mc_service_stats(REF_RATE, 500, REF_GAINS, n=10000, seed=5)
+    for est in (mc_expected_overall_error(REF_RATE, 500, REF_GAINS,
+                                          n=10000, seed=5),
+                mc_bl_throughput(REF_RATE, 500, REF_GAINS, n=10000, seed=5),
+                stats.mean, stats.variance,
+                bl_throughput_perfect_csi(500, REF_GAINS, seed=5),
+                ergodic_capacity_relay(REF_GAINS, seed=5)):
+        assert type(est) is McEstimate
+        mean, std_err = est
+        assert (mean, std_err) == (est.mean, est.std_err)
 
 def test_sample_floor_enforced():
     # every Monte Carlo entry point rejects a count below its floor with
@@ -106,7 +112,7 @@ def test_welford_merge_matches_flat_computation():
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-13)
     assert est.std_err == pytest.approx(
         float(np.std(vals, ddof=1)) / math.sqrt(600000), rel=1e-12)
-    assert est.n == 600000
+    assert vals.size == 600000
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,8 @@ def test_service_stats_frozen_and_within_band():
     assert est.variance.std_err == pytest.approx(MC_SVAR_SE, rel=1e-9)
     assert abs(est.mean.mean - ana.mean) < 3.0 * est.mean.std_err
     assert abs(est.variance.mean - ana.variance) < 3.0 * est.variance.std_err
-    assert abs(est.eps_hat - REF_ERR) < 3.0 * est.mean.std_err / (REF_RATE * 500)
+    eps_hat = 1.0 - est.mean.mean / (REF_RATE * 500)
+    assert abs(eps_hat - REF_ERR) < 3.0 * est.mean.std_err / (REF_RATE * 500)
 
 def test_service_stats_consistent_with_throughput_stream():
     # same substreams and decode events: mean increment = 2m * throughput
@@ -231,7 +238,7 @@ def test_service_stats_error_free_links():
     est = mc_service_stats(1.0, 500, g, n=10000, seed=0)
     assert est.variance.mean == 0.0
     assert est.variance.std_err == 0.0
-    assert est.eps_hat == 0.0
+    assert est.mean.mean == 1.0 * 500
 
 def test_empirical_stats_reproduce_msdr():
     qos = QoSPair(d=1e4, p_d=1e-2)

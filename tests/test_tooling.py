@@ -61,7 +61,8 @@ def test_benchmark_tracer_installs_and_traces(capsys):
                      "montecarlo.mc_service_stats": 10000}
 
 
-@pytest.mark.parametrize("workload", ["quad_study", "perfect_csi"])
+@pytest.mark.parametrize("workload",
+                         ["quad_study", "perfect_csi", "mc_validate"])
 def test_benchmark_outputs_pass_the_checker(capsys, monkeypatch, workload):
     # the benchmark refuses a change whose output leaves the tolerances
     # of bench/refs; replay its commands at a stored seed in process
