@@ -150,6 +150,16 @@ def exp_average(phi, tol, hint, extra_edges=()):
 # fading-averaged error expectations
 # ---------------------------------------------------------------------------
 
+def _beyond_cutoff(hint):
+    """Whether the error drop starts at or beyond z = Z_CUTOFF.
+
+    The error is then 1 up to the tail mass beyond Z_CUTOFF, below an
+    ulp of 1, where the panel rule on [0, Z_CUTOFF] would return the
+    truncated 1 - e^-40 = 0.999999999999998.
+    """
+    z_star, h = hint
+    return z_star - h >= Z_CUTOFF
+
 def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
 
@@ -158,8 +168,11 @@ def expected_error_single(r, m, mean_snr):
     """
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
+    hint = _transition_hint(mean_snr, r, m)
+    if _beyond_cutoff(hint):
+        return 1.0
     val = exp_average(lambda z: block_error(mean_snr * z, r, m),
-                      _TOL_BACKHAUL, hint=_transition_hint(mean_snr, r, m))
+                      _TOL_BACKHAUL, hint=hint)
     return min(max(val, 0.0), 1.0)
 
 def expected_error_mrc(r, m, gains):
@@ -176,6 +189,9 @@ def expected_error_mrc(r, m, gains):
     if r < 0.0:
         raise ValueError("rate must be nonnegative")
     b, a = sorted((gains.g1, gains.g3))
+    hint = _transition_hint(a, r, m)
+    if _beyond_cutoff(hint):
+        return 1.0
     kappa = (a - b) / b
     if kappa < 1e-15:
         phi = lambda u: u * block_error(a * u, r, m)
@@ -185,8 +201,7 @@ def expected_error_mrc(r, m, gains):
         phi = lambda u: -np.expm1(-kappa * u) * coef * block_error(a * u, r, m)
         # the weight factor turns on over u ~ 1/kappa near the origin
         extra = tuple(2.0**j / kappa for j in range(-2, 7))
-    val = exp_average(phi, _TOL_MRC_OUTER,
-                      hint=_transition_hint(a, r, m), extra_edges=extra)
+    val = exp_average(phi, _TOL_MRC_OUTER, hint=hint, extra_edges=extra)
     return min(max(val, 0.0), 1.0)
 
 # ---------------------------------------------------------------------------

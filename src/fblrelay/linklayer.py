@@ -70,7 +70,9 @@ def msdr(r, m, eps_bar, qos):
     """
     if not 0.0 <= eps_bar <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
-    if not msdr_feasible(m, eps_bar, qos):
+    # a link that always fails sustains no rate, also where the payload r
+    # overflowed to inf (the equal-payload direct scheme doubles r)
+    if eps_bar == 1.0 or not msdr_feasible(m, eps_bar, qos):
         return 0.0
     phi = qos_penalty_factor(m, qos)
     keep = 1.0 - eps_bar

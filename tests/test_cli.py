@@ -145,6 +145,15 @@ def test_rates_no_finite_snr_reaches_fail_surely(capsys, extra):
     assert code == 0
     assert out.split("\n")[1].split(",")[1:] == ["1.0", "0.0"]
 
+def test_direct_throughput_zero_where_the_drop_is_beyond_the_panels(capsys):
+    # the error drop of r = 1e308 starts beyond z = 40, the end of the
+    # panel rule, whose truncated 1 - e^-40 = 0.999999999999998 made the
+    # direct throughput r * 2e-15 = 2e293 instead of 0
+    code, out = run_cli(["sweep", "--variable", "coding_rate", "--grid-list",
+                         "1e308", "--schemes", "direct_weighted"], capsys)
+    assert code == 0
+    assert out.split("\n")[1] == "1e+308,0.0"
+
 def test_outage_at_faint_distinct_mean_snrs(capsys):
     # the combined outage's exponent divided by the product of the two
     # mean SNRs, which underflowed here: a RuntimeWarning, an error in

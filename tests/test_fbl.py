@@ -56,6 +56,15 @@ class TestQFunctions:
         back = q_inv(q_func(w))
         assert np.max(np.abs(back - w)) < 2e-8
 
+    def test_large_arrays_give_the_small_array_values(self):
+        # from 4096 values on, only those with 0 < Q < 1 go through the
+        # kernel; the others are exactly 0 or 1 either way
+        w = np.concatenate([np.linspace(-70.0, 70.0, 8001),
+                            np.linspace(-8.4, -8.2, 501),
+                            np.linspace(38.5, 38.7, 501), [np.inf, -np.inf]])
+        small = np.concatenate([q_func(part) for part in np.array_split(w, 9)])
+        assert np.array_equal(q_func(w), small)
+
     @given(st.floats(min_value=1e-8, max_value=0.5))
     def test_round_trip_eps(self, eps):
         assert q_func(q_inv(eps)) == pytest.approx(eps, rel=1e-11)

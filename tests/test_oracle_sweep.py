@@ -25,12 +25,16 @@ from fblrelay.fbl import (
     shannon_c,
 )
 
-mp.mp.dps = 40
-
 SNRS = [10.0**k for k in range(-300, 301, 50)]
 BLOCKLENGTHS = [100.0, 1e4, 1e7]
 RATES = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0]
 EPS = np.finfo(float).eps
+
+
+@pytest.fixture(autouse=True)
+def _forty_digits():
+    with mp.workdps(40):
+        yield
 
 
 def _q(w):
@@ -154,7 +158,9 @@ def _expected_error_ref(r, m, mean_snr):
     h = 10 * s * (1 + g) * mp.log(2) / mean_snr
     points = {mp.mpf(0), mp.inf} | {
         p for p in (z_star - 3 * h, z_star, z_star + 3 * h) if 0 < p < 100}
-    return mp.quad(f, sorted(points))
+    # 20 digits are ample for an absolute bound of 1e-14, at half the cost
+    with mp.workdps(20):
+        return mp.quad(f, sorted(points))
 
 
 @pytest.mark.parametrize("m", BLOCKLENGTHS)

@@ -2,8 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -124,11 +126,24 @@ def _imports(path):
     return names
 
 
-def test_only_fbl_imports_scipy():
+def test_no_runtime_module_imports_scipy():
+    # scipy.special took half of every command's cold start; fbl's numpy
+    # kernel replaced it, and scipy stays a test and benchmark dependency
     importers = {path.name for path in (ROOT / "src" / "fblrelay").glob("*.py")
                  if any(name.split(".")[0] == "scipy"
                         for name in _imports(path))}
-    assert importers == {"fbl.py"}
+    assert importers == set()
+
+
+def test_cli_import_loads_no_scipy_module():
+    # the static check above misses an import made through another package
+    code = ("import sys, fblrelay.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_montecarlo_sits_below_the_schemes():
