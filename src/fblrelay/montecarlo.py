@@ -24,7 +24,10 @@ from .fbl import block_error
 from .fading import _link_snrs
 
 _CHUNK = 1 << 18
-_SLICE = 1 << 14   # draws mapped together; their temporaries stay in cache
+# draws mapped together: their temporaries stay in cache, and each of
+# the short numpy calls of fbl's kernels spans enough draws to pay for
+# itself when two worker threads share the cores
+_SLICE = 1 << 15
 
 
 class McEstimate(NamedTuple):
@@ -51,7 +54,7 @@ def _per_draw(fn, z, gains, outputs=1):
     """fn(snr2, snr_mrc) of every draw of z, as an (outputs, n) array.
 
     fn must be elementwise and return outputs rows.  It runs on slices
-    of 2^14 draws, so the result is bitwise that of one call on all of z.
+    of _SLICE draws, so the result is bitwise that of one call on all of z.
     """
     out = np.empty((outputs, z.shape[1]))
     for i in range(0, z.shape[1], _SLICE):

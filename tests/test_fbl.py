@@ -12,6 +12,7 @@ from hypothesis import assume, given, strategies as st
 
 from fblrelay.fbl import (
     LOG2E,
+    _mills,
     achievable_rate,
     block_error,
     dispersion_complex,
@@ -64,6 +65,27 @@ class TestQFunctions:
                             np.linspace(38.5, 38.7, 501), [np.inf, -np.inf]])
         small = np.concatenate([q_func(part) for part in np.array_split(w, 9)])
         assert np.array_equal(q_func(w), small)
+
+    def test_a_lone_value_reads_as_among_others(self):
+        # a one-column matrix product sums in another order: a scalar, or
+        # the one value left in a slice, must still get the bits it gets
+        # in an array
+        w = np.linspace(-9.0, 40.0, 2001)
+        assert np.array_equal(q_func(w), [q_func(x) for x in w])
+        _, mills = _mills(0.0, w, 1.0)
+        assert np.array_equal(mills, [_mills(0.0, x, 1.0)[1] for x in w])
+
+    def test_every_array_layout_gives_the_same_values(self):
+        # the kernel flattens its input, and a large array has its values
+        # gathered and put back: a transposed (Fortran-ordered) or strided
+        # view must come back in its own element order
+        w = np.linspace(-70.0, 70.0, 8192).reshape(64, 128)
+        for view in (w.T, w[:, ::3], w[::-1]):
+            assert np.array_equal(q_func(view),
+                                  q_func(np.ascontiguousarray(view)))
+            snr = np.exp(view / 4.0)
+            assert np.array_equal(block_error(snr, 1.0, 500.0),
+                                  block_error(snr.copy(), 1.0, 500.0))
 
     @given(st.floats(min_value=1e-8, max_value=0.5))
     def test_round_trip_eps(self, eps):
@@ -196,6 +218,14 @@ class TestBlockError:
         assert block_error(1e-320, 1e-3, 1e7) == 1.0
         assert block_error(2.0, shannon_c(2.0), math.inf) == 0.5
         assert block_error(2.0, 1.0, math.inf) == 0.0
+
+    def test_infinite_snr_or_rate_limits(self):
+        # C - r = +-inf is the step Q(-+inf); a mean SNR near the float
+        # range times a fading draw overflows to snr = inf
+        assert block_error(math.inf, 1.0, 100.0) == 0.0
+        assert block_error(math.inf, 0.0, 100.0) == 0.0
+        assert block_error(math.inf, 1.0, math.inf) == 0.0
+        assert block_error(2.0, math.inf, 100.0) == 1.0
 
     def test_round_trip_frozen(self):
         assert block_error(2.5, achievable_rate(2.5, 1e-2, 500), 500) == pytest.approx(

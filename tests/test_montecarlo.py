@@ -155,6 +155,7 @@ def test_every_estimator_maps_its_chunks_on_the_pool(monkeypatch):
         assert submitted == [2, 2, 2]
 
 @pytest.mark.parametrize("k", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                               (1 << 15) - 1, 1 << 15, (1 << 15) + 1,
                                213568, 1 << 18])
 def test_sliced_link_errors_equal_one_call(k):
     draw = draw_fading(np.random.default_rng(k), k)

@@ -100,6 +100,9 @@ def test_mills_ratio_limits():
     refs = [-mp.mpf(w[0]), -mp.mpf(w[1]), _mills_ref(w[2])]
     assert _rel_err(values[:3], refs) <= 4.8e-16
     assert np.array_equal(values[3:], [0.0, 0.0, 0.0])
+    # and in the limits themselves
+    _, values = _mills(0.0, np.array([-np.inf, np.inf]), 1.0)
+    assert np.array_equal(values, [np.inf, 0.0])
 
 
 def test_capacity_and_dispersion_relative_error():
