@@ -171,8 +171,11 @@ def expected_error_single(r, m, mean_snr):
     hint = _transition_hint(mean_snr, r, m)
     if _beyond_cutoff(hint):
         return 1.0
-    val = exp_average(lambda z: block_error(mean_snr * z, r, m),
-                      _TOL_BACKHAUL, hint=hint)
+    # mean_snr * z overflows to inf near z = Z_CUTOFF above mean SNRs of
+    # 4.5e306, and block_error takes snr = inf to its limit
+    with np.errstate(over="ignore"):
+        val = exp_average(lambda z: block_error(mean_snr * z, r, m),
+                          _TOL_BACKHAUL, hint=hint)
     return min(max(val, 0.0), 1.0)
 
 def expected_error_mrc(r, m, gains):
@@ -201,12 +204,19 @@ def expected_error_mrc(r, m, gains):
         phi = lambda u: -np.expm1(-kappa * u) * coef * block_error(a * u, r, m)
         # the weight factor turns on over u ~ 1/kappa near the origin
         extra = tuple(2.0**j / kappa for j in range(-2, 7))
-    val = exp_average(phi, _TOL_MRC_OUTER, hint=hint, extra_edges=extra)
+    # a * u overflows to inf as mean_snr * z does in expected_error_single
+    with np.errstate(over="ignore"):
+        val = exp_average(phi, _TOL_MRC_OUTER, hint=hint, extra_edges=extra)
     return min(max(val, 0.0), 1.0)
 
 # ---------------------------------------------------------------------------
 # closed-form outage of the combined gains (infinite-blocklength limit)
 # ---------------------------------------------------------------------------
+
+# the combined outage CDF is a power series in t over the smaller mean
+# up to _SERIES_X, summed from n = 2 to _SERIES_TERMS + 1
+_SERIES_X = 0.5
+_SERIES_TERMS = 17
 
 def rayleigh_outage_cdf(t, mean_snr):
     """P(mean_snr * z <= t) for unit-mean exponential z."""
@@ -214,26 +224,47 @@ def rayleigh_outage_cdf(t, mean_snr):
     out = np.where(t > 0.0, -np.expm1(-t / mean_snr), 0.0)
     return out if out.ndim else float(out)
 
+def _mrc_cdf_series(x, rho):
+    """The two-branch outage CDF at x = t/b <= _SERIES_X, b the smaller mean.
+
+    sum over n >= 2 of (-x)^n/n! * (rho + ... + rho^(n-1)), rho = b/a;
+    rho = 1 is the Erlang-2 CDF.  The terms are positive multiples of
+    the first, x^2 rho/2, and fall below 1e-17 of it by the last one.
+    """
+    n = np.arange(2.0, _SERIES_TERMS + 2.0)
+    coef = (-1.0) ** n * np.cumsum(rho ** (n - 1.0)) / np.cumprod(n)
+    return x * x * np.polyval(coef[::-1], x)
+
 def mrc_outage_cdf(t, mean1, mean3):
     """P(z1*mean1 + z3*mean3 <= t), the two-branch combined outage.
 
     Two-term hypoexponential CDF for distinct means, written through
-    expm1 so the near-equal regime stays accurate; within a relative
-    difference of 1e-9 it switches to the Erlang-2 limit.
+    expm1 in both terms so that neither near-equal nor far-apart means
+    cancel; within a relative difference of 1e-9 it switches to the
+    Erlang-2 limit.  Below
+    t = _SERIES_X times the smaller mean both forms cancel (the CDF is
+    about t^2/(2 mean1 mean3) there), and a power series in t over the
+    smaller mean takes over.
     """
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     b, a = sorted((mean1, mean3))
-    if a - b < 1e-9 * a:
-        # exp(-x) is 0 from x = 746 on: the cap keeps inf*0 out at t = inf
-        x = np.minimum(tp / (0.5 * (a + b)), 1e3)
-        out = -np.expm1(-x) - x * np.exp(-x)
-    else:
-        d = a - b
-        # t/a times d/b: a*b under/overflows beyond means of 1e+-154; near
-        # t = 2^1023 over small means the exponent overflows to -inf, its limit
-        with np.errstate(over="ignore"):
-            out = 1.0 - np.exp(-tp / a) * (1.0 - (b / d) * np.expm1(
-                -(tp / a) * (d / b)))
+    # near t = 2^1023 over small means t/b and the exponents overflow to
+    # +-inf, their limits
+    with np.errstate(over="ignore"):
+        x = tp / b
+        if a - b < 1e-9 * a:
+            # exp(-g) is 0 from g = 746 on: the cap keeps inf*0 out at t = inf
+            g = np.minimum(tp / (0.5 * (a + b)), 1e3)
+            out = -np.expm1(-g) - g * np.exp(-g)
+        else:
+            # t/b times d/a: a*b under/overflows beyond means of 1e+-154,
+            # and d/b beyond a ratio of 1e308
+            d, y = a - b, tp / a
+            out = -np.expm1(-y) + np.exp(-y) * (b / d) * np.expm1(-x * (d / a))
+    small = x <= _SERIES_X
+    if small.any():
+        out = np.where(small, _mrc_cdf_series(np.minimum(x, _SERIES_X), b / a),
+                       out)
     out = np.clip(np.where(t > 0.0, out, 0.0), 0.0, 1.0)
     return out if out.ndim else float(out)

@@ -4,7 +4,8 @@ The source picks one coding rate from weighted average CSI; each period
 spends m channel uses broadcasting and m more relaying, so a payload of
 r*m bits costs 2m uses.  The destination combines the two copies by
 maximum ratio combining.  The genie-aided comparison policy
-re-optimizes the rate for every fading draw.
+re-optimizes the rate for every fading draw: safeguarded Halley steps
+from a fitted single-link optimum, which end most draws after one step.
 """
 
 import math
@@ -78,17 +79,53 @@ def expected_overall_error(r, m, gains):
 _RTOL = 1e-6           # relative Halley step ending a draw: f is flat at argmax
 _BRACKET = 1e-12       # relative bisection step that ends a draw
 _MAX_STEPS = 100       # guard only: 4 Halley steps suffice for m in
-                       # [100, 1e7] and mean SNR in [1e-8, 1e8]
+                       # [100, 1e7] and mean SNR in [1e-8, 1e8] with
+                       # links of like strength, the start's worst case
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# One link's optimum in units of its spread s is X(u) = argmax_x
+# x*Phi(u - x) at u = C/s.  Its distance from capacity, u - X, is P/Q
+# with P and Q of degree 8 in t = 2*log1p(log1p(u))/log(18) - 1, which
+# maps u in [0, expm1(_V_FIT)] = [0, 2.4e7] onto [-1, 1].  The rational
+# was fitted against mpmath roots at 30 digits (tests/fit_start.py); its
+# largest relative error in X there is 1.1e-8.  The rows are P and Q,
+# from the highest power down
+_V_FIT = 17.0
+_T_SCALE = 2.0 / math.log1p(_V_FIT)
+_START = np.array([
+    [2.287176172163109, 22.542152256987197, 62.49991267113509,
+     109.33289540027059, 123.35167595929396, 93.79815952992139,
+     46.81752579742268, 14.199371845553147, 2.1034951694462767],
+    [0.44824110038546044, -1.4085302272166809, 3.824904103871553,
+     13.129853065327048, 24.082508768535263, 23.316516229603934,
+     14.661070293030448, 5.237431363058345, 1.0],
+])
 
 def _start(c, s):
-    """One link's optimal rate, approximately: the iteration's start point.
+    """One link's optimal rate s*X(C/s) for 1-D arrays: the start point.
 
-    For C >> s the optimum sits where phi(w) = s/C; for C << s it tends
-    to 0.75*s.
+    X is the fitted rational up to u = C/s = 2.4e7.  It is within 1.1e-8
+    of the root there, so where the other link is far weaker the first
+    Halley step meets the 1e-6 stop rule.  Beyond, X is the asymptotic
+    u - sqrt(2 log(1 + u/sqrt(2 pi))), where phi(u - X) = 1/u; a worse
+    start costs steps, not accuracy.
     """
     u = c / s
-    return s * np.maximum(u - np.sqrt(2.0 * np.log1p(u / _SQRT_2PI)), 0.75)
+    v = np.log1p(u)
+    t = np.log1p(np.minimum(v, _V_FIT)) * _T_SCALE - 1.0
+    # t^8 .. t^0 by doubling, then one matrix product, as in
+    # fbl._erfcx_ratio; a lone value goes in twice for the same bits
+    flat = t if t.size != 1 else np.repeat(t, 2)
+    powers = np.empty((9, flat.size))
+    powers[8] = 1.0
+    powers[7] = flat
+    np.multiply(powers[7], powers[7], out=powers[6])
+    np.multiply(powers[6:8], powers[6], out=powers[4:6])
+    np.multiply(powers[4:8], powers[4], out=powers[:4])
+    p, q = (_START @ powers)[:, :t.size]
+    x = u - p / q
+    far = np.flatnonzero(v > _V_FIT)
+    x[far] = u[far] - np.sqrt(2.0 * np.log1p(u[far] / _SQRT_2PI))
+    return s * x
 
 def _solve_block(c2, s2, cm, sm):
     """Optimal rate of each draw, from both links' C and s.

@@ -368,6 +368,19 @@ def test_extreme_snr_sweep_is_finite(capsys):
     assert all(math.isfinite(v) for v in row)
     assert row[1] > 500.0 and 0.0 < row[2] < 1.0 and row[3] > 0.0
 
+def test_mean_snr_beyond_the_fading_product_range(capsys):
+    # mean SNRs of about 1e307: mean_snr * z overflowed to inf near
+    # z = 40 in the fading averages (a RuntimeWarning, an error in this
+    # suite); block_error takes snr = inf to its limit
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.6",
+                         "3", "--pathloss-model", "fixed_gains", "--g1",
+                         "1e296", "--g2", "1e296", "--g3", "1e296"], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(v) and v > 0.0 for row in rows for v in row)
+
 def test_sweep_csv_shape_and_values(capsys):
     code, out = run_cli(["sweep", "--variable", "eta", "--grid-list",
                          "0.148", "--schemes", "relay_avg", "--metrics",

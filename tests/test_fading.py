@@ -352,8 +352,8 @@ class TestClosedFormOutage:
         # the exponent t*(a - b)/(a*b) formed a*b first: below means of
         # about 1e-154 it underflowed (a RuntimeWarning, an error here; NaN
         # where t*(a - b) did too), above 1e154 it overflowed to inf and
-        # the exponent read 0.  Thresholds from half the smaller mean on:
-        # below, 1 - exp(-t/a)*(...) cancels at every scale alike
+        # the exponent read 0.  Smaller thresholds: see
+        # test_small_threshold_against_mpmath
         a, b = mpmath.mpf(mean3), mpmath.mpf(mean1)
         for t in (0.5 * mean1, mean1, 2.5 * mean1, 10.0 * mean3):
             with mpmath.workdps(40):
@@ -363,6 +363,33 @@ class TestClosedFormOutage:
             out = mrc_outage_cdf(t, mean1, mean3)
             assert abs(out - ref) <= 1e-14 * ref, t
             assert mrc_outage_cdf(t, mean3, mean1) == out
+
+    @pytest.mark.parametrize("mean1, mean3", [
+        (1.0, 2.0), (2.4463, 307.405), (1.0, 1e6), (1e-212, 2e-212),
+        (1e160, 3e160), (1.0, 1.0), (1.0, 1.0 + 1e-12), (1.0, 1.0 + 2e-9),
+        (1.0, 1.0 + 1e-6)])
+    def test_small_threshold_against_mpmath(self, mean1, mean3):
+        # far below the smaller mean b the CDF is about t^2/(2 a b), and
+        # both closed forms cancel: at means (1, 2) they were 4.2e-11 off
+        # at t = 1e-3 b and 8.9e-5 at 1e-6 b.  Across the power series'
+        # crossover at t = b/2 and on to t = 100 b, at 60 digits (the
+        # reference cancels too)
+        b, a = sorted((mean1, mean3))
+        ts = b * np.concatenate([np.logspace(-12.0, 2.0, 141),
+                                 [0.5 * (1.0 - 1e-15), 0.5 * (1.0 + 1e-15)]])
+        out = mrc_outage_cdf(ts, mean1, mean3)
+        with mpmath.workdps(60):
+            am, bm = mpmath.mpf(a), mpmath.mpf(b)
+            for t, value in zip(ts, out):
+                tm = mpmath.mpf(t)
+                if a == b:
+                    x = tm / am
+                    ref = -mpmath.expm1(-x) - x * mpmath.exp(-x)
+                else:
+                    ref = 1 - (am * mpmath.exp(-tm / am)
+                               - bm * mpmath.exp(-tm / bm)) / (am - bm)
+                assert abs(value - ref) <= 2e-15 * ref, t / b
+        assert np.array_equal(mrc_outage_cdf(ts, mean3, mean1), out)
 
     def test_monotone_in_t(self):
         ts = np.linspace(0.1, 30.0, 40)

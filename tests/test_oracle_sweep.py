@@ -7,10 +7,14 @@ stated bounds over snr 1e-300..1e300, m 100..1e7 and r 0..10.  The Q and
 Mills bounds are the largest relative errors of scipy.special's erfc and
 erfcx on the same 2001-point grids; the numpy kernel in fblrelay.fbl
 must meet them too.  Every value must be finite, and pytest turns every
-RuntimeWarning into an error (pyproject.toml).
+RuntimeWarning into an error (pyproject.toml).  The fading-average
+references are mpmath integrals frozen in oracle_sweep_refs.json by
+freeze_oracle_sweep.py; one of them is recomputed on every run.
 """
 
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +32,11 @@ from fblrelay.fbl import (
 SNRS = [10.0**k for k in range(-300, 301, 50)]
 BLOCKLENGTHS = [100.0, 1e4, 1e7]
 RATES = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0]
+MEAN_SNRS = [1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e300]
 EPS = np.finfo(float).eps
+# _expected_error_ref on the grid BLOCKLENGTHS x MEAN_SNRS x RATES, as
+# rows [m, mean_snr, r, reference]; tests/freeze_oracle_sweep.py writes it
+FROZEN = pathlib.Path(__file__).with_name("oracle_sweep_refs.json")
 
 
 @pytest.fixture(autouse=True)
@@ -166,16 +174,28 @@ def _expected_error_ref(r, m, mean_snr):
         return mp.quad(f, sorted(points))
 
 
+def _frozen_refs():
+    return json.loads(FROZEN.read_text(encoding="utf-8"))["refs"]
+
+
 @pytest.mark.parametrize("m", BLOCKLENGTHS)
 def test_expected_error_single_absolute_error(m):
     # the panel engine stops once two refinements agree to 1e-9, and
-    # then it is far closer than that
-    snrs = [1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e300]
+    # then it is far closer than that; the references are frozen on the
+    # grid they were computed on
+    rows = [row for row in _frozen_refs() if row[0] == m]
+    assert [row[1:3] for row in rows] == [[s, r] for s in MEAN_SNRS
+                                          for r in RATES]
     worst = 0.0
-    for mean_snr in snrs:
-        for r in RATES:
-            value = expected_error_single(r, m, mean_snr)
-            assert math.isfinite(value)
-            ref = _expected_error_ref(r, m, mean_snr)
-            worst = max(worst, float(abs(value - ref)))
+    for _, mean_snr, r, ref in rows:
+        value = expected_error_single(r, m, mean_snr)
+        assert math.isfinite(value)
+        worst = max(worst, float(abs(value - mp.mpf(ref))))
     assert worst <= 1e-14
+
+
+def test_frozen_reference_recomputes():
+    # one frozen value, on the error drop, recomputed live
+    m, mean_snr, r, ref = next(row for row in _frozen_refs()
+                               if row[:3] == [1e4, 1.0, 1.0])
+    assert abs(_expected_error_ref(r, m, mean_snr) - mp.mpf(ref)) <= 1e-18

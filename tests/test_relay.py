@@ -13,11 +13,13 @@ from fblrelay.relay import (
     LinkGains,
     SystemParams,
     _maximize_per_draw,
+    _start,
     bl_throughput_perfect_csi,
     bottleneck_snr,
     expected_overall_error,
     select_rate_avg_csi,
 )
+from fit_start import optimum
 from oracles import overall_error_instant
 
 LN2 = math.log(2.0)
@@ -301,6 +303,23 @@ def test_perfect_csi_rejects_small_sample():
 # ---------------------------------------------------------------------------
 # per-draw rate solver
 # ---------------------------------------------------------------------------
+
+def test_start_is_the_single_link_optimum():
+    # the fitted start, unclamped, against the root it was fitted to:
+    # within 1e-6 of it the first Halley step ends a draw
+    u = np.concatenate([[0.0], np.logspace(-8.0, math.log10(2.4e7), 400)])
+    x = _start(u, np.ones_like(u))
+    with mpmath.workdps(30):
+        roots = [optimum(b) for b in u]
+        worst = max(abs(a - root) / root for a, root in zip(x, roots))
+    assert worst <= 5e-7
+
+def test_start_beyond_the_fitted_range():
+    # beyond u = 2.4e7 the asymptotic optimum takes over
+    u = np.logspace(math.log10(2.4e7), 12.0, 50)
+    x = _start(u, np.ones_like(u))
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+    assert np.all(x <= u)
 
 def _per_draw_throughput(r, snr2, snr_mrc, m):
     e2 = block_error(snr2, r, m)
