@@ -313,8 +313,6 @@ def test_start_is_the_single_link_optimum():
         roots = [optimum(b) for b in u]
         worst = max(abs(a - root) / root for a, root in zip(x, roots))
     assert worst <= 5e-7
-
-def test_start_beyond_the_fitted_range():
     # beyond u = 2.4e7 the asymptotic optimum takes over
     u = np.logspace(math.log10(2.4e7), 12.0, 50)
     x = _start(u, np.ones_like(u))
