@@ -35,7 +35,8 @@ from .relay import (
     expected_overall_error,
     select_rate_avg_csi,
 )
-from .scenario import KEYS, Scenario, build, load_scenario, with_overrides
+from .scenario import (KEYS, Scenario, build, load_scenario, unread_keys,
+                       with_overrides)
 
 VARIABLES = ("coding_rate", "eta", "blocklength")
 METRICS = ("bl_throughput", "msdr", "expected_error", "coding_rate")
@@ -43,6 +44,9 @@ METRICS = ("bl_throughput", "msdr", "expected_error", "coding_rate")
 _UNITS = {"bl_throughput": "bits/use", "msdr": "bits/use",
           "expected_error": "prob", "coding_rate": "bits/use"}
 _VAR_UNITS = {"eta": "1", "coding_rate": "bits/use", "blocklength": "symbols"}
+# scenario keys an axis replaces; eta and eps_nominal only select a rate
+_REPLACED = {"eta": ("eta",), "coding_rate": ("eta", "eps_nominal"),
+             "blocklength": ("m",)}
 _MC_SAMPLES = 1000000   # --mc-samples when not given
 
 
@@ -185,7 +189,7 @@ def _mc_flags(args, schemes):
         raise ValueError(f"none of the schemes {','.join(schemes)} draws "
                          "Monte Carlo samples, so "
                          f"{' and '.join(given)} would be ignored")
-    return (_MC_SAMPLES if args.mc_samples is None else int(args.mc_samples),
+    return (_MC_SAMPLES if args.mc_samples is None else args.mc_samples,
             1 if args.workers is None else args.workers)
 
 
@@ -212,8 +216,9 @@ def _eval_point(spec, base, i, x, params, r):
         row.extend(values[metric] for metric in spec.metrics)
     return row
 
-def _run_sweep(spec, scn, args):
-    """Header and rows of a sweep, with the run flags of args."""
+def _run_sweep(spec, args):
+    """Header and rows of a sweep, with the scenario and run flags of args."""
+    scn = _scenario_from_args(args, spec.variable)
     mc_samples, workers = _mc_flags(args, spec.schemes)
     seed = args.seed
     gains, params = build(scn)
@@ -274,29 +279,49 @@ def _add_run(p, monte_carlo=True):
     if monte_carlo:
         # None: 1e6 samples and one worker where a scheme draws samples,
         # and an error if given where none does (see _mc_flags)
-        p.add_argument("--mc-samples", type=_positive_finite, default=None)
-        p.add_argument("--workers", type=_at_least_one, default=None)
+        p.add_argument("--mc-samples", type=_count, default=None)
+        p.add_argument("--workers", type=_count, default=None)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 def _positive_finite(text):
-    """Type of --mc-samples and --tol: a finite number above 0, such as 1e6."""
+    """Type of --tol: a finite number above 0."""
     value = float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and positive, "
                                          f"got {text}")
     return value
 
-def _at_least_one(text):
-    """Type of the count flags --workers and --points."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _count(text):
+    """Type of --mc-samples, --workers and --points: a whole number >= 1.
 
-def _scenario_from_args(args):
+    Any float form, such as 1e6, gives an int; inf and nan are not whole.
+    """
+    value = float(text)
+    if not (value >= 1.0 and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"must be a whole number of at "
+                                         f"least 1, got {text}")
+    return int(value)
+
+def _scenario_from_args(args, variable):
+    """The scenario file with the scenario flags applied.
+
+    A flag for what the variable axis replaces, or for the other
+    path-loss model, is an error; a file holds every key, so its
+    entries are not.
+    """
     scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
-    return with_overrides(scn, **{key: getattr(args, key) for key in KEYS
-                                  if getattr(args, key) is not None})
+    flags = {key: getattr(args, key) for key in KEYS
+             if getattr(args, key) is not None}
+    scn = with_overrides(scn, **flags)
+    for key in flags:
+        if key in _REPLACED[variable]:
+            why = f"the {variable} axis replaces it"
+        elif key in unread_keys(scn.pathloss_model):
+            why = f"the {scn.pathloss_model} path-loss model does not read it"
+        else:
+            continue
+        raise ValueError(f"--{key.replace('_', '-')} would be ignored: {why}")
+    return scn
 
 def _grid_from_args(args, default=None):
     """Values of --grid or --grid-list, else default; _run_sweep checks each."""
@@ -304,8 +329,8 @@ def _grid_from_args(args, default=None):
         raise ValueError("give either --grid or --grid-list, not both")
     if args.grid is not None:
         lo, hi, n = args.grid
-        if not (-math.inf < lo < hi < math.inf and 1.0 <= n < math.inf):
-            raise ValueError("--grid needs finite lo < hi and n >= 1")
+        if not (-math.inf < lo < hi < math.inf and n >= 1 and n.is_integer()):
+            raise ValueError("--grid needs finite lo < hi and a whole n >= 1")
         return tuple(np.linspace(lo, hi, int(n)))
     if args.grid_list is not None:
         values = tuple(float(v) for v in args.grid_list.split(",") if v.strip())
@@ -322,17 +347,16 @@ def _grid_from_args(args, default=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args):
-    scn = _scenario_from_args(args)
     spec = SweepSpec(variable=args.variable,
                      grid=_grid_from_args(args),
                      schemes=tuple(s for s in args.schemes.split(",") if s),
                      metrics=tuple(m for m in args.metrics.split(",") if m))
-    header, rows = _run_sweep(spec, scn, args)
+    header, rows = _run_sweep(spec, args)
     _emit(_format_csv(header, rows), args.output)
     return 0
 
 def _cmd_optimize(args):
-    scn = _scenario_from_args(args)
+    scn = _scenario_from_args(args, "eta")   # the weight it searches
     gains, params = build(scn)
     base = Point(gains, params, scn.qos)
 
@@ -366,14 +390,13 @@ def _ratio(num, den):
     return num / den
 
 def _cmd_compare(args):
-    scn = _scenario_from_args(args)
     if args.pair == "relay_vs_direct":
         # equal payload per period: direct runs at half the relay rate
         # over twice the per-hop blocklength
         grid = _grid_from_args(args, tuple(np.linspace(0.01, LN2, 100)))
         spec = SweepSpec("eta", grid, ("relay_avg", "direct_matched"),
                          ("bl_throughput", "msdr"))
-        header, rows = _run_sweep(spec, scn, args)
+        header, rows = _run_sweep(spec, args)
         summary = []
         for k, metric in ((1, "bl_throughput"), (2, "msdr")):
             ratios = [row[k] / row[k + 2] for row in rows if row[k + 2] > 0.0]
@@ -385,7 +408,7 @@ def _cmd_compare(args):
         grid = _grid_from_args(args, tuple(np.linspace(0.1, LN2, 100)))
         spec = SweepSpec("eta", grid, ("relay_avg", "outage"),
                          ("bl_throughput",))
-        header, rows = _run_sweep(spec, scn, args)
+        header, rows = _run_sweep(spec, args)
         loss = max(max(0.0, _ratio(row[2] - row[1], row[1])) for row in rows)
         summary = [f"# summary,bl_throughput,max_loss_vs_outage={loss!r}"]
     else:  # avg_vs_perfect
@@ -393,7 +416,7 @@ def _cmd_compare(args):
         spec = SweepSpec("blocklength", grid,
                          ("relay_avg", "relay_perfect", "shannon_ergodic",
                           "outage"), ("bl_throughput",))
-        header, rows = _run_sweep(spec, scn, args)
+        header, rows = _run_sweep(spec, args)
         summary = []
         for k, name, ref_k in ((1, "avg_gap_to_outage", 4),
                                (2, "perfect_gap_to_ergodic", 3)):
@@ -408,7 +431,7 @@ def _cmd_compare(args):
 
 def _cmd_validate(args):
     # the battery draws its own parameter points, so it takes no scenario
-    n = int(args.mc_samples)
+    n = args.mc_samples
     rng = np.random.default_rng(args.seed)
     lines = ["point,r,m,g1,g2,g3,check,analytic,mc_mean,mc_std_err,z"]
     worst = 0.0
@@ -485,7 +508,7 @@ def _build_parser():
     p = subs.add_parser("validate",
                         help="quadrature vs Monte Carlo battery")
     _add_run(p)
-    p.add_argument("--points", type=_at_least_one, default=20)
+    p.add_argument("--points", type=_count, default=20)
     p.set_defaults(func=_cmd_validate, mc_samples=_MC_SAMPLES, workers=1)
     return parser
 

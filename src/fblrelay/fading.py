@@ -61,8 +61,9 @@ def _link_snrs(z1, z2, z3, gains):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _legendre(n):
-    return np.polynomial.legendre.leggauss(n)
+def _legendre():
+    # loaded on first use: numpy.polynomial is not on the import path
+    return np.polynomial.legendre.leggauss(16)
 
 def _transition_hint(gain, r, m):
     """Locate the block-error drop in z as (z_star, halfwidth).
@@ -111,8 +112,8 @@ def _panel_edges(hint, extra=()):
         w = min(2.0 * w, 3.0)
     return np.array(sorted(edges))
 
-def _eval_panels(phi, edges, order=16):
-    x, w = _legendre(order)
+def _eval_panels(phi, edges):
+    x, w = _legendre()
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     z = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -150,15 +151,28 @@ def exp_average(phi, tol, hint, extra_edges=()):
 # fading-averaged error expectations
 # ---------------------------------------------------------------------------
 
-def _beyond_cutoff(hint):
-    """Whether the error drop starts at or beyond z = Z_CUTOFF.
+def _average_error(r, m, scale, tol, weight, extra_edges):
+    """E[weight(z) * block_error(scale * z, r, m)] for z ~ Exp(1), in [0, 1].
 
-    The error is then 1 up to the tail mass beyond Z_CUTOFF, below an
-    ulp of 1, where the panel rule on [0, Z_CUTOFF] would return the
+    weight None is 1, with no multiply.  Where the error drop starts at
+    or beyond z = Z_CUTOFF the error is 1 up to the tail mass there,
+    below an ulp of 1; the panel rule on [0, Z_CUTOFF] would return the
     truncated 1 - e^-40 = 0.999999999999998.
     """
-    z_star, h = hint
-    return z_star - h >= Z_CUTOFF
+    if r < 0.0:
+        raise ValueError("rate must be nonnegative")
+    z_star, h = hint = _transition_hint(scale, r, m)
+    if z_star - h >= Z_CUTOFF:
+        return 1.0
+    if weight is None:
+        phi = lambda z: block_error(scale * z, r, m)
+    else:
+        phi = lambda z: weight(z) * block_error(scale * z, r, m)
+    # scale * z overflows to inf near z = Z_CUTOFF above scales of
+    # 4.5e306, and block_error takes snr = inf to its limit
+    with np.errstate(over="ignore"):
+        val = exp_average(phi, tol, hint, extra_edges)
+    return min(max(val, 0.0), 1.0)
 
 def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
@@ -166,17 +180,7 @@ def expected_error_single(r, m, mean_snr):
     Integrates e^{-z} * block_error(z * mean_snr, r, m) over z to an
     absolute tolerance of 1e-8, clipped to [0, 1].
     """
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
-    hint = _transition_hint(mean_snr, r, m)
-    if _beyond_cutoff(hint):
-        return 1.0
-    # mean_snr * z overflows to inf near z = Z_CUTOFF above mean SNRs of
-    # 4.5e306, and block_error takes snr = inf to its limit
-    with np.errstate(over="ignore"):
-        val = exp_average(lambda z: block_error(mean_snr * z, r, m),
-                          _TOL_BACKHAUL, hint=hint)
-    return min(max(val, 0.0), 1.0)
+    return _average_error(r, m, mean_snr, _TOL_BACKHAUL, None, ())
 
 def expected_error_mrc(r, m, gains):
     """Fading-averaged block error after combining direct and relay copies.
@@ -189,25 +193,15 @@ def expected_error_mrc(r, m, gains):
     is e^{-u} times a smooth factor handled through expm1 with no
     cancellation.  Exactly symmetric under swapping g1 and g3.
     """
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
     b, a = sorted((gains.g1, gains.g3))
-    hint = _transition_hint(a, r, m)
-    if _beyond_cutoff(hint):
-        return 1.0
     kappa = (a - b) / b
     if kappa < 1e-15:
-        phi = lambda u: u * block_error(a * u, r, m)
-        extra = ()
-    else:
-        coef = a / (a - b)
-        phi = lambda u: -np.expm1(-kappa * u) * coef * block_error(a * u, r, m)
-        # the weight factor turns on over u ~ 1/kappa near the origin
-        extra = tuple(2.0**j / kappa for j in range(-2, 7))
-    # a * u overflows to inf as mean_snr * z does in expected_error_single
-    with np.errstate(over="ignore"):
-        val = exp_average(phi, _TOL_MRC_OUTER, hint=hint, extra_edges=extra)
-    return min(max(val, 0.0), 1.0)
+        return _average_error(r, m, a, _TOL_MRC_OUTER, lambda u: u, ())
+    coef = a / (a - b)
+    # the weight factor turns on over u ~ 1/kappa near the origin
+    return _average_error(r, m, a, _TOL_MRC_OUTER,
+                          lambda u: -np.expm1(-kappa * u) * coef,
+                          tuple(2.0**j / kappa for j in range(-2, 7)))
 
 # ---------------------------------------------------------------------------
 # closed-form outage of the combined gains (infinite-blocklength limit)

@@ -3,8 +3,6 @@
 Provides:
   * q_func / q_inv        -- Gaussian tail probability and its inverse
   * shannon_c             -- Shannon capacity of a complex channel, bits per use
-  * dispersion_real       -- channel dispersion of a real Gaussian channel
-  * dispersion_complex    -- channel dispersion of a complex Gaussian channel
   * achievable_rate       -- rate at blocklength m and target error eps
   * block_error           -- decoding error probability at rate r and blocklength m
 
@@ -191,18 +189,6 @@ def _spread(nats, m):
     snr ~1e-300 at large m.
     """
     return np.sqrt(-np.expm1(-2.0 * nats)) * (LOG2E / np.sqrt(m))
-
-
-def dispersion_real(snr: float) -> float:
-    """Dispersion (gamma/2)(gamma+2)/(1+gamma)^2 * (log2 e)^2 of a real channel."""
-    out = 0.5 * np.square(_spread(np.log1p(np.asarray(snr, dtype=float)), 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def dispersion_complex(snr: float) -> float:
-    """Dispersion 1 - (1+gamma)^-2, times (log2 e)^2; twice the real-channel value."""
-    out = 2.0 * dispersion_real(snr)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _cap_spread(snr, m):

@@ -14,6 +14,7 @@ SNRs in cache-sized slices (_per_draw), averaged with their standard
 error (_sample_mean), and every sample count meets its floor (_check_n).
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -99,24 +100,6 @@ def _merge_welford(a, b):
     d = mb - ma
     return (n, ma + d * nb / n, m2a + m2b + d * d * na * nb / n)
 
-def _stream_welford(sample_chunk, n, seed, workers=1):
-    """Mean and standard error of sample_chunk(rng, k) over n draws.
-
-    Per-chunk moments are merged in chunk order.
-    """
-    def moments(rng, k):
-        x = sample_chunk(rng, k)
-        mean = float(np.mean(x))
-        return (k, mean, float(np.sum((x - mean)**2)))
-
-    parts = _map_chunks(moments, n, seed, workers)
-    total = parts[0]
-    for part in parts[1:]:
-        total = _merge_welford(total, part)
-    cnt, mean, m2 = total
-    std = math.sqrt(m2 / (cnt - 1))
-    return McEstimate(mean, std / math.sqrt(cnt))
-
 def _link_errors(z, r, m, gains):
     """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
     return _per_draw(lambda snr2, snr_mrc: (block_error(snr2, r, m),
@@ -155,11 +138,16 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
     """Sample mean of the instantaneous overall error over fading."""
     n = _check_n(n, 10000)
 
-    def chunk(rng, k):
+    def moments(rng, k):
         e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
-        return e2 + (1.0 - e2) * emrc
+        x = e2 + (1.0 - e2) * emrc
+        mean = float(np.mean(x))
+        return (k, mean, float(np.sum((x - mean)**2)))
 
-    return _stream_welford(chunk, n, seed, workers)
+    # per-chunk moments, merged in chunk order
+    cnt, mean, m2 = functools.reduce(
+        _merge_welford, _map_chunks(moments, n, seed, workers))
+    return McEstimate(mean, math.sqrt(m2 / (cnt - 1)) / math.sqrt(cnt))
 
 def mc_bl_throughput(r, m, gains, n=1000000, seed=None, workers=1):
     """Decode-event estimate of the average throughput r/2 per success."""

@@ -106,8 +106,16 @@ def pathloss_db(distance_m, f_c):
             + (44.9 - 6.55 * math.log10(_H_BASE)) * math.log10(d_km) + _C_M)
 
 # each link's LinkGains field, name, and the path-loss keys that set it
-_LINKS = (("g1", "direct", "d_direct, direct_extra_loss_db"),
-          ("g2", "backhaul", "d_backhaul"), ("g3", "relaying", "d_relaying"))
+# besides _PROPAGATION, which every link reads
+_LINKS = (("g1", "direct", ("d_direct", "direct_extra_loss_db")),
+          ("g2", "backhaul", ("d_backhaul",)), ("g3", "relaying", ("d_relaying",)))
+_PROPAGATION = ("f_c", "ant_gain_db")
+
+def unread_keys(model):
+    """Scenario keys that build ignores under model: the other model's."""
+    if model == "fixed_gains":
+        return tuple(k for _, _, keys in _LINKS for k in keys) + _PROPAGATION
+    return tuple(field for field, _, _ in _LINKS)
 
 def build(scenario):
     """Materialize (LinkGains, SystemParams) from a scenario.
@@ -131,7 +139,7 @@ def build(scenario):
     snrs = [g * p_tx / sigma2 if sigma2 > 0.0 else math.inf for g in budget]
     for snr, (field, link, keys) in zip(snrs, _LINKS):
         if not 0.0 < snr < math.inf:
-            keys = field if fixed else keys + ", f_c, ant_gain_db"
+            keys = field if fixed else ", ".join(keys + _PROPAGATION)
             raise ValueError(f"mean SNR of the {link} link ({field}) must be "
                              f"positive and finite, got {snr!r}; set by "
                              f"{keys}, p_tx_dbm and noise_dbm")

@@ -11,7 +11,13 @@ import pytest
 
 from fblrelay import cli
 from fblrelay.fading import QuadratureNonConvergence
-from fblrelay.scenario import KEYS, Scenario, save_scenario, with_overrides
+from fblrelay.scenario import (
+    KEYS,
+    Scenario,
+    save_scenario,
+    unread_keys,
+    with_overrides,
+)
 
 # frozen outputs of the reference scenario through the CLI plumbing; these
 # use the exact link-budget gains, so they differ in the seventh digit from
@@ -276,6 +282,81 @@ def test_mc_samples_rejected_without_a_monte_carlo_scheme(capsys):
         assert "--mc-samples" in captured.err
         assert work.call_count == 0
 
+def test_fractional_mc_samples_exits_2(capsys):
+    # a fraction was truncated: 100000.9 printed what 100000 prints
+    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
+                  "--schemes", "relay_perfect"],
+                 ["validate", "--points", "1"]):
+        for value in ("100000.9", "1e4.5", "0.5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*args, "--mc-samples", value])
+            assert exc.value.code == 2
+            assert "--mc-samples" in capsys.readouterr().err
+
+def test_mc_samples_takes_whole_numbers_in_any_float_form():
+    args = cli._build_parser().parse_args(
+        ["validate", "--mc-samples", "1e6"])
+    assert args.mc_samples == 1000000 and isinstance(args.mc_samples, int)
+
+def test_fractional_grid_count_exits_2(capsys):
+    # a fractional N was truncated: 2.5 printed the 2 rows of N = 2
+    for args in (["sweep", "--variable", "eta"],
+                 ["compare", "--pair", "fbl_vs_outage"]):
+        with mock.patch.object(cli, "build", side_effect=AssertionError):
+            code = cli.main([*args, "--grid", "0.1", "0.6", "2.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--grid" in captured.err
+
+FIXED = ["--pathloss-model", "fixed_gains", "--g1", "3", "--g2", "250",
+         "--g3", "200"]
+
+# (command, a flag no scheme of it can read)
+UNREAD_FLAGS = (
+    [(["sweep", "--variable", "eta", "--grid-list", "0.2"], ["--eta", "0.3"]),
+     (["compare", "--pair", "relay_vs_direct"], ["--eta", "0.3"]),
+     (["compare", "--pair", "fbl_vs_outage"], ["--eta", "0.3"]),
+     (["optimize"], ["--eta", "0.3"]),
+     (["sweep", "--variable", "blocklength", "--grid-list", "200"],
+      ["--m", "300"]),
+     (["compare", "--pair", "avg_vs_perfect", "--mc-samples", "100000"],
+      ["--m", "300"]),
+     (["sweep", "--variable", "coding_rate", "--grid-list", "1"],
+      ["--eta", "0.3"]),
+     (["sweep", "--variable", "coding_rate", "--grid-list", "1"],
+      ["--eps-nominal", "0.01"])]
+    + [(["sweep", "--variable", "eta", "--grid-list", "0.2"], [flag, "3"])
+       for flag in ("--g1", "--g2", "--g3")]
+    + [(["sweep", "--variable", "eta", "--grid-list", "0.2", *FIXED],
+        [flag, "300"])
+       for flag in ("--d-direct", "--d-backhaul", "--d-relaying", "--f-c",
+                    "--ant-gain-db", "--direct-extra-loss-db")])
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[" ".join(c[:3] + f[:1]) for c, f in UNREAD_FLAGS])
+def test_unread_scenario_flag_exits_2_before_work(capsys, command, flag):
+    # each of these flags was accepted and silently ignored
+    with mock.patch.object(cli, "build", side_effect=AssertionError):
+        code = cli.main(command + flag)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag[0] in captured.err
+
+def test_scenario_file_model_decides_which_flags_are_read(capsys, tmp_path):
+    # a file holds every key, so its entries stay accepted; a flag for
+    # the other model than the file's is not
+    path = tmp_path / "scn.txt"
+    save_scenario(with_overrides(Scenario(), pathloss_model="fixed_gains",
+                                 g1=3.0, g2=250.0, g3=200.0), path)
+    sweep = ["sweep", "--variable", "eta", "--grid-list", "0.2",
+             "--scenario-file", str(path)]
+    code, out = run_cli(sweep, capsys)
+    assert code == 0 and out.count("\n") == 2
+    code = cli.main(sweep + ["--d-direct", "300"])
+    assert code == 2 and "--d-direct" in capsys.readouterr().err
+    code, _ = run_cli(sweep + ["--g1", "4"], capsys)
+    assert code == 0
+
 # every (scheme, metric, variable) that exits 2; all others give numbers
 UNDEFINED = (
     {(s, m, v) for s in ("relay_perfect", "shannon_ergodic")
@@ -465,7 +546,10 @@ def test_scenario_file_and_flags_agree_byte_for_byte(capsys, tmp_path, model):
     sweep = ["sweep", "--variable", "blocklength", "--grid-list", "200,900",
              "--schemes", "relay_avg,direct_weighted", "--metrics",
              "bl_throughput,msdr,expected_error,coding_rate"]
-    flags = [arg for key, value in values.items()
+    # the file holds every key; the flags are those the command reads:
+    # not m, which the axis supplies, nor the other model's keys
+    unread = {"m", *unread_keys(model)}
+    flags = [arg for key, value in values.items() if key not in unread
              for arg in ("--" + key.replace("_", "-"), str(value))]
     code_file, from_file = run_cli(sweep + ["--scenario-file", str(path)],
                                    capsys)

@@ -212,10 +212,14 @@ class TestExpectedErrorMrc:
 class TestQuadratureEngine:
     def test_node_doubling_invariance_panels(self):
         # wide transition at small gain*m: doubling the nodes of every
-        # panel of the engine's mesh leaves its value
+        # panel of the engine's mesh (16 to 32) leaves its value
         phi = lambda z: block_error(z * 0.2, 0.3, 100)
         edges = _panel_edges(_transition_hint(0.2, 0.3, 100))
-        doubled = _eval_panels(phi, edges, order=32)
+        x, w = np.polynomial.legendre.leggauss(32)
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        z = mid + half * x
+        doubled = float(np.sum(half * w * np.exp(-z) * phi(z)))
         val = expected_error_single(0.3, 100, 0.2)
         assert val == pytest.approx(doubled, abs=1e-7)
 

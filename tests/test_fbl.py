@@ -13,10 +13,9 @@ from hypothesis import assume, given, strategies as st
 from fblrelay.fbl import (
     LOG2E,
     _mills,
+    _spread,
     achievable_rate,
     block_error,
-    dispersion_complex,
-    dispersion_real,
     q_func,
     q_inv,
     shannon_c,
@@ -25,6 +24,11 @@ from fblrelay.fbl import (
 # oracle: bisection on math.erfc, 200 halvings
 QINV_1E3 = 3.090232306167813
 QINV_1E2 = 2.3263478740408416
+
+
+def dispersion(snr):
+    """V = m * s^2 of a complex channel from fbl's spread s = sqrt(V/m), m = 1."""
+    return np.square(_spread(np.log1p(np.asarray(snr, dtype=float)), 1.0))
 
 
 class TestQFunctions:
@@ -107,39 +111,34 @@ class TestCapacityAndDispersion:
         assert shannon_c(1e-30) == pytest.approx(1e-30 * LOG2E, rel=1e-15)
 
     def test_dispersion_complex_values(self):
-        assert dispersion_complex(0.0) == 0.0
-        assert dispersion_complex(1.0) == pytest.approx(1.5610267357542058, abs=1e-12)
-        assert dispersion_complex(1e9) == pytest.approx(2.0813689810056077, rel=1e-8)
+        assert dispersion(0.0) == 0.0
+        assert dispersion(1.0) == pytest.approx(1.5610267357542058, abs=1e-12)
+        assert dispersion(1e9) == pytest.approx(2.0813689810056077, rel=1e-8)
 
     def test_dispersion_real_values(self):
-        assert dispersion_real(0.0) == 0.0
+        # a real channel has half the complex dispersion
+        assert 0.5 * dispersion(0.0) == 0.0
         half_limit = LOG2E**2 / 2.0
-        assert dispersion_real(10.0) / half_limit == pytest.approx(
+        assert 0.5 * dispersion(10.0) / half_limit == pytest.approx(
             0.9917355371900827, rel=1e-12
         )
 
     def test_dispersion_finite_at_extreme_snr(self):
         # the rational form is exactly its limit from snr ~3.6e16 on, and
         # its products overflowed (inf/inf = NaN) past snr ~1.3e154
-        limit = dispersion_real(1e17)
-        assert limit == LOG2E**2 / 2.0
+        limit = dispersion(1e17)
+        assert limit == LOG2E**2
         for g in (1e100, 1.5e154, 1e160, 1e300, 1.7e308):
-            assert dispersion_real(g) == limit
-            assert dispersion_complex(g) == 2.0 * limit
-        np.testing.assert_array_equal(dispersion_real(np.array([1e160, 1e17])),
+            assert dispersion(g) == limit
+        np.testing.assert_array_equal(dispersion(np.array([1e160, 1e17])),
                                       [limit, limit])
-
-    def test_factor_two_exact(self):
-        # exact in floating point, not just approximate
-        for g in np.logspace(-6, 6, 121):
-            assert dispersion_complex(g) == 2.0 * dispersion_real(g)
 
     def test_dispersion_alternate_form(self):
         # 1 - 2^(-2C) form agrees with the rational form
         for g in (0.01, 0.5, 1.0, 7.3, 250.0):
             c = shannon_c(g)
             alt = (1.0 - 2.0 ** (-2.0 * c)) * LOG2E**2
-            assert dispersion_complex(g) == pytest.approx(alt, rel=1e-13)
+            assert dispersion(g) == pytest.approx(alt, rel=1e-13)
 
 
 class TestAchievableRate:
@@ -248,7 +247,7 @@ class TestBlockError:
     )
     def test_monotone_in_rate(self, g, a):
         # place the rate so Q evaluates in [Q(6), 1-Q(6)]: no saturation
-        r = shannon_c(g) - a * math.sqrt(dispersion_complex(g) / 500.0)
+        r = shannon_c(g) - a * math.sqrt(dispersion(g) / 500.0)
         assume(r > 0.0)
         assert block_error(g, r + 1e-3, 500) > block_error(g, r, 500)
 

@@ -23,8 +23,8 @@ import pytest
 from fblrelay.fading import expected_error_single
 from fblrelay.fbl import (
     _mills,
+    _spread,
     block_error,
-    dispersion_complex,
     q_func,
     shannon_c,
 )
@@ -116,7 +116,8 @@ def test_mills_ratio_limits():
 def test_capacity_and_dispersion_relative_error():
     snr = np.array(SNRS)
     c = shannon_c(snr)
-    v = dispersion_complex(snr)
+    # V = m * s^2 at m = 1, from the package's one dispersion formula
+    v = np.square(_spread(np.log1p(snr), 1.0))
     c_ref, v_ref = zip(*map(_cap_disp, SNRS))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(v))
     assert _rel_err(c, c_ref) <= 2 * EPS

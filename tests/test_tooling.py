@@ -1,4 +1,5 @@
-"""Guards for the benchmark tracer and checker, and for which module imports what."""
+"""Guards for the benchmark tracer and checker, for which module imports
+what, and for public functions that nothing in src/ calls."""
 
 import ast
 import importlib.util
@@ -175,3 +176,37 @@ def test_only_scenario_applies_the_link_budget():
             if name in ("p_tx", "sigma2"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# public functions with no caller in src/, each kept for a documented use
+UNCALLED_PUBLIC = {
+    "q_func": "the Gaussian tail whose round trip with q_inv README "
+              "guarantees",
+    "save_scenario": "README's writer of scenario files",
+}
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a public function that only tests call is a test helper in src/
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fblrelay").glob("*.py"))]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    uncalled = set()
+    for tree in trees:
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")):
+                continue
+            # every top-level statement of src/ but the function itself
+            if not any(name == fn.name for other in trees
+                       for stmt in other.body if stmt is not fn
+                       for name in names(stmt)):
+                uncalled.add(fn.name)
+    assert uncalled == set(UNCALLED_PUBLIC)
