@@ -47,6 +47,8 @@ _VAR_UNITS = {"eta": "1", "coding_rate": "bits/use", "blocklength": "symbols"}
 # scenario keys an axis replaces; eta and eps_nominal only select a rate
 _REPLACED = {"eta": ("eta",), "coding_rate": ("eta", "eps_nominal"),
              "blocklength": ("m",)}
+_QOS = ("qos_d", "qos_p_d")   # read by the msdr metric
+_RUN = ("mc_samples", "workers")
 _MC_SAMPLES = 1000000   # --mc-samples when not given
 
 
@@ -127,19 +129,22 @@ class Scheme:
     evaluate: Callable
     metrics: tuple
     rate_sweep: bool    # defined on a coding_rate sweep
-    monte_carlo: bool   # draws Monte Carlo samples
+    reads: tuple        # relay parameters and run flags, beyond the budget
 
+_RATE = ("m", "eta", "eps_nominal")   # what a scheme's own rate rule reads
 SCHEMES = {
-    "relay_avg": Scheme(_relay_avg, METRICS, True, False),
-    "relay_perfect": Scheme(_relay_perfect, ("bl_throughput",), False, True),
+    "relay_avg": Scheme(_relay_avg, METRICS, True, _RATE),
+    # --workers are the sweep's threads: they pay where points draw samples
+    "relay_perfect": Scheme(_relay_perfect, ("bl_throughput",), False,
+                            ("m", "mc_samples", "workers")),
     "direct_matched": Scheme(functools.partial(_direct, matched=True),
-                             METRICS, True, False),
+                             METRICS, True, _RATE),
     "direct_weighted": Scheme(functools.partial(_direct, matched=False),
-                              METRICS, True, False),
+                              METRICS, True, _RATE),
     "shannon_ergodic": Scheme(_shannon_ergodic, ("bl_throughput",), True,
-                              True),
+                              ("mc_samples",)),
     "outage": Scheme(_outage, ("bl_throughput", "expected_error",
-                               "coding_rate"), True, False),
+                               "coding_rate"), True, ("eta",)),
 }
 
 
@@ -177,21 +182,6 @@ class SweepSpec:
                 raise ValueError(f"{scheme} re-optimizes the rate per draw; "
                                  "not defined on a coding_rate sweep")
 
-def _mc_flags(args, schemes):
-    """--mc-samples and --workers, accepted only where a scheme draws samples.
-
-    Returns (samples, workers): 1e6 and 1 for a flag not given.
-    """
-    given = [flag for flag, value in (("--mc-samples", args.mc_samples),
-                                      ("--workers", args.workers))
-             if value is not None]
-    if given and not any(SCHEMES[s].monte_carlo for s in schemes):
-        raise ValueError(f"none of the schemes {','.join(schemes)} draws "
-                         "Monte Carlo samples, so "
-                         f"{' and '.join(given)} would be ignored")
-    return (_MC_SAMPLES if args.mc_samples is None else args.mc_samples,
-            1 if args.workers is None else args.workers)
-
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -218,8 +208,8 @@ def _eval_point(spec, base, i, x, params, r):
 
 def _run_sweep(spec, args):
     """Header and rows of a sweep, with the scenario and run flags of args."""
-    scn = _scenario_from_args(args, spec.variable)
-    mc_samples, workers = _mc_flags(args, spec.schemes)
+    scn = _scenario_from_args(args, spec.variable, spec.schemes, spec.metrics)
+    mc_samples, workers = args.mc_samples or _MC_SAMPLES, args.workers or 1
     seed = args.seed
     gains, params = build(scn)
     points = []
@@ -254,33 +244,33 @@ def _format_csv(header, rows, summary=()):
     return "\n".join(lines) + "\n"
 
 def _emit(text, path):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"--output {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_scenario(p, monte_carlo=True):
-    """One flag per scenario key, then the run flags of the subcommand."""
+def _add_scenario(p):
+    """One flag per scenario key, then the run flags."""
     p.add_argument("--scenario-file", help="flat key=value scenario file")
     for key in KEYS:
         p.add_argument("--" + key.replace("_", "-"), default=None,
                        type=None if key == "pathloss_model" else float)
-    _add_run(p, monte_carlo)
+    _add_run(p)
 
-def _add_run(p, monte_carlo=True):
-    """--seed and --output; --mc-samples and --workers where MC runs."""
+def _add_run(p):
+    """--seed and --output; --mc-samples and --workers are None if not given."""
     p.add_argument("--seed", type=int, default=42)
-    if monte_carlo:
-        # None: 1e6 samples and one worker where a scheme draws samples,
-        # and an error if given where none does (see _mc_flags)
-        p.add_argument("--mc-samples", type=_count, default=None)
-        p.add_argument("--workers", type=_count, default=None)
+    p.add_argument("--mc-samples", type=_count, default=None)
+    p.add_argument("--workers", type=_count, default=None)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 def _positive_finite(text):
@@ -302,22 +292,33 @@ def _count(text):
                                          f"least 1, got {text}")
     return int(value)
 
-def _scenario_from_args(args, variable):
+def _scenario_from_args(args, variable, schemes, metrics):
     """The scenario file with the scenario flags applied.
 
-    A flag for what the variable axis replaces, or for the other
-    path-loss model, is an error; a file holds every key, so its
-    entries are not.
+    A scenario or Monte Carlo flag that nothing reads is an error naming
+    it, before any work: one the axis replaces, one the path-loss model
+    ignores, or one that no chosen scheme or metric reads.  A file holds
+    every key, so its entries are not.  --seed is exempt, because the
+    benchmark's command lists append it to every command.
     """
-    scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
+    try:
+        scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
+    except OSError as exc:
+        raise ValueError(f"--scenario-file {args.scenario_file}: {exc.strerror}")
     flags = {key: getattr(args, key) for key in KEYS
              if getattr(args, key) is not None}
     scn = with_overrides(scn, **flags)
-    for key in flags:
+    reads = {key for key in KEYS if key not in _RATE + _QOS}   # link budget
+    reads.update(key for s in schemes for key in SCHEMES[s].reads)
+    reads.update(_QOS if "msdr" in metrics else ())
+    for key in [*flags, *(k for k in _RUN if getattr(args, k) is not None)]:
         if key in _REPLACED[variable]:
             why = f"the {variable} axis replaces it"
         elif key in unread_keys(scn.pathloss_model):
             why = f"the {scn.pathloss_model} path-loss model does not read it"
+        elif key not in reads:
+            why = (f"no scheme of {','.join(schemes)} or metric of "
+                   f"{','.join(metrics)} reads it")
         else:
             continue
         raise ValueError(f"--{key.replace('_', '-')} would be ignored: {why}")
@@ -356,7 +357,10 @@ def _cmd_sweep(args):
     return 0
 
 def _cmd_optimize(args):
-    scn = _scenario_from_args(args, "eta")   # the weight it searches
+    chosen = (["bl_throughput", "msdr"] if args.objective == "both"
+              else [args.objective])
+    # relay_avg on the weight it searches, with the objectives as metrics
+    scn = _scenario_from_args(args, "eta", ("relay_avg",), chosen)
     gains, params = build(scn)
     base = Point(gains, params, scn.qos)
 
@@ -366,8 +370,6 @@ def _cmd_optimize(args):
         return SCHEMES["relay_avg"].evaluate(
             None, replace(base, params=replace(params, eta=eta)))
 
-    chosen = (["bl_throughput", "msdr"] if args.objective == "both"
-              else [args.objective])
     lines = ["objective,eta_star,value,flag,iterations"]
     results = {}
     for name in chosen:
@@ -443,18 +445,15 @@ def _cmd_validate(args):
         sub = int(rng.integers(1 << 30))
         r = float(frac * math.log2(1.0 + bottleneck_snr(g)))
         err = expected_overall_error(r, m, g)
-        checks = []
-        est = mc_expected_overall_error(r, m, g, n=n, seed=(sub, 1),
-                                        workers=args.workers)
-        checks.append(("expected_error", err, est))
-        thr = mc_bl_throughput(r, m, g, n=n, seed=(sub, 2),
-                               workers=args.workers)
-        checks.append(("bl_throughput", 0.5 * r * (1.0 - err), thr))
-        stats = mc_service_stats(r, m, g, n=n, seed=(sub, 3),
-                                 workers=args.workers)
+        run = {"n": n, "workers": args.workers}
+        est = mc_expected_overall_error(r, m, g, seed=(sub, 1), **run)
+        thr = mc_bl_throughput(r, m, g, seed=(sub, 2), **run)
+        stats = mc_service_stats(r, m, g, seed=(sub, 3), **run)
         ana = service_stats(r, m, err)
-        checks.append(("service_mean", ana.mean, stats.mean))
-        checks.append(("service_variance", ana.variance, stats.variance))
+        checks = [("expected_error", err, est),
+                  ("bl_throughput", 0.5 * r * (1.0 - err), thr),
+                  ("service_mean", ana.mean, stats.mean),
+                  ("service_variance", ana.variance, stats.variance)]
         for name, analytic, (mean, se) in checks:
             z = (mean - analytic) / se if se > 0.0 else 0.0
             worst = max(worst, abs(z))
@@ -488,8 +487,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("optimize", help="maximize a metric over the weight")
-    # quadrature only: no Monte Carlo flags
-    _add_scenario(p, monte_carlo=False)
+    _add_scenario(p)
     p.add_argument("--objective", default="both",
                    choices=("bl_throughput", "msdr", "both"))
     p.add_argument("--tol", type=_positive_finite, default=1e-4)

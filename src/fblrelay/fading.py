@@ -177,8 +177,8 @@ def _average_error(r, m, scale, tol, weight, extra_edges):
 def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
 
-    Integrates e^{-z} * block_error(z * mean_snr, r, m) over z to an
-    absolute tolerance of 1e-8, clipped to [0, 1].
+    Integrates e^{-z} * block_error(z * mean_snr, r, m) over z, clipped
+    to [0, 1]; the last two refinements differ by at most 1e-9.
     """
     return _average_error(r, m, mean_snr, _TOL_BACKHAUL, None, ())
 
@@ -186,7 +186,8 @@ def expected_error_mrc(r, m, gains):
     """Fading-averaged block error after combining direct and relay copies.
 
     Equals the double integral of block_error(z1*g1 + z3*g3, r, m)
-    against the product exponential weight, absolute tolerance 1e-7.
+    against the product exponential weight; the last two refinements
+    differ by at most 1e-8.
     The combined SNR is a sum of two independent exponentials, so the
     double integral collapses exactly to a single integral against the
     hypoexponential density; in units of the larger mean snr the weight

@@ -66,29 +66,36 @@ _TINY = 5e-324
 _HUGE = 1e300
 
 
-def _erfcx_ratio(p):
-    """R = 2/erfcx(64 p/sqrt(2)) for an array p >= 0; inf at p = inf.
+def _rational_rows(coeffs, x):
+    """coeffs @ [x^k .. x^0]: each row of coeffs, highest power first, at x.
 
-    The powers u^11 .. u^0 are one row each, the highest first, built by
-    doubling: [u^3, u^4] = [u, u^2] u^2, [u^5 .. u^8] = [u .. u^4] u^4
-    and [u^9 .. u^11] = [u .. u^3] u^8.  One matrix product then takes
-    both polynomials from them.  It sums the small terms first, as
-    Horner's rule would, which keeps the error of N to about an ulp where
-    u < 0 and its terms alternate in sign.  A single column would take
-    the matrix-vector route, which sums in another order, so a lone
-    value goes in twice: every value gets the same bits whatever comes
-    with it.
+    The powers are built by doubling, [x^2j .. x^j+1] = [x^j .. x] x^j,
+    and one matrix product sums the small terms first, as Horner's rule
+    would: the error stays about an ulp where x < 0 and the terms
+    alternate.  A single column would take the matrix-vector route, which
+    sums in another order, so a lone value goes in twice: every value
+    gets the same bits whatever comes with it.
     """
-    h = 32.0 * p + 2.0
-    flat = h.ravel() if h.size != 1 else np.repeat(h, 2)
-    powers = np.empty((12, flat.size))
-    powers[11] = 1.0
-    np.subtract(2.0 / flat, _T0, out=powers[10])
-    np.multiply(powers[10], powers[10], out=powers[9])
-    np.multiply(powers[9:11], powers[9], out=powers[7:9])
-    np.multiply(powers[7:11], powers[7], out=powers[3:7])
-    np.multiply(powers[8:11], powers[3], out=powers[:3])
-    n, m = (_ERFCX @ powers)[:, :h.size].reshape((2,) + p.shape)
+    k = coeffs.shape[1] - 1
+    powers = np.empty((k + 1, 2 if x.size == 1 else x.size))
+    powers[k] = 1.0
+    powers[k - 1] = x.ravel()
+    done = 1
+    while done < k:
+        new = min(done, k - done)
+        np.multiply(powers[k - new:k], powers[k - done],
+                    out=powers[k - done - new:k - done])
+        done += new
+    return (coeffs @ powers)[:, :x.size]
+
+
+def _erfcx_ratio(p):
+    """R = 2/erfcx(64 p/sqrt(2)) for an array p >= 0; inf at p = inf."""
+    h = 32.0 * p   # in place where it can be: one temporary besides h
+    h += 2.0
+    u = 2.0 / h
+    u -= _T0
+    n, m = _rational_rows(_ERFCX, u).reshape((2,) + p.shape)
     return h + p * (m / n)
 
 

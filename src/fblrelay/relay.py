@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbl import LN2, _cap_spread, _error_at, _mills, achievable_rate
+from .fbl import (LN2, _cap_spread, _error_at, _mills, _rational_rows,
+                  achievable_rate)
 from .fading import expected_error_mrc, expected_error_single
 from .montecarlo import _check_n, _sample_mean
 
@@ -112,16 +113,7 @@ def _start(c, s):
     u = c / s
     v = np.log1p(u)
     t = np.log1p(np.minimum(v, _V_FIT)) * _T_SCALE - 1.0
-    # t^8 .. t^0 by doubling, then one matrix product, as in
-    # fbl._erfcx_ratio; a lone value goes in twice for the same bits
-    flat = t if t.size != 1 else np.repeat(t, 2)
-    powers = np.empty((9, flat.size))
-    powers[8] = 1.0
-    powers[7] = flat
-    np.multiply(powers[7], powers[7], out=powers[6])
-    np.multiply(powers[6:8], powers[6], out=powers[4:6])
-    np.multiply(powers[4:8], powers[4], out=powers[:4])
-    p, q = (_START @ powers)[:, :t.size]
+    p, q = _rational_rows(_START, t)
     x = u - p / q
     far = np.flatnonzero(v > _V_FIT)
     x[far] = u[far] - np.sqrt(2.0 * np.log1p(u[far] / _SQRT_2PI))

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, CSV shape, determinism."""
 
+import errno
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +13,8 @@ import pytest
 
 from fblrelay import cli
 from fblrelay.fading import QuadratureNonConvergence
+from fblrelay.linklayer import QoSPair
+from fblrelay.relay import LinkGains, SystemParams
 from fblrelay.scenario import (
     KEYS,
     Scenario,
@@ -210,14 +214,6 @@ def test_validate_rejects_scenario_flags(capsys):
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
-def test_optimize_rejects_monte_carlo_flags(capsys):
-    # optimize runs no Monte Carlo, so these flags would be ignored
-    for flag in (["--mc-samples", "5"], ["--workers", "9"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["optimize", "--objective", "bl_throughput", *flag])
-        assert exc.value.code == 2
-        assert flag[0] in capsys.readouterr().err
-
 def test_small_perfect_csi_sample_names_the_flag(capsys):
     code = cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2",
                      "--schemes", "relay_perfect", "--mc-samples", "1000"])
@@ -256,32 +252,6 @@ def test_non_finite_mc_samples_exits_2(capsys):
             assert exc.value.code == 2
             assert "--mc-samples" in capsys.readouterr().err
 
-def test_workers_rejected_without_a_monte_carlo_scheme(capsys):
-    # quadrature grid points on threads only contend for the GIL, so
-    # --workers would slow such a run down
-    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
-                  "--schemes", "relay_avg", "--workers", "2"],
-                 ["compare", "--pair", "relay_vs_direct", "--workers", "2"],
-                 ["compare", "--pair", "fbl_vs_outage", "--workers", "1"]):
-        with mock.patch.object(cli, "expected_overall_error") as work:
-            code = cli.main(args)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "--workers" in captured.err
-        assert work.call_count == 0
-
-def test_mc_samples_rejected_without_a_monte_carlo_scheme(capsys):
-    # no chosen scheme draws samples, so the flag would be ignored
-    for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
-                  "--schemes", "relay_avg", "--mc-samples", "5"],
-                 ["compare", "--pair", "relay_vs_direct", "--mc-samples", "3"]):
-        with mock.patch.object(cli, "expected_overall_error") as work:
-            code = cli.main(args)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "--mc-samples" in captured.err
-        assert work.call_count == 0
-
 def test_fractional_mc_samples_exits_2(capsys):
     # a fraction was truncated: 100000.9 printed what 100000 prints
     for args in (["sweep", "--variable", "eta", "--grid-list", "0.2",
@@ -311,7 +281,12 @@ def test_fractional_grid_count_exits_2(capsys):
 FIXED = ["--pathloss-model", "fixed_gains", "--g1", "3", "--g2", "250",
          "--g3", "200"]
 
-# (command, a flag no scheme of it can read)
+RELAY_AVG_ETA = ["sweep", "--schemes", "relay_avg", "--variable", "eta",
+                 "--grid-list", "0.2"]
+OPTIMIZE_BL = ["optimize", "--objective", "bl_throughput"]
+QOS = ["--qos-d", "3000", "--qos-p-d", "0.1"]
+
+# (command, a flag that nothing of it reads)
 UNREAD_FLAGS = (
     [(["sweep", "--variable", "eta", "--grid-list", "0.2"], ["--eta", "0.3"]),
      (["compare", "--pair", "relay_vs_direct"], ["--eta", "0.3"]),
@@ -330,7 +305,26 @@ UNREAD_FLAGS = (
     + [(["sweep", "--variable", "eta", "--grid-list", "0.2", *FIXED],
         [flag, "300"])
        for flag in ("--d-direct", "--d-backhaul", "--d-relaying", "--f-c",
-                    "--ant-gain-db", "--direct-extra-loss-db")])
+                    "--ant-gain-db", "--direct-extra-loss-db")]
+    # Monte Carlo flags where nothing draws samples; quadrature grid
+    # points on threads only contend for the GIL, so --workers would
+    # slow such a run down
+    + [(RELAY_AVG_ETA, ["--workers", "2"]),
+       (RELAY_AVG_ETA, ["--mc-samples", "5"]),
+       (["compare", "--pair", "relay_vs_direct"], ["--workers", "2"]),
+       (["compare", "--pair", "relay_vs_direct"], ["--mc-samples", "3"]),
+       (["compare", "--pair", "fbl_vs_outage"], ["--workers", "1"]),
+       (OPTIMIZE_BL, ["--mc-samples", "5"]),
+       (OPTIMIZE_BL, ["--workers", "9"])]
+    # keys that the chosen schemes or metrics do not read
+    + [(["sweep", "--schemes", "outage", "--variable", "eta", "--grid-list",
+         "0.2,0.4"], ["--m", "1000"]),
+       (["sweep", "--schemes", "shannon_ergodic", "--variable", "eta",
+         "--grid-list", "0.2"], ["--m", "1000"]),
+       (["sweep", "--schemes", "relay_perfect", "--variable", "blocklength",
+         "--grid-list", "200", "--mc-samples", "1e5"], ["--eta", "0.3"]),
+       (["compare", "--pair", "fbl_vs_outage", "--grid-list", "0.2"], QOS),
+       (OPTIMIZE_BL, QOS)])
 
 @pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
                          ids=[" ".join(c[:3] + f[:1]) for c, f in UNREAD_FLAGS])
@@ -341,6 +335,39 @@ def test_unread_scenario_flag_exits_2_before_work(capsys, command, flag):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert flag[0] in captured.err
+
+# a point where every scheme's cells are nonzero, msdr included: the
+# direct link is strong enough to support the QoS pair
+READ_POINT = cli.Point(LinkGains(30.0, 300.0, 200.0),
+                       SystemParams(m=500.0, eps_nominal=1e-3, eta=0.2),
+                       QoSPair(d=1e4, p_d=1e-2), mc_samples=100000,
+                       seed=(42, 0), ergodic=1.5)
+# another value of every key a scheme or metric may read
+READ_CHANGES = {"m": 700.0, "eta": 0.3, "eps_nominal": 2e-3, "qos_d": 2e4,
+                "qos_p_d": 0.02}
+
+@pytest.mark.parametrize("name", sorted(cli.SCHEMES))
+def test_reads_table_matches_the_evaluators(name):
+    # a key the table says is read changes some cell; any other key
+    # leaves every cell bitwise unchanged
+    scheme = cli.SCHEMES[name]
+    assert set(scheme.reads) <= {"m", "eta", "eps_nominal", "mc_samples",
+                                 "workers"}
+    def cells(pt):
+        values = scheme.evaluate(None, pt)
+        return [float(values[metric]).hex() for metric in scheme.metrics]
+
+    base = cells(READ_POINT)
+    for key, value in READ_CHANGES.items():
+        if key.startswith("qos_"):
+            qos = replace(READ_POINT.qos, **{key[len("qos_"):]: value})
+            pt, reads = replace(READ_POINT, qos=qos), "msdr" in scheme.metrics
+        else:
+            pt = replace(READ_POINT,
+                         params=replace(READ_POINT.params, **{key: value}))
+            reads = key in scheme.reads
+        changed = [a != b for a, b in zip(base, cells(pt))]
+        assert any(changed) if reads else not any(changed), key
 
 def test_scenario_file_model_decides_which_flags_are_read(capsys, tmp_path):
     # a file holds every key, so its entries stay accepted; a flag for
@@ -557,6 +584,37 @@ def test_scenario_file_and_flags_agree_byte_for_byte(capsys, tmp_path, model):
     assert code_file == code_flags == 0
     assert from_file == from_flags
     assert from_file.count("\n") == 3
+
+def test_unreadable_scenario_file_exits_2(capsys, tmp_path):
+    # a missing file ended in a FileNotFoundError traceback and exit 1
+    for path, reason in ((tmp_path / "missing.txt", errno.ENOENT),
+                         (tmp_path, errno.EISDIR)):
+        code = cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                         "--scenario-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--scenario-file" in captured.err
+        assert os.strerror(reason) in captured.err
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # the sweep ran to its end, then an OSError traceback and exit 1
+    path = tmp_path / "missing" / "x.csv"
+    code = cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                     "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--output" in captured.err
+    assert os.strerror(errno.ENOENT) in captured.err
+    assert not path.parent.exists()
+
+def test_failed_command_leaves_its_output_file_alone(capsys, tmp_path):
+    # the file is opened only once the command is done
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    code = cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2,-1",
+                     "--output", str(path)])
+    assert code == 2 and "--grid-list" in capsys.readouterr().err
+    assert path.read_text() == "kept\n"
 
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.csv"

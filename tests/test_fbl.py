@@ -20,6 +20,7 @@ from fblrelay.fbl import (
     q_inv,
     shannon_c,
 )
+from fblrelay.relay import _start
 
 # oracle: bisection on math.erfc, 200 halvings
 QINV_1E3 = 3.090232306167813
@@ -78,6 +79,11 @@ class TestQFunctions:
         assert np.array_equal(q_func(w), [q_func(x) for x in w])
         _, mills = _mills(0.0, w, 1.0)
         assert np.array_equal(mills, [_mills(0.0, x, 1.0)[1] for x in w])
+        # the solver's start shares the kernel's rational evaluator; C/s
+        # runs past the fit's range, 2.4e7, to the asymptotic branch
+        c, s = np.logspace(-3.0, 9.0, 401), np.full(401, 0.7)
+        assert np.array_equal(_start(c, s), [_start(c[i:i + 1], s[i:i + 1])[0]
+                                             for i in range(c.size)])
 
     def test_every_array_layout_gives_the_same_values(self):
         # the kernel flattens its input, and a large array has its values
