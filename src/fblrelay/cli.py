@@ -47,8 +47,10 @@ _VAR_UNITS = {"eta": "1", "coding_rate": "bits/use", "blocklength": "symbols"}
 # scenario keys an axis replaces; eta and eps_nominal only select a rate
 _REPLACED = {"eta": ("eta",), "coding_rate": ("eta", "eps_nominal"),
              "blocklength": ("m",)}
-_QOS = ("qos_d", "qos_p_d")   # read by the msdr metric
-_RUN = ("mc_samples", "workers")
+# what schemes and metrics read beyond the link budget, which all read:
+_RATE = ("m", "eta", "eps_nominal")   # a scheme's own rate rule
+_QOS = ("qos_d", "qos_p_d")           # the msdr metric
+_RUN = ("mc_samples", "workers")      # Monte Carlo schemes
 _MC_SAMPLES = 1000000   # --mc-samples when not given
 
 
@@ -129,9 +131,8 @@ class Scheme:
     evaluate: Callable
     metrics: tuple
     rate_sweep: bool    # defined on a coding_rate sweep
-    reads: tuple        # relay parameters and run flags, beyond the budget
+    reads: tuple        # of _RATE and _RUN
 
-_RATE = ("m", "eta", "eps_nominal")   # what a scheme's own rate rule reads
 SCHEMES = {
     "relay_avg": Scheme(_relay_avg, METRICS, True, _RATE),
     # --workers are the sweep's threads: they pay where points draw samples
