@@ -300,12 +300,14 @@ def _scenario_from_args(args, variable, schemes, metrics):
     it, before any work: one the axis replaces, one the path-loss model
     ignores, or one that no chosen scheme or metric reads.  A file holds
     every key, so its entries are not.  --seed is exempt, because the
-    benchmark's command lists append it to every command.
+    benchmark's command lists append it to every command.  An error in
+    the file names --scenario-file and the path.
     """
     try:
         scn = load_scenario(args.scenario_file) if args.scenario_file else Scenario()
-    except OSError as exc:
-        raise ValueError(f"--scenario-file {args.scenario_file}: {exc.strerror}")
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"--scenario-file {args.scenario_file}: {reason}") from None
     flags = {key: getattr(args, key) for key in KEYS
              if getattr(args, key) is not None}
     scn = with_overrides(scn, **flags)

@@ -24,9 +24,9 @@ class QoSPair:
 
     def __post_init__(self):
         if self.d <= 0.0:
-            raise ValueError("delay budget must be positive")
+            raise ValueError("qos_d (delay budget) must be positive")
         if not 0.0 < self.p_d < 1.0:
-            raise ValueError("violation probability must lie in (0, 1)")
+            raise ValueError("qos_p_d (violation probability) must lie in (0, 1)")
 
 
 class ServiceStats(NamedTuple):

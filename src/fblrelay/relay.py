@@ -28,7 +28,7 @@ class SystemParams:
 
     def __post_init__(self):
         if not self.m >= 100:
-            raise ValueError("per-hop blocklength must be at least 100")
+            raise ValueError("m (per-hop blocklength) must be at least 100")
         if not 0.0 < self.eps_nominal < 1.0:
             raise ValueError("eps_nominal must lie in (0, 1)")
         if not 0.0 < self.eta <= LN2 + 1e-12:

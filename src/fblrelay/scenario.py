@@ -11,16 +11,14 @@ build applies the whole budget, transmit over noise power included, so
 every other module sees a link only through its mean SNR.
 
 Scenario files are flat text, one `key = value` per line with `#`
-comments; keys match the field names below, with the QoS pair flattened
-to qos_d and qos_p_d.  These flat KEYS are also the CLI's scenario flags,
-and with_overrides applies them for both.
+comments; the keys are the field names below.  These KEYS are also the
+CLI's scenario flags, and with_overrides applies them for both.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from .fbl import LN2
 from .linklayer import QoSPair
 from .relay import LinkGains, SystemParams
 
@@ -45,7 +43,8 @@ class Scenario:
     m: float = 500.0                 # per-hop blocklength
     eta: float = 0.2
     eps_nominal: float = 1e-3
-    qos: QoSPair = QoSPair(d=1e4, p_d=1e-2)
+    qos_d: float = 1e4               # delay budget, symbols
+    qos_p_d: float = 1e-2            # delay-violation probability
     pathloss_model: str = "cost231_hata_urban"
     ant_gain_db: float = 18.0        # combined antenna/system gain, all links
     direct_extra_loss_db: float = 12.0  # obstruction loss, direct path only
@@ -59,12 +58,9 @@ class Scenario:
                 raise ValueError(f"{name} must be positive")
         if self.f_c <= 0.0:
             raise ValueError("f_c must be positive")
-        if self.m < 100:
-            raise ValueError("m must be at least 100")
-        if not 0.0 < self.eta <= LN2 + 1e-12:
-            raise ValueError("eta must lie in (0, ln 2]")
-        if not 0.0 < self.eps_nominal < 1.0:
-            raise ValueError("eps_nominal must lie in (0, 1)")
+        # the relay parameters and the QoS pair check their own domains
+        SystemParams(m=self.m, eps_nominal=self.eps_nominal, eta=self.eta)
+        self.qos
         if self.pathloss_model not in _MODELS:
             raise ValueError(
                 f"pathloss_model must be one of {_MODELS}, "
@@ -72,6 +68,11 @@ class Scenario:
         if self.pathloss_model == "fixed_gains":
             if self.g1 <= 0.0 or self.g2 <= 0.0 or self.g3 <= 0.0:
                 raise ValueError("g1, g2, g3 must be positive in fixed_gains mode")
+
+    @property
+    def qos(self):
+        """The QoS target of the msdr metric, from qos_d and qos_p_d."""
+        return QoSPair(self.qos_d, self.qos_p_d)
 
 
 def _db_to_linear(x_db):
@@ -152,16 +153,14 @@ def build(scenario):
 # flat key=value scenario files
 # ---------------------------------------------------------------------------
 
-# the flat keys that files and CLI flags share: every field, with the
-# QoS pair flattened to qos_d and qos_p_d
-KEYS = tuple(k for f in fields(Scenario)
-             for k in (("qos_d", "qos_p_d") if f.name == "qos" else (f.name,)))
+# the keys that files and CLI flags share: every field
+KEYS = tuple(f.name for f in fields(Scenario))
 
 def with_overrides(scenario, **flat):
-    """scenario with the flat keys of KEYS replaced and re-validated.
+    """scenario with the keys of KEYS replaced and re-validated.
 
     Values are converted to float, except pathloss_model, and NaN is
-    rejected; qos_d and qos_p_d must be given together.
+    rejected.
     """
     kwargs = {}
     for key, value in flat.items():
@@ -172,28 +171,14 @@ def with_overrides(scenario, **flat):
             if math.isnan(value):
                 raise ValueError(f"{key} must be a number, got nan")
         kwargs[key] = value
-    qos_d = kwargs.pop("qos_d", None)
-    qos_p_d = kwargs.pop("qos_p_d", None)
-    if (qos_d is None) != (qos_p_d is None):
-        raise ValueError("qos_d and qos_p_d must be given together")
-    if qos_d is not None:
-        kwargs["qos"] = QoSPair(d=qos_d, p_d=qos_p_d)
     return replace(scenario, **kwargs)
 
 def save_scenario(scenario, path):
-    """Write every field, one key = value per line."""
-    lines = []
-    for f in fields(Scenario):
-        v = getattr(scenario, f.name)
-        if f.name == "qos":
-            lines.append(f"qos_d = {v.d!r}")
-            lines.append(f"qos_p_d = {v.p_d!r}")
-        elif f.name == "pathloss_model":
-            lines.append(f"pathloss_model = {v}")
-        else:
-            lines.append(f"{f.name} = {v!r}")
+    """Write every key of KEYS, one key = value per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key in KEYS:
+            v = getattr(scenario, key)
+            fh.write(f"{key} = {v if key == 'pathloss_model' else repr(v)}\n")
 
 def load_scenario(path):
     """Parse a flat key = value file back into a Scenario."""
@@ -204,7 +189,7 @@ def load_scenario(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
     return with_overrides(Scenario(), **entries)

@@ -69,7 +69,8 @@ def test_bad_scenario_value_exits_2(capsys):
                        "3", "--m", "50"], capsys)
     assert code == 2
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308",
+                                   "0"])
 @pytest.mark.parametrize("key", [k for k in KEYS if k != "pathloss_model"])
 def test_extreme_scenario_value_exits_0_or_2(capsys, key, value):
     # the QoS pair and the fixed gains are all given, so the flag under
@@ -83,6 +84,8 @@ def test_extreme_scenario_value_exits_0_or_2(capsys, key, value):
     code = cli.main(args + [f"--{key.replace('_', '-')}={value}"])
     err = capsys.readouterr().err
     assert code in (0, 2), err
+    if code == 2:
+        assert key in err
     if value == "nan":
         assert code == 2 and key in err
 
@@ -186,6 +189,14 @@ def test_half_qos_pair_exits_2(capsys):
     code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
                        "3", "--qos-d", "100"], capsys)
     assert code == 2
+
+def test_lone_qos_key_keeps_the_other_default(capsys):
+    sweep = ["sweep", "--variable", "eta", "--grid", "0.1", "0.3", "3",
+             "--metrics", "msdr", "--qos-d", "5000"]
+    code_lone, lone = run_cli(sweep, capsys)
+    code_pair, pair = run_cli(sweep + ["--qos-p-d", "0.01"], capsys)
+    assert code_lone == code_pair == 0
+    assert lone == pair and lone.count("\n") == 4
 
 def test_unsupported_metric_for_scheme_exits_2(capsys):
     code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
@@ -595,6 +606,21 @@ def test_unreadable_scenario_file_exits_2(capsys, tmp_path):
         assert code == 2 and captured.out == ""
         assert "--scenario-file" in captured.err
         assert os.strerror(reason) in captured.err
+
+@pytest.mark.parametrize("content", [b"eta 0.2\n", b"\xff\xfeeta = 0.2\n",
+                                     b"bogus = 1\n", b"eta = 5\n"],
+                         ids=["malformed", "not_utf8", "unknown_key",
+                              "off_domain"])
+def test_bad_scenario_file_names_the_flag_and_the_file(capsys, tmp_path,
+                                                       content):
+    path = tmp_path / "scn.txt"
+    path.write_bytes(content)
+    code = cli.main(["sweep", "--variable", "coding_rate", "--grid-list", "1",
+                     "--scenario-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --scenario-file {path}: ")
+    assert captured.err.count(str(path)) == 1
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
     # the sweep ran to its end, then an OSError traceback and exit 1

@@ -148,11 +148,14 @@ def test_with_overrides_takes_the_flat_keys():
     assert s.pathloss_model == "fixed_gains"
     assert (s.g1, s.g2, s.g3) == (3.0, 250.0, 200.0)
     assert all(isinstance(v, float) for v in (s.qos.d, s.g1, s.g2))
-    with pytest.raises(ValueError, match="qos_d and qos_p_d"):
-        with_overrides(Scenario(), qos_p_d=0.05)
     for key in ("bandwidth", "qos"):
         with pytest.raises(ValueError, match=f"unknown scenario key: {key}"):
             with_overrides(Scenario(), **{key: 1.0})
+
+def test_with_overrides_takes_a_lone_qos_key():
+    # the QoS keys are independent like every other key
+    s = with_overrides(Scenario(), qos_p_d=0.05)
+    assert s.qos == QoSPair(d=Scenario().qos_d, p_d=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,7 @@ def test_with_overrides_takes_the_flat_keys():
 # ---------------------------------------------------------------------------
 
 def test_save_load_build_round_trip(tmp_path):
-    src = Scenario(eta=0.137, m=750.0, qos=QoSPair(d=8e3, p_d=3e-3))
+    src = Scenario(eta=0.137, m=750.0, qos_d=8e3, qos_p_d=3e-3)
     path = tmp_path / "scn.txt"
     save_scenario(src, path)
     back = load_scenario(path)
@@ -187,11 +190,11 @@ def test_load_rejects_unknown_key(tmp_path):
     with pytest.raises(ValueError, match="bandwidth"):
         load_scenario(path)
 
-def test_load_rejects_partial_qos(tmp_path):
+def test_load_accepts_a_lone_qos_key(tmp_path):
     path = tmp_path / "scn.txt"
     path.write_text("qos_d = 20000\n")
-    with pytest.raises(ValueError, match="qos"):
-        load_scenario(path)
+    assert load_scenario(path).qos == QoSPair(d=20000.0,
+                                              p_d=Scenario().qos_p_d)
 
 def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "scn.txt"
