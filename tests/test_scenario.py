@@ -148,14 +148,12 @@ def test_with_overrides_takes_the_flat_keys():
     assert s.pathloss_model == "fixed_gains"
     assert (s.g1, s.g2, s.g3) == (3.0, 250.0, 200.0)
     assert all(isinstance(v, float) for v in (s.qos.d, s.g1, s.g2))
-    for key in ("bandwidth", "qos"):
-        with pytest.raises(ValueError, match=f"unknown scenario key: {key}"):
-            with_overrides(Scenario(), **{key: 1.0})
-
-def test_with_overrides_takes_a_lone_qos_key():
     # the QoS keys are independent like every other key
     s = with_overrides(Scenario(), qos_p_d=0.05)
     assert s.qos == QoSPair(d=Scenario().qos_d, p_d=0.05)
+    for key in ("bandwidth", "qos"):
+        with pytest.raises(ValueError, match=f"unknown scenario key: {key}"):
+            with_overrides(Scenario(), **{key: 1.0})
 
 
 # ---------------------------------------------------------------------------
