@@ -52,6 +52,7 @@ _RATE = ("m", "eta", "eps_nominal")   # a scheme's own rate rule
 _QOS = ("qos_d", "qos_p_d")           # the msdr metric
 _RUN = ("mc_samples", "workers")      # Monte Carlo schemes
 _MC_SAMPLES = 1000000   # --mc-samples when not given
+_COUNT_CAP = 2.0**53    # floats hold every whole number below this
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +150,6 @@ SCHEMES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep request: axis, grid, and the (scheme, metric) matrix.
-
-    Every scheme must define every metric, and be defined on the axis.
-    """
-
-    variable: str
-    grid: tuple
-    schemes: tuple
-    metrics: tuple
-
-    def __post_init__(self):
-        if self.variable not in VARIABLES:
-            raise ValueError(f"variable must be one of {VARIABLES}")
-        if len(self.grid) == 0:
-            raise ValueError("grid must not be empty")
-        for name, allowed in (("schemes", SCHEMES), ("metrics", METRICS)):
-            chosen = getattr(self, name)
-            if len(chosen) == 0:
-                raise ValueError(f"{name} must not be empty")
-            for item in chosen:
-                if item not in allowed:
-                    raise ValueError(f"unknown entry in {name}: {item!r}")
-        for scheme in self.schemes:
-            entry = SCHEMES[scheme]
-            for metric in self.metrics:
-                if metric not in entry.metrics:
-                    raise ValueError(f"metric {metric!r} is not defined for "
-                                     f"scheme {scheme!r}")
-            if self.variable == "coding_rate" and not entry.rate_sweep:
-                raise ValueError(f"{scheme} re-optimizes the rate per draw; "
-                                 "not defined on a coding_rate sweep")
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -198,44 +164,60 @@ def _on_axis(variable, params, x):
         raise ValueError("coding rate must be finite and nonnegative")
     return params, x
 
-def _eval_point(spec, base, i, x, params, r):
+def _eval_point(schemes, metrics, base, i, x, params, r):
     """One CSV row: the axis value, then every (scheme, metric) cell."""
     pt = replace(base, params=params, seed=base.seed + (i,))
     row = [x]
-    for scheme in spec.schemes:
+    for scheme in schemes:
         values = SCHEMES[scheme].evaluate(r, pt)
-        row.extend(values[metric] for metric in spec.metrics)
+        row.extend(values[metric] for metric in metrics)
     return row
 
-def _run_sweep(spec, args):
+def _run_sweep(variable, grid, schemes, metrics, args):
     """Header and rows of a sweep, with the scenario and run flags of args."""
-    scn = _scenario_from_args(args, spec.variable, spec.schemes, spec.metrics)
+    # the request first, before the scenario is read
+    for flag, chosen, known in (("--schemes", schemes, SCHEMES),
+                                ("--metrics", metrics, METRICS)):
+        if not chosen:
+            raise ValueError(f"{flag} must not be empty")
+        for item in chosen:
+            if item not in known:
+                raise ValueError(f"unknown entry in {flag}: {item!r}")
+    for scheme in schemes:
+        for metric in metrics:
+            if metric not in SCHEMES[scheme].metrics:
+                raise ValueError(f"metric {metric!r} is not defined for "
+                                 f"scheme {scheme!r}")
+        if variable == "coding_rate" and not SCHEMES[scheme].rate_sweep:
+            raise ValueError(f"{scheme} re-optimizes the rate per draw; "
+                             "not defined on a coding_rate sweep")
+    scn = _scenario_from_args(args, variable, schemes, metrics)
     mc_samples, workers = args.mc_samples or _MC_SAMPLES, args.workers or 1
     seed = args.seed
     gains, params = build(scn)
     points = []
-    for i, x in enumerate(map(float, spec.grid)):
+    for i, x in enumerate(map(float, grid)):
         try:
-            points.append((i, x, *_on_axis(spec.variable, params, x)))
+            points.append((i, x, *_on_axis(variable, params, x)))
         except ValueError as exc:
             flag = "--grid" if args.grid is not None else "--grid-list"
             raise ValueError(f"{flag} value {x!r}: {exc}") from None
     ergodic = math.nan
-    if "shannon_ergodic" in spec.schemes:
+    if "shannon_ergodic" in schemes:
         # constant column: estimated once, before the grid loop
         ergodic, _ = ergodic_capacity_relay(
             gains, n_samples=max(mc_samples, 1000000), seed=(seed, 10001))
     base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
     # one worker runs serially: a one-thread pool made the 100-point
     # quadrature sweep 1.3x (best run) to 1.9x (median) slower
+    evaluate = functools.partial(_eval_point, schemes, metrics, base)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _eval_point(spec, base, *p), points))
+            rows = list(pool.map(lambda p: evaluate(*p), points))
     else:
-        rows = [_eval_point(spec, base, *p) for p in points]
-    header = [f"{spec.variable}[{_VAR_UNITS[spec.variable]}]"]
-    header.extend(f"{s}.{m}[{_UNITS[m]}]"
-                  for s in spec.schemes for m in spec.metrics)
+        rows = [evaluate(*p) for p in points]
+    header = [f"{variable}[{_VAR_UNITS[variable]}]"]
+    header.extend(f"{s}.{m}[{_UNITS[m]}]" for s in schemes for m in metrics)
     return header, rows
 
 def _format_csv(header, rows, summary=()):
@@ -283,14 +265,14 @@ def _positive_finite(text):
     return value
 
 def _count(text):
-    """Type of --mc-samples, --workers and --points: a whole number >= 1.
+    """Type of --mc-samples, --workers and --points: a whole count in [1, 2^53).
 
     Any float form, such as 1e6, gives an int; inf and nan are not whole.
     """
     value = float(text)
-    if not (value >= 1.0 and value.is_integer()):
+    if not (1.0 <= value < _COUNT_CAP and value.is_integer()):
         raise argparse.ArgumentTypeError(f"must be a whole number of at "
-                                         f"least 1, got {text}")
+                                         f"least 1 and below 2^53, got {text}")
     return int(value)
 
 def _scenario_from_args(args, variable, schemes, metrics):
@@ -333,8 +315,10 @@ def _grid_from_args(args, default=None):
         raise ValueError("give either --grid or --grid-list, not both")
     if args.grid is not None:
         lo, hi, n = args.grid
-        if not (-math.inf < lo < hi < math.inf and n >= 1 and n.is_integer()):
-            raise ValueError("--grid needs finite lo < hi and a whole n >= 1")
+        if not (-math.inf < lo < hi < math.inf and 1.0 <= n < _COUNT_CAP
+                and n.is_integer()):
+            raise ValueError("--grid needs finite lo < hi and a whole n "
+                             ">= 1 and below 2^53")
         return tuple(np.linspace(lo, hi, int(n)))
     if args.grid_list is not None:
         values = tuple(float(v) for v in args.grid_list.split(",") if v.strip())
@@ -351,11 +335,10 @@ def _grid_from_args(args, default=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args):
-    spec = SweepSpec(variable=args.variable,
-                     grid=_grid_from_args(args),
-                     schemes=tuple(s for s in args.schemes.split(",") if s),
-                     metrics=tuple(m for m in args.metrics.split(",") if m))
-    header, rows = _run_sweep(spec, args)
+    header, rows = _run_sweep(args.variable, _grid_from_args(args),
+                              tuple(s for s in args.schemes.split(",") if s),
+                              tuple(m for m in args.metrics.split(",") if m),
+                              args)
     _emit(_format_csv(header, rows), args.output)
     return 0
 
@@ -394,14 +377,25 @@ def _ratio(num, den):
         return 0.0 if num == 0.0 else math.copysign(math.inf, num)
     return num / den
 
+# compare's sweep presets: pair -> (axis, default grid, schemes, metrics)
+_PAIRS = {
+    # equal payload per period: direct runs at half the relay rate
+    # over twice the per-hop blocklength
+    "relay_vs_direct": ("eta", tuple(np.linspace(0.01, LN2, 100)),
+                        ("relay_avg", "direct_matched"),
+                        ("bl_throughput", "msdr")),
+    "avg_vs_perfect": ("blocklength", (100.0, 200.0, 500.0, 1000.0, 2000.0),
+                       ("relay_avg", "relay_perfect", "shannon_ergodic",
+                        "outage"), ("bl_throughput",)),
+    "fbl_vs_outage": ("eta", tuple(np.linspace(0.1, LN2, 100)),
+                      ("relay_avg", "outage"), ("bl_throughput",)),
+}
+
 def _cmd_compare(args):
+    variable, default, schemes, metrics = _PAIRS[args.pair]
+    header, rows = _run_sweep(variable, _grid_from_args(args, default),
+                              schemes, metrics, args)
     if args.pair == "relay_vs_direct":
-        # equal payload per period: direct runs at half the relay rate
-        # over twice the per-hop blocklength
-        grid = _grid_from_args(args, tuple(np.linspace(0.01, LN2, 100)))
-        spec = SweepSpec("eta", grid, ("relay_avg", "direct_matched"),
-                         ("bl_throughput", "msdr"))
-        header, rows = _run_sweep(spec, args)
         summary = []
         for k, metric in ((1, "bl_throughput"), (2, "msdr")):
             ratios = [row[k] / row[k + 2] for row in rows if row[k + 2] > 0.0]
@@ -410,18 +404,9 @@ def _cmd_compare(args):
                            f"{min(ratios, default=math.inf)!r},"
                            f"both_zero_points={vacuous}")
     elif args.pair == "fbl_vs_outage":
-        grid = _grid_from_args(args, tuple(np.linspace(0.1, LN2, 100)))
-        spec = SweepSpec("eta", grid, ("relay_avg", "outage"),
-                         ("bl_throughput",))
-        header, rows = _run_sweep(spec, args)
         loss = max(max(0.0, _ratio(row[2] - row[1], row[1])) for row in rows)
         summary = [f"# summary,bl_throughput,max_loss_vs_outage={loss!r}"]
     else:  # avg_vs_perfect
-        grid = _grid_from_args(args, (100.0, 200.0, 500.0, 1000.0, 2000.0))
-        spec = SweepSpec("blocklength", grid,
-                         ("relay_avg", "relay_perfect", "shannon_ergodic",
-                          "outage"), ("bl_throughput",))
-        header, rows = _run_sweep(spec, args)
         summary = []
         for k, name, ref_k in ((1, "avg_gap_to_outage", 4),
                                (2, "perfect_gap_to_ergodic", 3)):
@@ -498,9 +483,7 @@ def _build_parser():
 
     p = subs.add_parser("compare", help="paired scheme comparison with summary")
     _add_scenario(p)
-    p.add_argument("--pair", required=True,
-                   choices=("relay_vs_direct", "avg_vs_perfect",
-                            "fbl_vs_outage"))
+    p.add_argument("--pair", required=True, choices=tuple(_PAIRS))
     p.add_argument("--grid", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "N"))
     p.add_argument("--grid-list", default=None)

@@ -44,39 +44,26 @@ def service_stats(r, m, eps_bar):
     return ServiceStats(payload * (1.0 - eps_bar),
                         payload**2 * eps_bar * (1.0 - eps_bar))
 
-def qos_penalty_factor(m, qos):
-    """Dimensionless delay-constraint factor 4m*ln(p_d)/d, always < 0."""
-    return 4.0 * m * math.log(qos.p_d) / qos.d
-
-def msdr_feasible(m, eps_bar, qos):
-    """Whether the QoS pair is supportable at this error level.
-
-    Requires one full period to fit the delay budget (2m <= d) and a
-    nonnegative discriminant, i.e. eps_bar <= 1/(1 - penalty factor).
-    """
-    if 2.0 * m > qos.d:
-        return False
-    phi = qos_penalty_factor(m, qos)
-    return (1.0 - eps_bar)**2 + phi * eps_bar * (1.0 - eps_bar) >= 0.0
-
 def msdr(r, m, eps_bar, qos):
     """Maximum sustainable data rate in bits per channel use.
 
     Evaluates r(1-e)/4 + (r/4)*sqrt((1-e)^2 + phi*e(1-e)) with the
-    penalty factor phi = 4m*ln(p_d)/d.  Returns 0.0 when the period
-    does not fit the delay budget or the discriminant is negative
-    (the QoS pair is unsupportable at this error level); sweeps over
-    infeasible regions therefore stay total.
+    penalty factor phi = 4m*ln(p_d)/d < 0.  Returns 0.0 outside the
+    feasibility region, 2m <= d and e <= 1/(1 - phi): there a period
+    exceeds the delay budget or the discriminant is negative, and the
+    QoS pair is unsupportable.  Sweeps over it therefore stay total.
     """
     if not 0.0 <= eps_bar <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
     # a link that always fails sustains no rate, also where the payload r
     # overflowed to inf (the equal-payload direct scheme doubles r)
-    if eps_bar == 1.0 or not msdr_feasible(m, eps_bar, qos):
+    if eps_bar == 1.0 or 2.0 * m > qos.d:
         return 0.0
-    phi = qos_penalty_factor(m, qos)
+    phi = 4.0 * m * math.log(qos.p_d) / qos.d
     keep = 1.0 - eps_bar
     # a vanishing penalty (unbounded delay budget) gives exactly the
     # throughput r*(1 - eps)/2: sqrt(keep**2) is keep in floating point
     disc = keep**2 + phi * eps_bar * keep
+    if not disc >= 0.0:   # also nan, where m and d are both infinite
+        return 0.0
     return 0.25 * r * keep + 0.25 * r * math.sqrt(disc)

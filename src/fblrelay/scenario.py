@@ -182,7 +182,7 @@ def save_scenario(scenario, path):
 
 def load_scenario(path):
     """Parse a flat key = value file back into a Scenario."""
-    entries = {}
+    entries, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -190,6 +190,9 @@ def load_scenario(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in seen:
+                raise ValueError(f"line {lineno}: {key} already set on "
+                                 f"line {seen[key]}")
+            entries[key], seen[key] = value, lineno
     return with_overrides(Scenario(), **entries)

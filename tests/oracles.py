@@ -2,7 +2,8 @@
 
 The per-draw overall error in its plainest form, the reference of the
 Monte Carlo and perfect-CSI tests; the effective-capacity curve whose
-closed-form inverse is the MSDR; and the MSDR decomposition identity.
+closed-form inverse is the MSDR; the MSDR's penalty factor; and the
+MSDR decomposition identity.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 
 from fblrelay.fading import _link_snrs
 from fblrelay.fbl import block_error
-from fblrelay.linklayer import msdr, msdr_feasible, qos_penalty_factor
+from fblrelay.linklayer import msdr
 
 
 def overall_error_instant(z, r, m, gains):
@@ -47,6 +48,10 @@ def qos_exponent_point(stats, theta):
     """Bundle an exponent with its effective capacity for curve output."""
     return QosExponentPoint(theta, effective_capacity_clt(stats, theta))
 
+def penalty_factor(m, qos):
+    """Dimensionless delay-constraint factor phi = 4m*ln(p_d)/d, always < 0."""
+    return 4.0 * m * math.log(qos.p_d) / qos.d
+
 def msdr_decomposition_check(r, m, eps_bar, qos):
     """Residual of splitting the MSDR into half throughput plus a rest.
 
@@ -54,9 +59,10 @@ def msdr_decomposition_check(r, m, eps_bar, qos):
     (phi-2)e + (1-phi)e^2).  Returns the absolute difference, 0.0 for
     infeasible input where both sides are pinned to zero.
     """
-    if not msdr_feasible(m, eps_bar, qos):
+    phi = penalty_factor(m, qos)
+    # feasible: one period fits the delay budget and e <= 1/(1 - phi)
+    if 2.0 * m > qos.d or eps_bar * (1.0 - phi) > 1.0:
         return 0.0
-    phi = qos_penalty_factor(m, qos)
     half_throughput = 0.5 * (0.5 * r * (1.0 - eps_bar))
     rest = 0.25 * r * math.sqrt(
         1.0 + (phi - 2.0) * eps_bar + (1.0 - phi) * eps_bar**2)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV shape, determinism."""
 
+import argparse
 import errno
 import math
 import os
@@ -45,20 +46,23 @@ def run_cli(args, capsys):
 # request validation
 # ---------------------------------------------------------------------------
 
-def test_sweepspec_rejects_bad_entries():
-    good = dict(variable="eta", grid=(0.1,), schemes=("relay_avg",),
-                metrics=("bl_throughput",))
-    cli.SweepSpec(**good)
-    for key, bad in (("variable", "snr"), ("grid", ()), ("schemes", ()),
-                     ("metrics", ()), ("schemes", ("relay_avg", "bogus")),
-                     ("metrics", ("msdr", "latency"))):
-        with pytest.raises(ValueError):
-            cli.SweepSpec(**{**good, key: bad})
-
-def test_unknown_scheme_exits_2(capsys):
-    code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
-                       "3", "--schemes", "bogus"], capsys)
-    assert code == 2
+@pytest.mark.parametrize("flag, value, named", [
+    ("--schemes", "bogus", "'bogus'"),
+    ("--schemes", "", "--schemes"),
+    ("--metrics", "", "--metrics"),
+    ("--schemes", "relay_avg,bogus", "'bogus'"),
+    ("--metrics", "msdr,latency", "'latency'"),
+], ids=["bogus", "no_scheme", "no_metric", "bogus_second_scheme",
+        "bogus_metric"])
+def test_unknown_scheme_exits_2(capsys, flag, value, named):
+    # the request is checked before the scenario is read
+    with mock.patch.object(cli, "_scenario_from_args",
+                           side_effect=AssertionError):
+        code = cli.main(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
+                         "3", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err
 
 def test_missing_grid_exits_2(capsys):
     code, _ = run_cli(["sweep", "--variable", "eta"], capsys)
@@ -185,10 +189,11 @@ def test_optimize_tol_must_be_finite_and_positive(capsys):
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-def test_half_qos_pair_exits_2(capsys):
-    code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
-                       "3", "--qos-d", "100"], capsys)
+def test_qos_flag_without_msdr_metric_exits_2(capsys):
+    code = cli.main(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
+                     "3", "--qos-d", "100"])
     assert code == 2
+    assert "--qos-d" in capsys.readouterr().err
 
 def test_lone_qos_key_keeps_the_other_default(capsys):
     sweep = ["sweep", "--variable", "eta", "--grid", "0.1", "0.3", "3",
@@ -278,6 +283,33 @@ def test_mc_samples_takes_whole_numbers_in_any_float_form():
     args = cli._build_parser().parse_args(
         ["validate", "--mc-samples", "1e6"])
     assert args.mc_samples == 1000000 and isinstance(args.mc_samples, int)
+
+def test_counts_from_2_pow_53_are_rejected():
+    # from 2^53 on a float parse rounds: 2^53 + 1 came back as 2^53
+    assert cli._count(str(2**53 - 1)) == 2**53 - 1
+    for text in (str(2**53), str(2**53 + 1), "1e300"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._count(text)
+
+def test_huge_mc_samples_exits_2_naming_the_flag(capsys):
+    # validate ended in an OverflowError traceback (exit 1), and the
+    # relay_perfect sweep exited 2 with a numpy message naming no flag
+    for args in (["validate", "--points", "1"],
+                 ["sweep", "--variable", "eta", "--grid-list", "0.2",
+                  "--schemes", "relay_perfect"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--mc-samples", "1e300"])
+        assert exc.value.code == 2
+        assert "--mc-samples" in capsys.readouterr().err
+
+def test_huge_grid_count_exits_2_naming_the_flag(capsys):
+    # numpy's "Maximum allowed size exceeded" named no flag
+    with mock.patch.object(cli, "build", side_effect=AssertionError):
+        code = cli.main(["sweep", "--variable", "eta", "--grid", "0.1", "0.6",
+                         "1e300"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--grid" in captured.err
 
 def test_fractional_grid_count_exits_2(capsys):
     # a fractional N was truncated: 2.5 printed the 2 rows of N = 2
@@ -621,6 +653,16 @@ def test_bad_scenario_file_names_the_flag_and_the_file(capsys, tmp_path,
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: --scenario-file {path}: ")
     assert captured.err.count(str(path)) == 1
+
+def test_repeated_scenario_key_exits_2_naming_both_lines(capsys, tmp_path):
+    # the second line won: this file loaded eta 0.3
+    path = tmp_path / "scn.txt"
+    path.write_text("eta = 0.1\neta = 0.3\n")
+    code = cli.main(["sweep", "--variable", "coding_rate", "--grid-list", "1",
+                     "--scenario-file", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: --scenario-file {path}: "
+                                       "line 2: eta already set on line 1\n")
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
     # the sweep ran to its end, then an OSError traceback and exit 1

@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fblrelay.linklayer import (
-    QoSPair,
-    ServiceStats,
-    msdr,
-    msdr_feasible,
-    qos_penalty_factor,
-    service_stats,
-)
+from fblrelay.linklayer import QoSPair, ServiceStats, msdr, service_stats
 from oracles import (
     QosExponentPoint,
     effective_capacity_clt,
     msdr_decomposition_check,
+    penalty_factor,
     qos_exponent_point,
 )
 
@@ -103,12 +97,13 @@ def test_effective_capacity_never_exceeds_mean(theta, eps, r):
 # ---------------------------------------------------------------------------
 
 def test_penalty_factor_reference_value():
-    assert qos_penalty_factor(500, REF_QOS) == pytest.approx(PHI_REF, rel=1e-15)
-
-def test_penalty_factor_negative_and_linear_in_m():
-    assert qos_penalty_factor(500, REF_QOS) < 0.0
-    assert qos_penalty_factor(1000, REF_QOS) == pytest.approx(
-        2.0 * qos_penalty_factor(500, REF_QOS), rel=1e-15)
+    # msdr's closed form at the frozen phi, and the oracle's phi
+    r, e = 3.0, 0.2
+    keep = 1.0 - e
+    expected = 0.25 * r * keep + 0.25 * r * math.sqrt(
+        keep**2 + PHI_REF * e * keep)
+    assert msdr(r, 500, e, REF_QOS) == pytest.approx(expected, rel=1e-15)
+    assert penalty_factor(500, REF_QOS) == pytest.approx(PHI_REF, rel=1e-15)
 
 def test_msdr_error_free_is_half_rate():
     assert msdr(3.0, 500, 0.0, REF_QOS) == 1.5
@@ -116,7 +111,7 @@ def test_msdr_error_free_is_half_rate():
 def test_msdr_vanishing_penalty_equals_throughput():
     # unbounded delay budget drives the penalty factor to exactly zero
     qos = QoSPair(d=math.inf, p_d=0.5)
-    assert qos_penalty_factor(500, qos) == 0.0
+    assert penalty_factor(500, qos) == 0.0
     for r in (0.3, 1.7, 5.0):
         for e in (0.0, 0.1, 0.5, 0.97):
             assert msdr(r, 500, e, qos) == 0.5 * r * (1.0 - e)
@@ -126,16 +121,19 @@ def test_msdr_reference_value():
 
 def test_msdr_zero_when_period_exceeds_delay():
     assert msdr(2.0, 5001, 0.01, REF_QOS) == 0.0
-    assert not msdr_feasible(5001, 0.01, REF_QOS)
     assert msdr(2.0, 5000, 0.01, REF_QOS) > 0.0  # boundary period still fits
 
 def test_msdr_zero_when_discriminant_negative():
-    # feasibility ceiling is 1/(1 - phi) ~= 0.5206 on the reference QoS
-    ceiling = 1.0 / (1.0 - PHI_REF)
-    assert msdr_feasible(500, ceiling - 1e-6, REF_QOS)
-    assert not msdr_feasible(500, ceiling + 1e-6, REF_QOS)
-    assert msdr(4.0, 500, ceiling + 1e-6, REF_QOS) == 0.0
-    assert msdr(4.0, 500, ceiling - 1e-6, REF_QOS) > 0.0
+    # feasibility ceiling is 1/(1 - phi): ~= 0.5206 on the reference QoS,
+    # and phi is linear in m, so at m = 1000 it is 1/(1 - 2*PHI_REF)
+    for m, phi in ((500, PHI_REF), (1000, 2.0 * PHI_REF)):
+        ceiling = 1.0 / (1.0 - phi)
+        assert msdr(4.0, m, ceiling + 1e-6, REF_QOS) == 0.0
+        assert msdr(4.0, m, ceiling - 1e-6, REF_QOS) > 0.0
+
+def test_msdr_zero_when_penalty_is_nan():
+    # m = d = inf gives phi = inf/inf; the blocklength axis reaches it
+    assert msdr(1.0, math.inf, 0.1, QoSPair(d=math.inf, p_d=0.5)) == 0.0
 
 def test_msdr_rejects_bad_probability():
     with pytest.raises(ValueError):
@@ -155,7 +153,7 @@ def test_msdr_bounded_by_throughput():
         r = rng.uniform(0.1, 10.0)
         m = rng.uniform(100, 4000)
         qos = QoSPair(d=rng.uniform(2 * m, 1e5), p_d=rng.uniform(1e-6, 0.99))
-        eps = rng.uniform(0.0, 1.0 / (1.0 - qos_penalty_factor(m, qos)))
+        eps = rng.uniform(0.0, 1.0 / (1.0 - penalty_factor(m, qos)))
         v = msdr(r, m, eps, qos)
         cbl = 0.5 * r * (1.0 - eps)
         assert 0.0 <= v <= cbl + 1e-15
@@ -180,7 +178,7 @@ def test_decomposition_residual_on_random_feasible_triples():
         r = rng.uniform(0.1, 10.0)
         m = rng.uniform(100, 4000)
         qos = QoSPair(d=rng.uniform(2 * m, 1e5), p_d=rng.uniform(1e-6, 0.99))
-        eps = rng.uniform(0.0, 1.0 / (1.0 - qos_penalty_factor(m, qos)))
+        eps = rng.uniform(0.0, 1.0 / (1.0 - penalty_factor(m, qos)))
         assert msdr_decomposition_check(r, m, eps, qos) < 1e-12
 
 def test_decomposition_infeasible_input_is_zero():

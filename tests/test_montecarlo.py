@@ -16,7 +16,7 @@ from fblrelay.relay import (
     bl_throughput_perfect_csi,
     expected_overall_error,
 )
-from fblrelay.linklayer import QoSPair, msdr, qos_penalty_factor, service_stats
+from fblrelay.linklayer import QoSPair, msdr, service_stats
 from fblrelay.montecarlo import (
     McEstimate,
     _chunk_layout,
@@ -27,7 +27,7 @@ from fblrelay.montecarlo import (
     mc_expected_overall_error,
     mc_service_stats,
 )
-from oracles import overall_error_instant
+from oracles import overall_error_instant, penalty_factor
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 REF_RATE = 5.33969938461749
@@ -245,7 +245,7 @@ def test_empirical_stats_reproduce_msdr():
     qos = QoSPair(d=1e4, p_d=1e-2)
     est = mc_service_stats(REF_RATE, 500, REF_GAINS,
                            n=1000000, seed=42)
-    phi = qos_penalty_factor(500, qos)
+    phi = penalty_factor(500, qos)
     emp = (est.mean.mean + math.sqrt(est.mean.mean**2
                                      + phi * est.variance.mean)) / 2000.0
     assert emp == pytest.approx(msdr(REF_RATE, 500, REF_ERR, qos), abs=5e-3)
