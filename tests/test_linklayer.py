@@ -105,6 +105,15 @@ def test_penalty_factor_reference_value():
     assert msdr(r, 500, e, REF_QOS) == pytest.approx(expected, rel=1e-15)
     assert penalty_factor(500, REF_QOS) == pytest.approx(PHI_REF, rel=1e-15)
 
+def test_penalty_factor_negative_and_linear_in_m():
+    assert penalty_factor(500, REF_QOS) < 0.0
+    assert penalty_factor(1000, REF_QOS) == pytest.approx(
+        2.0 * penalty_factor(500, REF_QOS), rel=1e-15)
+    # msdr's phi doubles with m too: its ceiling at m = 1000 is 1/(1 - 2*PHI_REF)
+    ceiling = 1.0 / (1.0 - 2.0 * PHI_REF)
+    assert msdr(4.0, 1000, ceiling + 1e-6, REF_QOS) == 0.0
+    assert msdr(4.0, 1000, ceiling - 1e-6, REF_QOS) > 0.0
+
 def test_msdr_error_free_is_half_rate():
     assert msdr(3.0, 500, 0.0, REF_QOS) == 1.5
 
@@ -124,12 +133,10 @@ def test_msdr_zero_when_period_exceeds_delay():
     assert msdr(2.0, 5000, 0.01, REF_QOS) > 0.0  # boundary period still fits
 
 def test_msdr_zero_when_discriminant_negative():
-    # feasibility ceiling is 1/(1 - phi): ~= 0.5206 on the reference QoS,
-    # and phi is linear in m, so at m = 1000 it is 1/(1 - 2*PHI_REF)
-    for m, phi in ((500, PHI_REF), (1000, 2.0 * PHI_REF)):
-        ceiling = 1.0 / (1.0 - phi)
-        assert msdr(4.0, m, ceiling + 1e-6, REF_QOS) == 0.0
-        assert msdr(4.0, m, ceiling - 1e-6, REF_QOS) > 0.0
+    # feasibility ceiling is 1/(1 - phi) ~= 0.5206 on the reference QoS
+    ceiling = 1.0 / (1.0 - PHI_REF)
+    assert msdr(4.0, 500, ceiling + 1e-6, REF_QOS) == 0.0
+    assert msdr(4.0, 500, ceiling - 1e-6, REF_QOS) > 0.0
 
 def test_msdr_zero_when_penalty_is_nan():
     # m = d = inf gives phi = inf/inf; the blocklength axis reaches it
