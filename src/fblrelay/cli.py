@@ -60,11 +60,14 @@ _COUNT_CAP = 2.0**53    # floats hold every whole number below this
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Point:
-    """One operating point and what its Monte Carlo schemes need.
+class Block:
+    """A block of operating points and what its Monte Carlo schemes need.
 
-    seed is the point's substream root, (global seed, grid index);
-    ergodic is the sweep's ergodic-capacity constant.
+    The points share gains and qos; params.eta or params.m may be an
+    array over them.  index holds their grid indices: point i's Monte
+    Carlo substream root is seed + (i,), with seed = (global seed,).
+    ergodic is the sweep's ergodic-capacity constant, and workers the
+    threads of the schemes that draw samples.
     """
 
     gains: LinkGains
@@ -72,50 +75,78 @@ class Point:
     qos: QoSPair
     mc_samples: int = _MC_SAMPLES
     seed: tuple = ()
+    index: tuple = ()
     ergodic: float = math.nan
+    workers: int = 1
 
-def _relay_avg(r, pt):
-    g, p = pt.gains, pt.params
+def _pointwise(fn, *args):
+    """fn of Python floats at every point of the broadcast args.
+
+    A ValueError carries the flat position of its point as index.
+    """
+    arrays = np.broadcast_arrays(*args)
+    values = []
+    for k, x in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
+        try:
+            values.append(fn(*x))
+        except ValueError as exc:
+            exc.index = k
+            raise
+    return np.reshape(values, arrays[0].shape)
+
+def _relay_avg(r, blk):
+    g, p = blk.gains, blk.params
     if r is None:
         r = select_rate_avg_csi(g, p)
     err = expected_overall_error(r, p.m, g)
     return {"coding_rate": r, "expected_error": err,
             "bl_throughput": 0.5 * r * (1.0 - err),
-            "msdr": msdr(r, p.m, err, pt.qos)}
+            "msdr": _pointwise(lambda *x: msdr(*x, blk.qos), r, p.m, err)}
 
-def _relay_perfect(r, pt):
-    mean, _ = bl_throughput_perfect_csi(pt.params.m, pt.gains,
-                                        n_samples=pt.mc_samples,
-                                        seed=pt.seed + (1,))
-    return {"bl_throughput": mean}
+def _relay_perfect(r, blk):
+    m = np.broadcast_to(blk.params.m, (len(blk.index),)).tolist()
 
-def _direct(r, pt, matched):
+    def mean(j):
+        return bl_throughput_perfect_csi(m[j], blk.gains,
+                                         n_samples=blk.mc_samples,
+                                         seed=blk.seed + (blk.index[j], 1))[0]
+
+    with ThreadPoolExecutor(max_workers=blk.workers) as pool:
+        return {"bl_throughput": np.array(list(pool.map(mean, range(len(m)))))}
+
+def _direct(r, blk, matched):
     """Direct transmission over the whole 2m-use period.
 
     matched keeps the payload of relaying: half the relay per-hop rate,
     swept or selected.  Otherwise the swept rate is used as is, or the
     rate is selected from the direct link's own weighted average SNR.
     """
-    g, p = pt.gains, pt.params
+    g, p = blk.gains, blk.params
     if matched:
         r = 0.5 * (select_rate_avg_csi(g, p) if r is None else r)
     elif r is None:
-        r = achievable_rate(p.eta * g.g1, p.eps_nominal, 2.0 * p.m)
-    err = expected_error_single(r, 2.0 * p.m, g.g1)
+        r = achievable_rate(p.eta * g.g1, p.eps_nominal, _twice(p.m))
+    err = expected_error_single(r, _twice(p.m), g.g1)
     # direct sends r*2m bits per 2m-symbol period, which is the
     # relay-normalized service law at twice the per-hop rate
     return {"coding_rate": r, "expected_error": err,
             "bl_throughput": r * (1.0 - err),
-            "msdr": msdr(2.0 * r, p.m, err, pt.qos)}
+            "msdr": _pointwise(lambda *x: msdr(*x, blk.qos), _twice(r), p.m,
+                               err)}
 
-def _shannon_ergodic(r, pt):
-    return {"bl_throughput": pt.ergodic}
+def _twice(x):
+    """2x, and inf where that overflows, as in float arithmetic."""
+    with np.errstate(over="ignore"):
+        return 2.0 * x
 
-def _outage(r, pt):
-    g, p = pt.gains, pt.params
+def _shannon_ergodic(r, blk):
+    return {"bl_throughput": blk.ergodic}
+
+def _outage(r, blk):
+    g, p = blk.gains, blk.params
     if r is None:
         r = shannon_c(p.eta * bottleneck_snr(g))
-    p_out = outage_prob_relay(r, g)
+    p_out = _pointwise(lambda x: outage_prob_relay(x, g), r)
     # each hop must sustain r; a payload occupies two hops, so the
     # end-to-end rate is r/2
     return {"coding_rate": 0.5 * r, "expected_error": p_out,
@@ -124,9 +155,11 @@ def _outage(r, pt):
 
 @dataclass(frozen=True)
 class Scheme:
-    """evaluate(r, point) returns every metric in metrics.
+    """evaluate(r, block) returns every metric in metrics.
 
-    r is the swept per-hop rate, or None for the scheme's own rate.
+    r is the swept per-hop rate at each point of the block, or None for
+    the scheme's own rate.  A metric's value broadcasts over the block's
+    points: one evaluation serves the whole block.
     """
 
     evaluate: Callable
@@ -136,7 +169,7 @@ class Scheme:
 
 SCHEMES = {
     "relay_avg": Scheme(_relay_avg, METRICS, True, _RATE),
-    # --workers are the sweep's threads: they pay where points draw samples
+    # --workers are the threads over a block's points, each drawing samples
     "relay_perfect": Scheme(_relay_perfect, ("bl_throughput",), False,
                             ("m", "mc_samples", "workers")),
     "direct_matched": Scheme(functools.partial(_direct, matched=True),
@@ -154,27 +187,30 @@ SCHEMES = {
 # sweeps
 # ---------------------------------------------------------------------------
 
+# grid points evaluated together: the quadrature's batch, and so its
+# memory, stays bounded however long the grid
+_BLOCK = 64
+
 def _on_axis(variable, params, x):
-    """(params, swept rate or None) at axis value x; ValueError off its domain."""
+    """(params, swept rate or None) at axis value x; ValueError off its domain.
+
+    x may be an array of axis values, the points of a block.
+    """
     if variable == "eta":
         return replace(params, eta=x), None
     if variable == "blocklength":
         return replace(params, m=x), None
-    if not 0.0 <= x < math.inf:
+    if not np.all((0.0 <= x) & (x < math.inf)):
         raise ValueError("coding rate must be finite and nonnegative")
     return params, x
 
-def _eval_point(schemes, metrics, base, i, x, params, r):
-    """One CSV row: the axis value, then every (scheme, metric) cell."""
-    pt = replace(base, params=params, seed=base.seed + (i,))
-    row = [x]
-    for scheme in schemes:
-        values = SCHEMES[scheme].evaluate(r, pt)
-        row.extend(values[metric] for metric in metrics)
-    return row
-
 def _run_sweep(variable, grid, schemes, metrics, args):
-    """Header and rows of a sweep, with the scenario and run flags of args."""
+    """Header and rows of a sweep, with the scenario and run flags of args.
+
+    Every scheme is evaluated once per block of up to _BLOCK points.  A
+    ValueError or QuadratureNonConvergence from an evaluation names the
+    scheme and the grid point, or the block where the point is unknown.
+    """
     # the request first, before the scenario is read
     for flag, chosen, known in (("--schemes", schemes, SCHEMES),
                                 ("--metrics", metrics, METRICS)):
@@ -195,10 +231,10 @@ def _run_sweep(variable, grid, schemes, metrics, args):
     mc_samples, workers = args.mc_samples or _MC_SAMPLES, args.workers or 1
     seed = args.seed
     gains, params = build(scn)
-    points = []
-    for i, x in enumerate(map(float, grid)):
+    grid = np.array(grid, dtype=float)
+    for x in grid.tolist():
         try:
-            points.append((i, x, *_on_axis(variable, params, x)))
+            _on_axis(variable, params, x)
         except ValueError as exc:
             flag = "--grid" if args.grid is not None else "--grid-list"
             raise ValueError(f"{flag} value {x!r}: {exc}") from None
@@ -207,15 +243,25 @@ def _run_sweep(variable, grid, schemes, metrics, args):
         # constant column: estimated once, before the grid loop
         ergodic, _ = ergodic_capacity_relay(
             gains, n_samples=max(mc_samples, 1000000), seed=(seed, 10001))
-    base = Point(gains, params, scn.qos, mc_samples, (seed,), ergodic)
-    # one worker runs serially: a one-thread pool made the 100-point
-    # quadrature sweep 1.3x (best run) to 1.9x (median) slower
-    evaluate = functools.partial(_eval_point, schemes, metrics, base)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: evaluate(*p), points))
-    else:
-        rows = [evaluate(*p) for p in points]
+    rows = []
+    for start in range(0, grid.size, _BLOCK):
+        xs = grid[start:start + _BLOCK]
+        blk_params, r = _on_axis(variable, params, xs)
+        blk = Block(gains, blk_params, scn.qos, mc_samples, (seed,),
+                    tuple(range(start, start + xs.size)), ergodic, workers)
+        columns = [xs]
+        for scheme in schemes:
+            try:
+                values = SCHEMES[scheme].evaluate(r, blk)
+            except (ValueError, QuadratureNonConvergence) as exc:
+                k = getattr(exc, "index", None)
+                where = (f"grid points {start} to {start + xs.size - 1}"
+                         if k is None else f"grid point {start + k} "
+                         f"({variable} {float(xs[k])!r})")
+                raise type(exc)(f"{where}, scheme {scheme}: {exc}") from None
+            columns.extend(np.broadcast_to(values[metric], xs.shape)
+                           for metric in metrics)
+        rows.extend(np.column_stack(columns).tolist())
     header = [f"{variable}[{_VAR_UNITS[variable]}]"]
     header.extend(f"{s}.{m}[{_UNITS[m]}]" for s in schemes for m in metrics)
     return header, rows
@@ -319,7 +365,11 @@ def _grid_from_args(args, default=None):
                 and n.is_integer()):
             raise ValueError("--grid needs finite lo < hi and a whole n "
                              ">= 1 and below 2^53")
-        return tuple(np.linspace(lo, hi, int(n)))
+        try:
+            return np.linspace(lo, hi, int(n))
+        except MemoryError:
+            raise ValueError(f"--grid: {int(n)} points do not fit in "
+                             "memory") from None
     if args.grid_list is not None:
         values = tuple(float(v) for v in args.grid_list.split(",") if v.strip())
         if not values:
@@ -348,19 +398,29 @@ def _cmd_optimize(args):
     # relay_avg on the weight it searches, with the objectives as metrics
     scn = _scenario_from_args(args, "eta", ("relay_avg",), chosen)
     gains, params = build(scn)
-    base = Point(gains, params, scn.qos)
+    cells = {}
 
-    # both objectives read one relay_avg evaluation per distinct eta
-    @functools.lru_cache(maxsize=None)
-    def relay_avg(eta):
-        return SCHEMES["relay_avg"].evaluate(
-            None, replace(base, params=replace(params, eta=eta)))
+    def objective(eta, name):
+        """name's value at eta, a weight or an array of them.
+
+        Both objectives read one relay_avg evaluation per distinct eta;
+        the weights not seen before are evaluated as one block.
+        """
+        etas = np.atleast_1d(eta).tolist()
+        new = [e for e in dict.fromkeys(etas) if e not in cells]
+        if new:
+            blk = Block(gains, replace(params, eta=np.array(new)), scn.qos)
+            values = SCHEMES["relay_avg"].evaluate(None, blk)
+            for j, e in enumerate(new):
+                cells[e] = {k: float(v[j]) for k, v in values.items()}
+        out = np.array([cells[e][name] for e in etas])
+        return out if np.ndim(eta) else float(out[0])
 
     lines = ["objective,eta_star,value,flag,iterations"]
     results = {}
     for name in chosen:
-        res = maximize_unimodal(lambda eta: relay_avg(eta)[name], 0.01, LN2,
-                                args.tol)
+        res = maximize_unimodal(functools.partial(objective, name=name), 0.01,
+                                LN2, args.tol)
         results[name] = res
         lines.append(f"{name},{res.argmax!r},{res.value!r},{res.flag},"
                      f"{res.iterations}")

@@ -16,14 +16,17 @@ behaves like 0.5 - c*sqrt(z) there, and the first panel is graded
 geometrically toward z = 0 so the square-root kink is resolved.  Every
 panel is then halved until two successive refinements agree; budget
 exhaustion raises QuadratureNonConvergence instead of returning a bad
-value.
+value.  The engine takes a batch of integrals, such as one per point of
+a sweep, and evaluates their nodes together; each keeps its own self
+check, so a value does not depend on what else is in the batch.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fbl import LN2, _cap_spread, _threshold, block_error
+from .fbl import LN2, _cap_spread, block_error
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -40,6 +43,10 @@ _TOL_MRC_OUTER = 1e-8
 # halvings of every panel before the self check gives up
 _MAX_ROUNDS = 6
 
+# nodes per integrand call: block_error's cost per node stops falling at
+# about 8k nodes, and one call over a whole batch only adds memory
+_SLICE = 8192
+
 # geometric panel edges b/12 * 2^-k, k = 1..30, graded toward the origin
 # when the transition window [0, b] starts there; the innermost panel is
 # then 2^-30 ~ 1e-9 of the first uniform one, so the square-root kink it
@@ -48,7 +55,14 @@ _ORIGIN_GRADING = 30
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Successive quadrature refinements failed to agree within budget."""
+    """Successive quadrature refinements failed to agree within budget.
+
+    index is the position of the failing item in its batch, or None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 def _link_snrs(z1, z2, z3, gains):
@@ -66,37 +80,52 @@ def _legendre():
     return np.polynomial.legendre.leggauss(16)
 
 def _transition_hint(gain, r, m):
-    """Locate the block-error drop in z as (z_star, halfwidth).
+    """Locate each block-error drop in z as arrays (z_star, halfwidth).
 
     The integrand block_error(gain*z, r, m) crosses one half where
     capacity meets the rate, at snr = 2^r - 1, so z_star >= 0.  At
     r = 0 the error drops from one half across a root-dispersion window
     at the origin.  A crossing beyond every finite z gives (inf, 0).
+    Elementwise over arrays r and m of one shape.
     """
-    if r <= 0.0:
+    r = np.asarray(r, dtype=float)
+    # 2^r item by item: numpy's vectorized power is an ulp off the scalar
+    # one for some r, and the hint places the panel edges.  From r = 1024
+    # on it overflows, and so does 2^r - 1 (fbl._threshold)
+    p2 = np.reshape([2.0**x if x < 1024.0 else math.inf
+                     for x in r.ravel().tolist()], r.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = p2 - 1.0
+        z_star = t / gain
+        c_slope = gain / (p2 * LN2)
+        h = _TRANSITION_SIGMAS * _cap_spread(t, m)[1] / c_slope
         # block_error(gain*z, 0, m) = Q(sqrt(m*gain*z/2) * ...) to first
         # order, falling below Q(10) near z = 2*10^2/(m*gain)
-        return 0.0, 2.0 * _TRANSITION_SIGMAS**2 / (m * gain)
-    t = _threshold(r)
-    z_star = t / gain
-    if z_star == np.inf:
-        return z_star, 0.0
-    c_slope = gain / (2.0**r * LN2)
-    h = _TRANSITION_SIGMAS * float(_cap_spread(t, m)[1]) / c_slope
-    return z_star, h
+        h = np.where(r <= 0.0, 2.0 * _TRANSITION_SIGMAS**2 / (m * gain),
+                     np.where(z_star == np.inf, 0.0, h))
+    return np.where(r <= 0.0, 0.0, z_star), h
 
 def _panel_edges(hint, extra=()):
-    """Panel boundaries on [0, Z_CUTOFF] concentrated at the transition."""
+    """Panel boundaries on [0, Z_CUTOFF] concentrated at the transition.
+
+    Plain float arithmetic: the 13 window edges are np.linspace's, bit
+    for bit (i*step + a, the last one b), without its call overhead.
+    """
     edges = {0.0, Z_CUTOFF}
     edges.update(e for e in extra if 0.0 < e < Z_CUTOFF)
     z_star, h = hint
     a = min(max(z_star - h, 0.0), Z_CUTOFF)
     b = min(max(z_star + h, 0.0), Z_CUTOFF)
     if b > a:
-        edges.update(np.linspace(a, b, 13))
+        step = (b - a) / 12.0
+        # np.linspace divides first where the step underflows to zero
+        edges.update(i * step + a if step else i / 12.0 * (b - a) + a
+                     for i in range(12))
+        edges.add(b)
         if a == 0.0:
             # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
-            edges.update(b / 12.0 * 2.0**-np.arange(1, _ORIGIN_GRADING + 1))
+            edges.update(b / 12.0 * 2.0**-k
+                         for k in range(1, _ORIGIN_GRADING + 1))
     # geometric growth away from the window, width capped at 3
     w = max(h, 1e-12 * max(abs(z_star), 1.0))
     x = a
@@ -110,41 +139,80 @@ def _panel_edges(hint, extra=()):
         x = min(x + w, Z_CUTOFF)
         edges.add(x)
         w = min(2.0 * w, 3.0)
-    return np.array(sorted(edges))
+    return sorted(edges)
 
-def _eval_panels(phi, edges):
-    x, w = _legendre()
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    z = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return float(wt @ (np.exp(-z) * phi(z)))
+def _eval_panels(phi, lo, hi, counts, items):
+    """Each item's panel-rule estimate, from every item's panels in a row.
 
-def _halve(edges):
-    return np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-
-def exp_average(phi, tol, hint, extra_edges=()):
-    """E[phi(z)] for z ~ Exp(1), with a panel-halving self check.
-
-    phi must be vectorized and bounded.  hint = (z_star, halfwidth)
-    marks its sharp feature; the panels concentrate there and, when the
-    window reaches the origin, grade geometrically toward z = 0.
-    extra_edges adds panel boundaries for features the hint does not
-    describe (e.g. a short-scale weight factor folded into phi).
-    Raises QuadratureNonConvergence when _MAX_ROUNDS halvings of every
-    panel leave two successive estimates more than tol apart.
+    Item j owns the next counts[j] panels [lo, hi] and is items[j] to
+    phi.  The nodes of all items are evaluated _SLICE at a time, and
+    each item's sum is one dot product over its own nodes, so its value
+    does not depend on the other items.
     """
-    edges = _panel_edges(hint, extra_edges)
-    prev = _eval_panels(phi, edges)
+    x, w = _legendre()
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    owner = np.repeat(items, counts)
+    vals = np.empty((lo.size, x.size))
+    per = _SLICE // x.size   # panels per slice
+    for p in range(0, lo.size, per):
+        blk = slice(p, p + per)
+        z = (mid[blk, None] + half[blk, None] * x).ravel()
+        vals[blk] = (np.exp(-z) * phi(z, np.repeat(owner[blk], x.size))
+                     ).reshape(-1, x.size)
+    ends = np.cumsum(counts)
+    return np.array([(half[a:b, None] * w).ravel() @ vals[a:b].ravel()
+                     for a, b in zip((ends - counts).tolist(), ends.tolist())])
+
+def _halve(lo, hi):
+    """Split every panel at its midpoint, in order: (lo, mid), (mid, hi)."""
+    mid = 0.5 * (hi + lo)
+    return (np.column_stack((lo, mid)).ravel(),
+            np.column_stack((mid, hi)).ravel())
+
+def exp_average(phi, tol, hints, extra_edges=()):
+    """E[phi(z, k)] for z ~ Exp(1), for every item k of a batch.
+
+    hints[k] = (z_star, halfwidth) marks item k's sharp feature; its
+    panels concentrate there and, when the window reaches the origin,
+    grade geometrically toward z = 0.  extra_edges adds panel boundaries
+    to every item, for features the hints do not describe (e.g. a
+    short-scale weight factor folded into phi).  phi must be vectorized
+    and bounded: it gets an array of nodes z and the same-length array
+    of the items they belong to, at most _SLICE nodes of several items
+    per call.
+    Each item checks itself: its panels are halved until two successive
+    estimates lie within tol, and it then leaves the batch with the
+    later one.  So every item's value is bitwise what a batch of it
+    alone gives.  Returns the values as an array in item order.  Raises
+    QuadratureNonConvergence, with index the first item left, when
+    _MAX_ROUNDS halvings of every panel leave two successive estimates
+    of some item more than tol apart.
+    """
+    meshes = [_panel_edges(hint, extra_edges) for hint in hints]
+    lo = np.array([e for mesh in meshes for e in mesh[:-1]])
+    hi = np.array([e for mesh in meshes for e in mesh[1:]])
+    counts = np.array([len(mesh) - 1 for mesh in meshes], dtype=np.intp)
+    items = np.arange(counts.size)
+    out = np.empty(counts.size)
+    prev = _eval_panels(phi, lo, hi, counts, items)
     for _ in range(_MAX_ROUNDS):
-        edges = _halve(edges)
-        cur = _eval_panels(phi, edges)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureNonConvergence(
-        f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
-        f"({len(edges) - 1} panels, last estimate {prev:.12g})")
+        if not items.size:
+            break
+        lo, hi = _halve(lo, hi)
+        counts = 2 * counts
+        cur = _eval_panels(phi, lo, hi, counts, items)
+        done = np.abs(cur - prev) <= tol
+        out[items[done]] = cur[done]
+        live = np.repeat(~done, counts)
+        lo, hi, counts, items, prev = (lo[live], hi[live], counts[~done],
+                                       items[~done], cur[~done])
+    if items.size:
+        raise QuadratureNonConvergence(
+            f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
+            f"({counts[0]} panels, last estimate {prev[0]:.12g})",
+            int(items[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +222,51 @@ def exp_average(phi, tol, hint, extra_edges=()):
 def _average_error(r, m, scale, tol, weight, extra_edges):
     """E[weight(z) * block_error(scale * z, r, m)] for z ~ Exp(1), in [0, 1].
 
-    weight None is 1, with no multiply.  Where the error drop starts at
-    or beyond z = Z_CUTOFF the error is 1 up to the tail mass there,
-    below an ulp of 1; the panel rule on [0, Z_CUTOFF] would return the
-    truncated 1 - e^-40 = 0.999999999999998.
+    Elementwise over arrays r and m, in one batch; scalars in, scalars
+    out.  weight None is 1, with no multiply.  Where the error drop
+    starts at or beyond z = Z_CUTOFF the error is 1 up to the tail mass
+    there, below an ulp of 1; the panel rule on [0, Z_CUTOFF] would
+    return the truncated 1 - e^-40 = 0.999999999999998.  An error
+    raised for one entry carries its flat position as index.
     """
-    if r < 0.0:
-        raise ValueError("rate must be nonnegative")
-    z_star, h = hint = _transition_hint(scale, r, m)
-    if z_star - h >= Z_CUTOFF:
-        return 1.0
-    if weight is None:
-        phi = lambda z: block_error(scale * z, r, m)
-    else:
-        phi = lambda z: weight(z) * block_error(scale * z, r, m)
-    # scale * z overflows to inf near z = Z_CUTOFF above scales of
-    # 4.5e306, and block_error takes snr = inf to its limit
-    with np.errstate(over="ignore"):
-        val = exp_average(phi, tol, hint, extra_edges)
-    return min(max(val, 0.0), 1.0)
+    r, m = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(m, dtype=float))
+    flat_r, flat_m = r.ravel(), m.ravel()
+    bad = np.flatnonzero(flat_r < 0.0)
+    if bad.size:
+        exc = ValueError("rate must be nonnegative")
+        exc.index = int(bad[0])
+        raise exc
+    z_star, h = _transition_hint(scale, flat_r, flat_m)
+    out = np.ones(flat_r.size)
+    todo = np.flatnonzero(~(z_star - h >= Z_CUTOFF))
+    if todo.size:
+        r_k, m_k = flat_r[todo], flat_m[todo]
+        if weight is None:
+            phi = lambda z, k: block_error(scale * z, r_k[k], m_k[k])
+        else:
+            phi = lambda z, k: weight(z) * block_error(scale * z, r_k[k],
+                                                       m_k[k])
+        hints = zip(z_star[todo].tolist(), h[todo].tolist())
+        # scale * z overflows to inf near z = Z_CUTOFF above scales of
+        # 4.5e306, and block_error takes snr = inf to its limit
+        try:
+            with np.errstate(over="ignore"):
+                val = exp_average(phi, tol, hints, extra_edges)
+        except QuadratureNonConvergence as exc:
+            exc.index = int(todo[exc.index])
+            raise
+        out[todo] = np.minimum(np.maximum(val, 0.0), 1.0)
+    out = out.reshape(r.shape)
+    return float(out) if out.ndim == 0 else out
 
 def expected_error_single(r, m, mean_snr):
     """Fading-averaged block error of one Rayleigh link with mean SNR.
 
     Integrates e^{-z} * block_error(z * mean_snr, r, m) over z, clipped
     to [0, 1]; the last two refinements differ by at most 1e-9.
+    Broadcasts over arrays of r and m, one quadrature batch for all of
+    them; scalars in, scalars out.
     """
     return _average_error(r, m, mean_snr, _TOL_BACKHAUL, None, ())
 
@@ -193,6 +281,7 @@ def expected_error_mrc(r, m, gains):
     hypoexponential density; in units of the larger mean snr the weight
     is e^{-u} times a smooth factor handled through expm1 with no
     cancellation.  Exactly symmetric under swapping g1 and g3.
+    Broadcasts over arrays of r and m like expected_error_single.
     """
     b, a = sorted((gains.g1, gains.g3))
     kappa = (a - b) / b

@@ -33,6 +33,9 @@ class OptResult:
 def maximize_unimodal(objective, lo, hi, tol):
     """Coarse scan plus golden-section search for a rise-fall objective.
 
+    objective maps an array of points to an array of values, and a float
+    to a float: the scan is one call on all its points, and each
+    golden-section step one call on a float.
     A 33-point scan seeds the bracket around the best point and checks
     the shape: any fall-then-rise pattern in the scan (ignoring
     differences below 1e-9, the quadrature noise floor) flags
@@ -43,7 +46,7 @@ def maximize_unimodal(objective, lo, hi, tol):
     if not lo < hi:
         raise ValueError("need lo < hi")
     xs = np.linspace(lo, hi, _SCAN_POINTS)
-    fs = np.array([objective(x) for x in xs])
+    fs = np.asarray(objective(xs), dtype=float)
     k = int(np.argmax(fs))
     d = np.diff(fs)
     s = np.sign(d[np.abs(d) > _NOISE_TOL])

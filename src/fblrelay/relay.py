@@ -27,11 +27,13 @@ class SystemParams:
     eta: float          # CSI weight factor, in (0, ln 2]
 
     def __post_init__(self):
-        if not self.m >= 100:
+        # m and eta may be arrays of one shape, a block of sweep points
+        if not np.all(np.asarray(self.m) >= 100):
             raise ValueError("m (per-hop blocklength) must be at least 100")
         if not 0.0 < self.eps_nominal < 1.0:
             raise ValueError("eps_nominal must lie in (0, 1)")
-        if not 0.0 < self.eta <= LN2 + 1e-12:
+        eta = np.asarray(self.eta)
+        if not np.all((0.0 < eta) & (eta <= LN2 + 1e-12)):
             raise ValueError("eta must lie in (0, ln 2]")
 
 
@@ -62,12 +64,17 @@ def select_rate_avg_csi(gains, params):
     Applies the nominal-error rate formula to eta * bottleneck_snr.
     Returns 0.0 when the blocklength penalty exceeds capacity
     (infeasible selection), also where that product underflows to 0.
+    Broadcasts over arrays of eta and m in params.
     """
     return achievable_rate(params.eta * bottleneck_snr(gains),
                            params.eps_nominal, params.m)
 
 def expected_overall_error(r, m, gains):
-    """Fading-averaged overall relaying error probability."""
+    """Fading-averaged overall relaying error probability.
+
+    Broadcasts over arrays of r and m; scalars in, scalars out.  An
+    error raised for one entry carries its flat position as index.
+    """
     e2 = expected_error_single(r, m, gains.g2)
     emrc = expected_error_mrc(r, m, gains)
     return e2 + (1.0 - e2) * emrc

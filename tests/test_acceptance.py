@@ -192,7 +192,7 @@ def test_throughput_loss_to_outage_capacity_small():
     worst = 0.0
     for eta in np.linspace(0.1, LN2, 100):
         _, _, thr = bl_throughput_at(eta)
-        pt = cli.Point(GAINS, replace(PARAMS, eta=eta), QOS)
+        pt = cli.Block(GAINS, replace(PARAMS, eta=eta), QOS)
         cap = cli.SCHEMES["outage"].evaluate(None, pt)["bl_throughput"]
         worst = max(worst, (cap - thr) / thr)
     assert worst < 0.02

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fblrelay.cli import SCHEMES, Point
+from fblrelay.cli import SCHEMES, Block
 from fblrelay.fbl import shannon_c
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import (
@@ -29,7 +29,7 @@ def _params(eta=0.148, m=500):
 def _outage(eta, m=500):
     """The CLI's outage scheme at its own rate: end-to-end rate r/2,
     outage probability at the per-hop rate r, outage capacity."""
-    pt = Point(REF_GAINS, _params(eta=eta, m=m), QoSPair(d=1e4, p_d=1e-2))
+    pt = Block(REF_GAINS, _params(eta=eta, m=m), QoSPair(d=1e4, p_d=1e-2))
     res = SCHEMES["outage"].evaluate(None, pt)
     return res["coding_rate"], res["expected_error"], res["bl_throughput"]
 

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fblrelay import cli
+from fblrelay import cli, fading
 from fblrelay.fading import QuadratureNonConvergence
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import LinkGains, SystemParams
@@ -381,10 +381,10 @@ def test_unread_scenario_flag_exits_2_before_work(capsys, command, flag):
 
 # a point where every scheme's cells are nonzero, msdr included: the
 # direct link is strong enough to support the QoS pair
-READ_POINT = cli.Point(LinkGains(30.0, 300.0, 200.0),
+READ_POINT = cli.Block(LinkGains(30.0, 300.0, 200.0),
                        SystemParams(m=500.0, eps_nominal=1e-3, eta=0.2),
                        QoSPair(d=1e4, p_d=1e-2), mc_samples=100000,
-                       seed=(42, 0), ergodic=1.5)
+                       seed=(42,), index=(0,), ergodic=1.5)
 # another value of every key a scheme or metric may read
 READ_CHANGES = {"m": 700.0, "eta": 0.3, "eps_nominal": 2e-3, "qos_d": 2e4,
                 "qos_p_d": 0.02}
@@ -398,7 +398,8 @@ def test_reads_table_matches_the_evaluators(name):
                                  "workers"}
     def cells(pt):
         values = scheme.evaluate(None, pt)
-        return [float(values[metric]).hex() for metric in scheme.metrics]
+        return [float(v).hex() for metric in scheme.metrics
+                for v in np.ravel(values[metric])]
 
     base = cells(READ_POINT)
     for key, value in READ_CHANGES.items():
@@ -480,6 +481,83 @@ def test_quadrature_failure_exits_3(capsys):
         code, _ = run_cli(["sweep", "--variable", "eta", "--grid", "0.1",
                            "0.3", "3"], capsys)
     assert code == 3
+
+def test_non_convergence_names_the_point_and_scheme(capsys, monkeypatch):
+    # with no refinement allowed, the first item of the batch fails
+    monkeypatch.setattr(fading, "_MAX_ROUNDS", 0)
+    code = cli.main(["sweep", "--variable", "eta", "--grid", "0.1", "0.3",
+                     "3", "--schemes", "relay_avg,direct_matched"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "grid point 0 (eta 0.1), scheme relay_avg:" in captured.err
+
+def test_value_error_names_the_point_and_scheme(capsys, monkeypatch):
+    # a block of 2 points: the error of grid point 3 is the second point's
+    # of the second block
+    monkeypatch.setattr(cli, "_BLOCK", 2)
+    msdr = cli.msdr
+
+    def failing(r, m, err, qos):
+        if r > 6.0:
+            raise ValueError("refused")
+        return msdr(r, m, err, qos)
+
+    monkeypatch.setattr(cli, "msdr", failing)
+    code = cli.main(["sweep", "--variable", "coding_rate", "--grid-list",
+                     "3,4,5,7,8", "--schemes", "relay_avg", "--metrics",
+                     "msdr"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert ("grid point 3 (coding_rate 7.0), scheme relay_avg: refused"
+            in captured.err)
+
+def test_oversized_grid_exits_2_naming_the_flag(capsys):
+    # 1e15 points: numpy's allocation failed with a MemoryError traceback
+    code = cli.main(["sweep", "--variable", "eta", "--grid", "0.1", "0.6",
+                     "1e15"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--grid" in captured.err
+
+@pytest.mark.parametrize("variable, grid", [("eta", "0.05,0.2,0.45,0.69"),
+                                            ("coding_rate", "0,1.5,4,9"),
+                                            ("blocklength", "100,350,2e4,1e7")])
+def test_blocks_of_the_grid_give_the_same_rows(capsys, monkeypatch, variable,
+                                               grid):
+    # a grid cut into blocks of 1 or 3 points prints what one block does
+    args = ["sweep", "--variable", variable, "--grid-list", grid,
+            "--schemes", "relay_avg,direct_matched,direct_weighted,outage",
+            "--metrics", "bl_throughput,expected_error,coding_rate"]
+    code, whole = run_cli(args, capsys)
+    assert code == 0
+    for size in (1, 3):
+        monkeypatch.setattr(cli, "_BLOCK", size)
+        assert run_cli(args, capsys) == (0, whole)
+
+def test_sweep_rows_equal_the_schemes_at_each_point(capsys):
+    # every cell of a sweep is its scheme evaluated at that point alone,
+    # bit for bit; the Monte Carlo schemes keep their per-point seeds
+    schemes = ("relay_avg", "relay_perfect", "direct_matched",
+               "direct_weighted", "shannon_ergodic", "outage")
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid-list",
+                         "0.1,0.25,0.4", "--schemes", ",".join(schemes),
+                         "--mc-samples", "100000", "--workers", "2",
+                         "--seed", "7"], capsys)
+    assert code == 0
+    scn = Scenario()
+    gains, params = cli.build(scn)
+    ergodic = cli.ergodic_capacity_relay(gains, n_samples=1000000,
+                                         seed=(7, 10001))[0]
+    rows = [[float(v) for v in line.split(",")] for line in out.split("\n")[1:]
+            if line]
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        blk = cli.Block(gains, replace(params, eta=row[0]), scn.qos,
+                        mc_samples=100000, seed=(7,), index=(i,),
+                        ergodic=ergodic)
+        cells = [float(np.ravel(cli.SCHEMES[name].evaluate(None, blk)
+                                ["bl_throughput"])[0]) for name in schemes]
+        assert [v.hex() for v in row[1:]] == [v.hex() for v in cells], i
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +794,17 @@ def test_optimize_reports_both_objectives(capsys):
 
 def test_optimize_evaluates_each_weight_once(capsys):
     # both objectives scan the same 33 points; each distinct eta costs
-    # one relay_avg evaluation
+    # one relay_avg evaluation, and the scan's 33 are one batched call
     with mock.patch.object(cli, "expected_overall_error",
                            wraps=cli.expected_overall_error) as spy:
         code, _ = run_cli(["optimize"], capsys)
     assert code == 0
     # the selected rate rises strictly with eta: one rate per eta
-    rates = {call.args[0] for call in spy.call_args_list}
-    assert spy.call_count == len(rates) == 65
+    rates = [r for call in spy.call_args_list
+             for r in np.atleast_1d(call.args[0]).tolist()]
+    assert len(rates) == len(set(rates)) == 65
+    sizes = [np.size(call.args[0]) for call in spy.call_args_list]
+    assert sizes == [33] + [1] * 32
 
 def test_optimize_tighter_qos_shrinks_argmax(capsys):
     _, out = run_cli(["optimize", "--objective", "msdr", "--qos-d", "1000",

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fblrelay import fading
 from fblrelay.fbl import achievable_rate, block_error
 from fblrelay.fading import (
     QuadratureNonConvergence,
@@ -82,18 +83,19 @@ def mrc_nested(r, m, gains):
     window is the single-link one shifted by offset/s_in.
     """
     s_out, s_in = sorted((gains.g1, gains.g3))
-    z_in, h_in = _transition_hint(s_in, r, m)
+    z_in, h_in = map(float, _transition_hint(s_in, r, m))
 
-    def inner(offset):
-        return exp_average(lambda u: block_error(offset + s_in * u, r, m),
-                           3e-9, hint=(z_in - offset / s_in, h_in))
-
-    def outer(z_arr):
-        return np.array([inner(z * s_out) for z in z_arr])
+    def outer(z_arr, _):
+        # one inner integral per outer node, as one batch
+        offset = z_arr * s_out
+        return exp_average(
+            lambda u, k: block_error(offset[k] + s_in * u, r, m), 3e-9,
+            [(z_in - o / s_in, h_in) for o in offset.tolist()])
 
     # the outer integrand ramps down to a kink at the outage boundary;
     # the kink curvature lives in the usual transition window
-    val = exp_average(outer, 1e-8, hint=_transition_hint(s_out, r, m))
+    hint = tuple(map(float, _transition_hint(s_out, r, m)))
+    val = exp_average(outer, 1e-8, [hint])[0]
     return min(max(val, 0.0), 1.0)
 
 
@@ -101,8 +103,9 @@ class TestExpPdf:
     """The engine's weight is the unit-mean exponential density."""
 
     def test_normalization_under_engine(self):
-        total = exp_average(lambda z: np.ones_like(z), 1e-10, hint=(5.0, 1.0))
-        assert total == pytest.approx(1.0, abs=1e-10)
+        total = exp_average(lambda z, k: np.ones_like(z), 1e-10, [(5.0, 1.0)])
+        assert total.shape == (1,)
+        assert total[0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestExpectedErrorBackhaul:
@@ -214,7 +217,8 @@ class TestQuadratureEngine:
         # wide transition at small gain*m: doubling the nodes of every
         # panel of the engine's mesh (16 to 32) leaves its value
         phi = lambda z: block_error(z * 0.2, 0.3, 100)
-        edges = _panel_edges(_transition_hint(0.2, 0.3, 100))
+        edges = np.array(_panel_edges(map(float, _transition_hint(0.2, 0.3,
+                                                                  100))))
         x, w = np.polynomial.legendre.leggauss(32)
         mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -224,20 +228,97 @@ class TestQuadratureEngine:
         assert val == pytest.approx(doubled, abs=1e-7)
 
     def test_panel_doubling_invariance(self):
-        phi = lambda z: block_error(z * 307.405, 2.0, 500)
-        hint = _transition_hint(307.405, 2.0, 500)
-        edges = _panel_edges(hint)
-        coarse = _eval_panels(phi, edges)
-        fine = _eval_panels(phi, _halve(edges))
+        phi = lambda z, k: block_error(z * 307.405, 2.0, 500)
+        edges = _panel_edges(map(float, _transition_hint(307.405, 2.0, 500)))
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        counts, items = np.array([lo.size]), np.array([0])
+        coarse = _eval_panels(phi, lo, hi, counts, items)
+        fine = _eval_panels(phi, *_halve(lo, hi), 2 * counts, items)
         assert fine == pytest.approx(coarse, abs=1e-7)
 
     def test_non_convergence_raises(self):
         # a jump off every panel edge converges only linearly in the
         # panel width, far slower than the refinement budget allows; the
         # window [4, 6] puts no edge at 1/3
-        phi = lambda z: (z > 1.0 / 3.0).astype(float)
-        with pytest.raises(QuadratureNonConvergence):
-            exp_average(phi, 1e-12, hint=(5.0, 1.0))
+        phi = lambda z, k: (z > 1.0 / 3.0).astype(float)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            exp_average(phi, 1e-12, [(5.0, 1.0)])
+        assert exc.value.index == 0
+
+
+# rates at the origin, inside the panels, and with the drop beyond
+# Z_CUTOFF at every mean SNR below (the value is exactly 1.0 there)
+BATCH_RATES = (0.0, 1e-9, 0.05, 1.0, 4.0, 1100.0)
+BATCH_MS = (100.0, 350.0, 2000.0, 1e5, 1e7)
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestBatchEqualsScalarCalls:
+    """A batched average is bitwise the scalar call at each of its points."""
+
+    @pytest.mark.parametrize("snr", [1e-30, 0.5, 307.405, 1e300])
+    def test_single(self, snr):
+        r, m = np.meshgrid(BATCH_RATES, BATCH_MS, indexing="ij")
+        batch = expected_error_single(r, m, snr)
+        assert batch.shape == r.shape
+        scalar = [expected_error_single(a, b, snr)
+                  for a, b in zip(r.ravel().tolist(), m.ravel().tolist())]
+        assert all(isinstance(v, float) for v in scalar)
+        assert _bits(batch) == _bits(scalar)
+        assert 1.0 in scalar and min(scalar) < 0.5
+
+    # the Erlang branch (kappa < 1e-15) and the expm1 weight
+    @pytest.mark.parametrize("g1, g3", [(1e-30, 1e-30), (2.4463, 2.4463),
+                                        (1e300, 1e300), (1e-30, 3e-30),
+                                        (2.4463, 307.405), (1e300, 3e299)])
+    def test_mrc(self, g1, g3):
+        g = gains(g1=g1, g3=g3)
+        r, m = np.meshgrid(BATCH_RATES, BATCH_MS, indexing="ij")
+        batch = expected_error_mrc(r, m, g)
+        assert batch.shape == r.shape
+        scalar = [expected_error_mrc(a, b, g)
+                  for a, b in zip(r.ravel().tolist(), m.ravel().tolist())]
+        assert _bits(batch) == _bits(scalar)
+        assert 1.0 in scalar and min(scalar) < 0.5
+
+    def test_broadcast_of_m_alone_and_rate_alone(self):
+        ms = np.array(BATCH_MS)
+        assert _bits(expected_error_single(2.0, ms, 30.0)) == _bits(
+            [expected_error_single(2.0, m, 30.0) for m in BATCH_MS])
+        assert _bits(expected_error_single(np.array(BATCH_RATES), 500,
+                                           30.0)) == _bits(
+            [expected_error_single(r, 500, 30.0) for r in BATCH_RATES])
+
+    def test_negative_rate_names_its_entry(self):
+        with pytest.raises(ValueError) as exc:
+            expected_error_single(np.array([1.0, 2.0, -0.1, -1.0]), 500, 3.0)
+        assert exc.value.index == 2
+
+    def test_non_convergence_names_its_entry(self, monkeypatch):
+        # the entry beyond Z_CUTOFF is not in the quadrature batch; the
+        # index is still the caller's
+        monkeypatch.setattr(fading, "_MAX_ROUNDS", 0)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            expected_error_single(np.array([1100.0, 2.0]), 500, 3.0)
+        assert exc.value.index == 1
+
+    def test_engine_items_keep_their_own_self_check(self):
+        # an item that cannot converge does not change its batchmates, and
+        # the error names the first item left
+        hard = lambda z: (z > 1.0 / 3.0).astype(float)
+        easy = lambda z: np.exp(-z)
+        phi = lambda z, k: np.where(k == 1, hard(z), easy(z))
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            exp_average(phi, 1e-12, [(5.0, 1.0)] * 3)
+        assert exc.value.index == 1
+        both = exp_average(lambda z, k: easy(z), 1e-12, [(5.0, 1.0), (2.0, 0.5)])
+        alone = [exp_average(lambda z, k: easy(z), 1e-12, [hint])[0]
+                 for hint in [(5.0, 1.0), (2.0, 0.5)]]
+        assert _bits(both) == _bits(alone)
+        assert both == pytest.approx(0.5, abs=1e-12)
 
 
 class TestRatesBeyondTheFloatRange:

@@ -37,7 +37,8 @@ MSDR_STAR = 1.9526991319671367
 
 
 # ---------------------------------------------------------------------------
-# generic unimodal search
+# generic unimodal search: the objective takes the scan's points as one
+# array, and each golden-section point as a float
 # ---------------------------------------------------------------------------
 
 def test_parabola_argmax():
@@ -47,7 +48,7 @@ def test_parabola_argmax():
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 def test_constant_objective():
-    res = maximize_unimodal(lambda x: 1.25, 0.0, 1.0, 1e-6)
+    res = maximize_unimodal(lambda x: 0.0 * x + 1.25, 0.0, 1.0, 1e-6)
     assert res.flag == "converged"
     assert res.value == 1.25
 
@@ -58,7 +59,7 @@ def test_monotone_objective_finds_endpoint():
 
 def test_two_humps_flagged():
     def f(x):
-        return math.exp(-(x - 0.2)**2 / 1e-3) + 0.8 * math.exp(-(x - 0.8)**2 / 1e-3)
+        return np.exp(-(x - 0.2)**2 / 1e-3) + 0.8 * np.exp(-(x - 0.8)**2 / 1e-3)
     res = maximize_unimodal(f, 0.0, 1.0, 1e-6)
     assert res.flag == "non_unimodal_detected"
     # still reports the best scanned point, near the taller hump
@@ -94,7 +95,7 @@ def test_throughput_weight_optimum():
 def test_msdr_weight_optimum():
     def objective(eta):
         r, err = _relay_avg(eta)
-        return msdr(r, 500, err, REF_QOS)
+        return np.vectorize(lambda a, b: msdr(a, 500, b, REF_QOS))(r, err)
     res = maximize_unimodal(objective, 0.01, math.log(2.0), 1e-4)
     assert res.flag == "converged"
     assert res.argmax == pytest.approx(MSDR_ETA_STAR, abs=1e-6)

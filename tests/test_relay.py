@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fblrelay.cli import SCHEMES, Point
+from fblrelay.cli import SCHEMES, Block
 from fblrelay.fbl import achievable_rate, block_error, shannon_c
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import (
@@ -59,7 +59,7 @@ def _thr(r, gains=REF_GAINS):
 
 def _scheme(name, r=None):
     """All metrics of one scheme of the CLI table on the reference scenario."""
-    pt = Point(REF_GAINS, REF_PARAMS, QoSPair(d=1e4, p_d=1e-2))
+    pt = Block(REF_GAINS, REF_PARAMS, QoSPair(d=1e4, p_d=1e-2))
     return SCHEMES[name].evaluate(r, pt)
 
 
@@ -183,6 +183,39 @@ def test_overall_error_broadcasts_like_scalar():
 def test_expected_error_reference_value():
     err = expected_overall_error(REF_RATE, 500, REF_GAINS)
     assert err == pytest.approx(REF_ERR, rel=1e-9)
+
+@pytest.mark.parametrize("g1, g2, g3", [
+    (2.4463, 307.405, 307.405), (5.0, 20.0, 5.0), (1e-30, 1e-30, 3e-30),
+    (1e300, 1e300, 1e300)])
+def test_expected_error_batch_equals_scalar_calls(g1, g2, g3):
+    # rates at the origin, in the panels and with every drop beyond
+    # Z_CUTOFF (the error is 1.0), at blocklengths from 100 to 1e7
+    g = LinkGains(g1=g1, g2=g2, g3=g3)
+    r, m = np.meshgrid([0.0, 1e-6, 0.5, 3.0, 7.0, 1100.0],
+                       [100.0, 700.0, 1e4, 1e7], indexing="ij")
+    batch = expected_overall_error(r, m, g)
+    scalar = [expected_overall_error(a, b, g)
+              for a, b in zip(r.ravel().tolist(), m.ravel().tolist())]
+    assert batch.shape == r.shape
+    assert all(isinstance(v, float) for v in scalar)
+    assert [float(v).hex() for v in batch.ravel()] == [v.hex() for v in scalar]
+    assert 1.0 in scalar
+
+def test_select_rate_batch_equals_scalar_calls():
+    etas = np.linspace(0.01, LN2, 7)
+    ms = np.array([100.0, 500.0, 1e4, 1e7, 100.0, 300.0, 2e3])
+    batch = select_rate_avg_csi(REF_GAINS, _params(eta=etas, m=ms))
+    scalar = [select_rate_avg_csi(REF_GAINS, _params(eta=e, m=m))
+              for e, m in zip(etas.tolist(), ms.tolist())]
+    assert [float(v).hex() for v in batch] == [v.hex() for v in scalar]
+
+def test_params_reject_any_bad_entry_of_an_array():
+    with pytest.raises(ValueError):
+        _params(m=np.array([500.0, 99.0]))
+    with pytest.raises(ValueError):
+        _params(eta=np.array([0.2, LN2 + 1e-6]))
+    with pytest.raises(ValueError):
+        _params(eta=np.array([0.2, np.nan]))
 
 def test_expected_error_monotone_in_rate():
     errs = [expected_overall_error(r, 500, REF_GAINS)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from fblrelay import cli, relay
+from fblrelay import cli, fading, relay
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -98,6 +98,35 @@ def test_per_draw_solver_work_is_bounded(monkeypatch):
         relay._maximize_per_draw(snr2, snr_mrc, m)
         assert sum(evals) <= 3 * z.shape[1], m
 
+
+def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
+    # a count, not a timing: a 100-point relay_avg sweep runs each
+    # quadrature round over all live points at once, in calls of at most
+    # _SLICE nodes.  Point by point it made one block_error call per
+    # average per round, 400 in all; in 64-point blocks it makes 48
+    calls, rounds = [], []
+    block_error, eval_panels = fading.block_error, fading._eval_panels
+
+    def counted_error(snr, r, m):
+        calls.append(np.size(snr))
+        return block_error(snr, r, m)
+
+    def counted_round(phi, lo, hi, counts, items):
+        before = len(calls)
+        out = eval_panels(phi, lo, hi, counts, items)
+        rounds.append((lo.size * fading._legendre()[0].size,
+                       len(calls) - before))
+        return out
+
+    monkeypatch.setattr(fading, "block_error", counted_error)
+    monkeypatch.setattr(fading, "_eval_panels", counted_round)
+    assert cli.main(["sweep", "--variable", "eta", "--grid", "0.01", "0.6931",
+                     "100"]) == 0
+    capsys.readouterr()
+    assert rounds and all(n == -(-nodes // fading._SLICE)
+                          for nodes, n in rounds)
+    assert max(calls) <= fading._SLICE
+    assert len(calls) == sum(n for _, n in rounds) <= 50
 
 def test_per_draw_solver_needs_the_steps_its_guard_states(monkeypatch):
     # the _MAX_STEPS comment names the most steps a draw of the totality
