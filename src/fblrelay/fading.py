@@ -226,17 +226,14 @@ def _average_error(r, m, scale, tol, weight, extra_edges):
     out.  weight None is 1, with no multiply.  Where the error drop
     starts at or beyond z = Z_CUTOFF the error is 1 up to the tail mass
     there, below an ulp of 1; the panel rule on [0, Z_CUTOFF] would
-    return the truncated 1 - e^-40 = 0.999999999999998.  An error
-    raised for one entry carries its flat position as index.
+    return the truncated 1 - e^-40 = 0.999999999999998.  A
+    non-convergence carries the flat position of its entry as index.
     """
     r, m = np.broadcast_arrays(np.asarray(r, dtype=float),
                                np.asarray(m, dtype=float))
     flat_r, flat_m = r.ravel(), m.ravel()
-    bad = np.flatnonzero(flat_r < 0.0)
-    if bad.size:
-        exc = ValueError("rate must be nonnegative")
-        exc.index = int(bad[0])
-        raise exc
+    if np.any(flat_r < 0.0):
+        raise ValueError("rate must be nonnegative")
     z_star, h = _transition_hint(scale, flat_r, flat_m)
     out = np.ones(flat_r.size)
     todo = np.flatnonzero(~(z_star - h >= Z_CUTOFF))

@@ -72,8 +72,8 @@ def select_rate_avg_csi(gains, params):
 def expected_overall_error(r, m, gains):
     """Fading-averaged overall relaying error probability.
 
-    Broadcasts over arrays of r and m; scalars in, scalars out.  An
-    error raised for one entry carries its flat position as index.
+    Broadcasts over arrays of r and m; scalars in, scalars out.  A
+    non-convergence carries the flat position of its entry as index.
     """
     e2 = expected_error_single(r, m, gains.g2)
     emrc = expected_error_mrc(r, m, gains)
