@@ -92,8 +92,8 @@ def _transition_hint(gain, r, m):
     # 2^r item by item: numpy's vectorized power is an ulp off the scalar
     # one for some r, and the hint places the panel edges.  From r = 1024
     # on it overflows, and so does 2^r - 1 (fbl._threshold)
-    p2 = np.reshape([2.0**x if x < 1024.0 else math.inf
-                     for x in r.ravel().tolist()], r.shape)
+    p2 = np.array([2.0**x if x < 1024.0 else math.inf
+                   for x in r.ravel().tolist()]).reshape(r.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = p2 - 1.0
         z_star = t / gain
@@ -152,15 +152,15 @@ def _eval_panels(phi, lo, hi, counts, items):
     x, w = _legendre()
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    owner = np.repeat(items, counts)
+    owner = items.repeat(counts)
     vals = np.empty((lo.size, x.size))
     per = _SLICE // x.size   # panels per slice
     for p in range(0, lo.size, per):
         blk = slice(p, p + per)
         z = (mid[blk, None] + half[blk, None] * x).ravel()
-        vals[blk] = (np.exp(-z) * phi(z, np.repeat(owner[blk], x.size))
+        vals[blk] = (np.exp(-z) * phi(z, owner[blk].repeat(x.size))
                      ).reshape(-1, x.size)
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     return np.array([(half[a:b, None] * w).ravel() @ vals[a:b].ravel()
                      for a, b in zip((ends - counts).tolist(), ends.tolist())])
 
@@ -204,7 +204,7 @@ def exp_average(phi, tol, hints, extra_edges=()):
         cur = _eval_panels(phi, lo, hi, counts, items)
         done = np.abs(cur - prev) <= tol
         out[items[done]] = cur[done]
-        live = np.repeat(~done, counts)
+        live = (~done).repeat(counts)
         lo, hi, counts, items, prev = (lo[live], hi[live], counts[~done],
                                        items[~done], cur[~done])
     if items.size:
@@ -232,7 +232,7 @@ def _average_error(r, m, scale, tol, weight, extra_edges):
     r, m = np.broadcast_arrays(np.asarray(r, dtype=float),
                                np.asarray(m, dtype=float))
     flat_r, flat_m = r.ravel(), m.ravel()
-    if np.any(flat_r < 0.0):
+    if (flat_r < 0.0).any():
         raise ValueError("rate must be nonnegative")
     z_star, h = _transition_hint(scale, flat_r, flat_m)
     out = np.ones(flat_r.size)
