@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbl import LN2, _cap_spread, block_error
+from .fbl import LN2, LOG2E, _cap_spread, _capacity, _error_at, _spread_at
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -53,6 +53,17 @@ _SLICE = 8192
 # then 2^-30 ~ 1e-9 of the first uniform one, so the square-root kink it
 # leaves unresolved is far below every tolerance
 _ORIGIN_GRADING = 30
+_GRADING = 2.0 ** -np.arange(1.0, _ORIGIN_GRADING + 1.0)
+
+# the window's 11 inner edges are i*step + a, i = 1..11, or
+# i/12*(b - a) + a where the step underflows
+_RAMPS = np.array([np.arange(1.0, 12.0), np.arange(1.0, 12.0) / 12.0])
+
+# edges of each tail of a mesh: its widths double from at least 1e-12
+# to the cap of 3 in at most 42 steps, and at most 14 steps of 3 then
+# cross all of [0, Z_CUTOFF]
+_TAIL = math.ceil(math.log2(3.0 / 1e-12)) + math.ceil(Z_CUTOFF / 3.0)
+_DOUBLING = 2.0 ** np.arange(1.0, _TAIL)
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -106,41 +117,56 @@ def _transition_hint(gain, r, m):
                      np.where(z_star == np.inf, 0.0, h))
     return np.where(r <= 0.0, 0.0, z_star), h
 
-def _panel_edges(hint, extra=()):
-    """Panel boundaries on [0, Z_CUTOFF] concentrated at the transition.
+def _meshes(z_star, h, extra=()):
+    """Every item's panels on [0, Z_CUTOFF], concentrated at its transition.
 
-    Plain float arithmetic: the 13 window edges are np.linspace's, bit
-    for bit (i*step + a, the last one b), without its call overhead.
+    Item k's window [z_star - h, z_star + h], cut to [0, Z_CUTOFF], gets
+    13 evenly spaced edges (np.linspace's, bit for bit: i*step + a, the
+    last one b), graded geometrically toward z = 0 where it starts
+    there; from the window the panel widths grow geometrically to the
+    ends of the domain.  extra adds edges to every item.  All edges of
+    an item are one row of a table, sorted and rid of repeats; an edge
+    that does not apply to an item is a repeat of z = 0.  Returns (lo,
+    hi, counts): the items' panels in a row, counts[k] of them for item k.
     """
-    edges = {0.0, Z_CUTOFF}
-    edges.update(e for e in extra if 0.0 < e < Z_CUTOFF)
-    z_star, h = hint
-    a = min(max(z_star - h, 0.0), Z_CUTOFF)
-    b = min(max(z_star + h, 0.0), Z_CUTOFF)
-    if b > a:
-        step = (b - a) / 12.0
-        # np.linspace divides first where the step underflows to zero
-        edges.update(i * step + a if step else i / 12.0 * (b - a) + a
-                     for i in range(12))
-        edges.add(b)
-        if a == 0.0:
-            # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
-            edges.update(b / 12.0 * 2.0**-k
-                         for k in range(1, _ORIGIN_GRADING + 1))
-    # geometric growth away from the window, width capped at 3
-    w = max(h, 1e-12 * max(abs(z_star), 1.0))
-    x = a
-    while x > 0.0:
-        x = max(x - w, 0.0)
-        edges.add(x)
-        w = min(2.0 * w, 3.0)
-    w = max(h, 1e-12 * max(abs(z_star), 1.0))
-    x = b
-    while x < Z_CUTOFF:
-        x = min(x + w, Z_CUTOFF)
-        edges.add(x)
-        w = min(2.0 * w, 3.0)
-    return sorted(edges)
+    fixed = [0.0, Z_CUTOFF, *(e for e in extra if 0.0 < e < Z_CUTOFF)]
+    f, g, t = len(fixed), len(fixed) + 11, len(fixed) + 11 + _ORIGIN_GRADING
+    tab = np.empty((z_star.size, t + 2 * _TAIL + 2))
+    ramp, grading = tab[:, f:g], tab[:, g:t]
+    left, right = tab[:, t:t + _TAIL + 1], tab[:, t + _TAIL + 1:]
+    tab[:, :f] = fixed
+    a = np.minimum(np.maximum(z_star - h, 0.0), Z_CUTOFF)
+    b = np.minimum(np.maximum(z_star + h, 0.0), Z_CUTOFF)
+    # a and b where the window is open, else 0 (both are finite and >= 0)
+    is_open = b > a
+    aw, bw = a * is_open, b * is_open
+    # the window's inner edges; np.linspace divides first where the step
+    # underflows to zero
+    d = bw - aw
+    step = d / 12.0
+    coarse = step == 0.0
+    np.multiply(_RAMPS[coarse.view(np.uint8)],
+                np.where(coarse, d, step)[:, None], out=ramp)
+    ramp += aw[:, None]
+    # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
+    np.multiply((bw * (aw == 0.0) / 12.0)[:, None], _GRADING, out=grading)
+    # geometric growth away from the window, width capped at 3: the
+    # tails step from a down and from b up by w0, min(2 w0, 3), ..., and
+    # min(w0 * 2^j, 3) is min(min(w0, 3) * 2^j, 3), without overflow
+    w0 = np.maximum(h, 1e-12 * np.maximum(np.abs(z_star), 1.0))
+    left[:, 0], left[:, 1] = a, w0
+    np.multiply(np.minimum(w0, 3.0)[:, None], _DOUBLING, out=left[:, 2:])
+    np.minimum(left[:, 2:], 3.0, out=left[:, 2:])
+    right[:, 0], right[:, 1:] = b, left[:, 1:]
+    np.subtract.accumulate(left, axis=1, out=left)
+    np.maximum(left, 0.0, out=left)
+    np.add.accumulate(right, axis=1, out=right)
+    np.minimum(right, Z_CUTOFF, out=right)
+    # the tails' starts are the window's ends, edges where it is open
+    left[:, 0], right[:, 0] = aw, bw
+    tab.sort(axis=1)
+    new = tab[:, 1:] != tab[:, :-1]
+    return tab[:, :-1][new], tab[:, 1:][new], np.add.reduce(new, axis=1)
 
 def _eval_panels(phi, lo, hi, counts, items):
     """Each item's panel-rule estimate, from every item's panels in a row.
@@ -154,16 +180,17 @@ def _eval_panels(phi, lo, hi, counts, items):
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     owner = items.repeat(counts)
-    vals = np.empty((lo.size, x.size))
+    vals = np.empty(lo.size * x.size)
     per = _SLICE // x.size   # panels per slice
     for p in range(0, lo.size, per):
         blk = slice(p, p + per)
         z = (mid[blk, None] + half[blk, None] * x).ravel()
-        vals[blk] = (np.exp(-z) * phi(z, owner[blk].repeat(x.size))
-                     ).reshape(-1, x.size)
-    ends = counts.cumsum()
-    return np.array([(half[a:b, None] * w).ravel() @ vals[a:b].ravel()
-                     for a, b in zip((ends - counts).tolist(), ends.tolist())])
+        vals[p * x.size:p * x.size + z.size] = (
+            np.exp(-z) * phi(z, owner[blk].repeat(x.size)))
+    weights = (half[:, None] * w).ravel()
+    ends = (counts.cumsum() * x.size).tolist()
+    return np.array([weights[a:b] @ vals[a:b]
+                     for a, b in zip([0, *ends[:-1]], ends)])
 
 def _halve(lo, hi):
     """Split every panel at its midpoint, in order: (lo, mid), (mid, hi)."""
@@ -174,9 +201,10 @@ def _halve(lo, hi):
 def exp_average(phi, tol, hints, extra_edges=()):
     """E[phi(z, k)] for z ~ Exp(1), for every item k of a batch.
 
-    hints[k] = (z_star, halfwidth) marks item k's sharp feature; its
-    panels concentrate there and, when the window reaches the origin,
-    grade geometrically toward z = 0.  extra_edges adds panel boundaries
+    hints = (z_star, halfwidth), two 1-D float arrays as _transition_hint
+    returns them, marks each item's sharp feature; its panels
+    concentrate there and, when the window reaches the origin, grade
+    geometrically toward z = 0.  extra_edges adds panel boundaries
     to every item, for features the hints do not describe (e.g. a
     short-scale weight factor folded into phi).  phi must be vectorized
     and bounded: it gets an array of nodes z and the same-length array
@@ -190,10 +218,7 @@ def exp_average(phi, tol, hints, extra_edges=()):
     _MAX_ROUNDS halvings of every panel leave two successive estimates
     of some item more than tol apart.
     """
-    meshes = [_panel_edges(hint, extra_edges) for hint in hints]
-    lo = np.array([e for mesh in meshes for e in mesh[:-1]])
-    hi = np.array([e for mesh in meshes for e in mesh[1:]])
-    counts = np.array([len(mesh) - 1 for mesh in meshes], dtype=np.intp)
+    lo, hi, counts = _meshes(*hints, extra_edges)
     items = np.arange(counts.size)
     out = np.empty(counts.size)
     prev = _eval_panels(phi, lo, hi, counts, items)
@@ -220,6 +245,24 @@ def exp_average(phi, tol, hints, extra_edges=()):
 # fading-averaged error expectations
 # ---------------------------------------------------------------------------
 
+def _integrand(scale, r, m, weight):
+    """phi(z, k) = weight(z) * block_error(scale * z, r[k], m[k]).
+
+    fbl's kernel without block_error's argument checks, which the
+    caller's hold: r >= 0 and scale * z >= 0.  Bitwise block_error, with
+    its blocklength factor LOG2E/sqrt(m) taken once per item.  weight
+    None is 1, with no multiply.
+    """
+    f = LOG2E / np.sqrt(m)
+
+    def phi(z, k):
+        nats = np.log1p(scale * z)
+        return _error_at(r[k], _capacity(nats), _spread_at(nats, f[k]))
+
+    if weight is None:
+        return phi
+    return lambda z, k: weight(z) * phi(z, k)
+
 def _average_error(r, m, scale, tol, weight, extra_edges):
     """E[weight(z) * block_error(scale * z, r, m)] for z ~ Exp(1), in [0, 1].
 
@@ -239,18 +282,13 @@ def _average_error(r, m, scale, tol, weight, extra_edges):
     out = np.ones(flat_r.size)
     todo = np.flatnonzero(~(z_star - h >= Z_CUTOFF))
     if todo.size:
-        r_k, m_k = flat_r[todo], flat_m[todo]
-        if weight is None:
-            phi = lambda z, k: block_error(scale * z, r_k[k], m_k[k])
-        else:
-            phi = lambda z, k: weight(z) * block_error(scale * z, r_k[k],
-                                                       m_k[k])
-        hints = zip(z_star[todo].tolist(), h[todo].tolist())
+        phi = _integrand(scale, flat_r[todo], flat_m[todo], weight)
         # scale * z overflows to inf near z = Z_CUTOFF above scales of
         # 4.5e306, and block_error takes snr = inf to its limit
         try:
             with np.errstate(over="ignore"):
-                val = exp_average(phi, tol, hints, extra_edges)
+                val = exp_average(phi, tol, (z_star[todo], h[todo]),
+                                  extra_edges)
         except QuadratureNonConvergence as exc:
             exc.index = int(todo[exc.index])
             raise

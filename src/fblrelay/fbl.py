@@ -7,7 +7,8 @@ Provides:
   * block_error           -- decoding error probability at rate r and blocklength m
 
 block_error is Q((C - r)/s) with s = sqrt(V/m); its pieces _cap_spread,
-_error_at and _mills also serve the perfect-CSI solver in relay.
+_error_at and _mills also serve the perfect-CSI solver in relay, and
+_error_at, _capacity and _spread_at the integrand of the fading averages.
 
 Q and the Mills ratio share one kernel, a rational fit of the scaled
 complementary error function (_erfcx_ratio), in numpy alone.
@@ -195,7 +196,12 @@ def _spread(nats, m):
     the root of V and of m apart keeps V/m from underflowing to 0 below
     snr ~1e-300 at large m.
     """
-    return np.sqrt(-np.expm1(-2.0 * nats)) * (LOG2E / np.sqrt(m))
+    return _spread_at(nats, LOG2E / np.sqrt(m))
+
+
+def _spread_at(nats, f):
+    """_spread(nats, m) from its blocklength factor f = LOG2E/sqrt(m)."""
+    return np.sqrt(-np.expm1(-2.0 * nats)) * f
 
 
 def _cap_spread(snr, m):

@@ -1,9 +1,10 @@
 """Helpers that only the tests use.
 
 The per-draw overall error in its plainest form, the reference of the
-Monte Carlo and perfect-CSI tests; the effective-capacity curve whose
-closed-form inverse is the MSDR; the MSDR's penalty factor; and the
-MSDR decomposition identity.
+Monte Carlo and perfect-CSI tests; the quadrature's panel mesh item by
+item, the reference of the batched mesh; the effective-capacity curve
+whose closed-form inverse is the MSDR; the MSDR's penalty factor; and
+the MSDR decomposition identity.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fblrelay.fading import _link_snrs
+from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF, _link_snrs
 from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr
 
@@ -26,6 +27,44 @@ def overall_error_instant(z, r, m, gains):
     e2 = block_error(snr2, r, m)
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc
+
+def panel_edges(hint, extra=()):
+    """One item's panel edges, item by item: the reference mesh.
+
+    The sorted boundaries on [0, Z_CUTOFF] that fading._meshes builds
+    for hint = (z_star, halfwidth), in plain float arithmetic: the 13
+    window edges are np.linspace's, bit for bit (i*step + a, the last
+    one b).
+    """
+    edges = {0.0, Z_CUTOFF}
+    edges.update(e for e in extra if 0.0 < e < Z_CUTOFF)
+    z_star, h = hint
+    a = min(max(z_star - h, 0.0), Z_CUTOFF)
+    b = min(max(z_star + h, 0.0), Z_CUTOFF)
+    if b > a:
+        step = (b - a) / 12.0
+        # np.linspace divides first where the step underflows to zero
+        edges.update(i * step + a if step else i / 12.0 * (b - a) + a
+                     for i in range(12))
+        edges.add(b)
+        if a == 0.0:
+            # at and near r = 0 the error falls like 0.5 - c*sqrt(z)
+            edges.update(b / 12.0 * 2.0**-k
+                         for k in range(1, _ORIGIN_GRADING + 1))
+    # geometric growth away from the window, width capped at 3
+    w = max(h, 1e-12 * max(abs(z_star), 1.0))
+    x = a
+    while x > 0.0:
+        x = max(x - w, 0.0)
+        edges.add(x)
+        w = min(2.0 * w, 3.0)
+    w = max(h, 1e-12 * max(abs(z_star), 1.0))
+    x = b
+    while x < Z_CUTOFF:
+        x = min(x + w, Z_CUTOFF)
+        edges.add(x)
+        w = min(2.0 * w, 3.0)
+    return sorted(edges)
 
 @dataclass(frozen=True)
 class QosExponentPoint:

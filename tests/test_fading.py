@@ -20,7 +20,8 @@ from fblrelay.fading import (
     QuadratureNonConvergence,
     _eval_panels,
     _halve,
-    _panel_edges,
+    _integrand,
+    _meshes,
     _transition_hint,
     exp_average,
     expected_error_mrc,
@@ -29,9 +30,19 @@ from fblrelay.fading import (
     rayleigh_outage_cdf,
 )
 from fblrelay.relay import LinkGains
+from oracles import panel_edges
 
 def gains(g1=1.0, g2=1.0, g3=1.0):
     return LinkGains(g1, g2, g3)
+
+def hints(*pairs):
+    """exp_average's hints (z_star, halfwidth) from (z_star, h) pairs."""
+    z_star, h = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return z_star, h
+
+def hint_at(gain, r, m):
+    """_transition_hint of one (r, m), as a batch of one."""
+    return _transition_hint(gain, np.array([float(r)]), np.array([float(m)]))
 
 # scipy.quad with transition-bracketing breakpoints, epsabs 1e-14
 BACKHAUL_ORACLE = {
@@ -90,12 +101,11 @@ def mrc_nested(r, m, gains):
         offset = z_arr * s_out
         return exp_average(
             lambda u, k: block_error(offset[k] + s_in * u, r, m), 3e-9,
-            [(z_in - o / s_in, h_in) for o in offset.tolist()])
+            (z_in - offset / s_in, np.full(offset.size, h_in)))
 
     # the outer integrand ramps down to a kink at the outage boundary;
     # the kink curvature lives in the usual transition window
-    hint = tuple(map(float, _transition_hint(s_out, r, m)))
-    val = exp_average(outer, 1e-8, [hint])[0]
+    val = exp_average(outer, 1e-8, hint_at(s_out, r, m))[0]
     return min(max(val, 0.0), 1.0)
 
 
@@ -103,7 +113,8 @@ class TestExpPdf:
     """The engine's weight is the unit-mean exponential density."""
 
     def test_normalization_under_engine(self):
-        total = exp_average(lambda z, k: np.ones_like(z), 1e-10, [(5.0, 1.0)])
+        total = exp_average(lambda z, k: np.ones_like(z), 1e-10,
+                            hints((5.0, 1.0)))
         assert total.shape == (1,)
         assert total[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -217,8 +228,8 @@ class TestQuadratureEngine:
         # wide transition at small gain*m: doubling the nodes of every
         # panel of the engine's mesh (16 to 32) leaves its value
         phi = lambda z: block_error(z * 0.2, 0.3, 100)
-        edges = np.array(_panel_edges(map(float, _transition_hint(0.2, 0.3,
-                                                                  100))))
+        lo, hi, _ = _meshes(*hint_at(0.2, 0.3, 100))
+        edges = np.append(lo, hi[-1])
         x, w = np.polynomial.legendre.leggauss(32)
         mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -229,9 +240,8 @@ class TestQuadratureEngine:
 
     def test_panel_doubling_invariance(self):
         phi = lambda z, k: block_error(z * 307.405, 2.0, 500)
-        edges = _panel_edges(map(float, _transition_hint(307.405, 2.0, 500)))
-        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-        counts, items = np.array([lo.size]), np.array([0])
+        lo, hi, counts = _meshes(*hint_at(307.405, 2.0, 500))
+        items = np.array([0])
         coarse = _eval_panels(phi, lo, hi, counts, items)
         fine = _eval_panels(phi, *_halve(lo, hi), 2 * counts, items)
         assert fine == pytest.approx(coarse, abs=1e-7)
@@ -242,8 +252,73 @@ class TestQuadratureEngine:
         # window [4, 6] puts no edge at 1/3
         phi = lambda z, k: (z > 1.0 / 3.0).astype(float)
         with pytest.raises(QuadratureNonConvergence) as exc:
-            exp_average(phi, 1e-12, [(5.0, 1.0)])
+            exp_average(phi, 1e-12, hints((5.0, 1.0)))
         assert exc.value.index == 0
+
+
+# rates from 0 through the smallest float to where the window is narrow,
+# blocklengths over the validated range and mean SNRs over the floats
+MESH_RATES = (0.0, 5e-324, 1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 1.0,
+              2.0, 4.0, 9.0, 30.0)
+MESH_MS = (100.0, 350.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+MESH_SCALES = (1e-30, 1e-12, 1e-3, 0.2, 2.4463, 307.405, 1e5, 1e12, 1e100,
+               1e300)
+
+
+class TestBatchedMesh:
+    """_meshes is the reference mesh of tests/oracles.py, bit for bit."""
+
+    @staticmethod
+    def _check(z_star, h, extra=()):
+        lo, hi, counts = _meshes(z_star, h, extra)
+        ref = [panel_edges(hint, extra)
+               for hint in zip(z_star.tolist(), h.tolist())]
+        assert counts.tolist() == [len(edges) - 1 for edges in ref]
+        assert _bits(lo) == _bits([e for edges in ref for e in edges[:-1]])
+        assert _bits(hi) == _bits([e for edges in ref for e in edges[1:]])
+
+    @pytest.mark.parametrize("scale", MESH_SCALES)
+    def test_transition_hints(self, scale):
+        # the kappa edges of expected_error_mrc at kappa = 0.3
+        kappa_edges = tuple(2.0**j / 0.3 for j in range(-2, 7))
+        r, m = np.meshgrid(MESH_RATES, MESH_MS, indexing="ij")
+        z_star, h = _transition_hint(scale, r.ravel(), m.ravel())
+        assert (h == 0.0).any() and (z_star - h <= 0.0).any()
+        for extra in ((), kappa_edges):
+            self._check(z_star, h, extra)
+
+    def test_edge_windows(self):
+        # steps that underflow to zero (np.linspace's other branch), the
+        # closed window at the origin, a window wider than the domain, a
+        # negative z_star and a width beyond the float range
+        z_star = np.array([0.0, 0.0, 1e-323, 0.0, 3.0, 1e300, 10.0, -2.0,
+                           5.0])
+        h = np.array([5e-324, 3e-323, 1e-323, 0.0, 0.0, 1e300, 20.0, 1.0,
+                      math.inf])
+        self._check(z_star, h)
+        self._check(z_star, h, (-1.0, 0.0, 0.5, 40.0, 41.0))
+
+    def test_longest_tail_fits(self):
+        # the closed window at z_star = 0 starts the smallest widths,
+        # 1e-12, so its tail of 42 doublings and steps of 3 is the longest
+        longest = len(panel_edges((0.0, 0.0))) - 1
+        assert longest == 54 <= fading._TAIL
+        self._check(np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("scale", [1e-30, 0.2, 2.4463, 307.405, 1e300])
+def test_integrand_is_block_error_bitwise(scale):
+    rng = np.random.default_rng(7)
+    r = np.concatenate(([0.0, 5e-324, 1e-12], rng.uniform(0.0, 12.0, 61)))
+    m = np.exp(rng.uniform(math.log(100.0), math.log(1e7), r.size))
+    z = np.concatenate(([0.0, fading.Z_CUTOFF],
+                        rng.uniform(0.0, fading.Z_CUTOFF, 100_000 - 2)))
+    k = rng.integers(0, r.size, z.size)
+    # scale * z overflows to inf at the largest scale, as in the engine
+    with np.errstate(over="ignore"):
+        lean = _integrand(scale, r, m, None)(z, k)
+        ref = block_error(scale * z, r[k], m[k])
+    assert lean.tobytes() == ref.tobytes()
 
 
 # rates at the origin, inside the panels, and with the drop beyond
@@ -311,10 +386,11 @@ class TestBatchEqualsScalarCalls:
         easy = lambda z: np.exp(-z)
         phi = lambda z, k: np.where(k == 1, hard(z), easy(z))
         with pytest.raises(QuadratureNonConvergence) as exc:
-            exp_average(phi, 1e-12, [(5.0, 1.0)] * 3)
+            exp_average(phi, 1e-12, hints(*[(5.0, 1.0)] * 3))
         assert exc.value.index == 1
-        both = exp_average(lambda z, k: easy(z), 1e-12, [(5.0, 1.0), (2.0, 0.5)])
-        alone = [exp_average(lambda z, k: easy(z), 1e-12, [hint])[0]
+        both = exp_average(lambda z, k: easy(z), 1e-12,
+                           hints((5.0, 1.0), (2.0, 0.5)))
+        alone = [exp_average(lambda z, k: easy(z), 1e-12, hints(hint))[0]
                  for hint in [(5.0, 1.0), (2.0, 0.5)]]
         assert _bits(both) == _bits(alone)
         assert both == pytest.approx(0.5, abs=1e-12)

@@ -102,14 +102,14 @@ def test_per_draw_solver_work_is_bounded(monkeypatch):
 def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
     # a count, not a timing: a 100-point relay_avg sweep runs each
     # quadrature round over all live points at once, in calls of at most
-    # _SLICE nodes.  Point by point it made one block_error call per
+    # _SLICE nodes.  Point by point it made one error kernel call per
     # average per round, 400 in all; in 64-point blocks it makes 48
     calls, rounds = [], []
-    block_error, eval_panels = fading.block_error, fading._eval_panels
+    error_at, eval_panels = fading._error_at, fading._eval_panels
 
-    def counted_error(snr, r, m):
-        calls.append(np.size(snr))
-        return block_error(snr, r, m)
+    def counted_error(r, c, s):
+        calls.append(np.size(c))
+        return error_at(r, c, s)
 
     def counted_round(phi, lo, hi, counts, items):
         before = len(calls)
@@ -118,7 +118,7 @@ def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
                        len(calls) - before))
         return out
 
-    monkeypatch.setattr(fading, "block_error", counted_error)
+    monkeypatch.setattr(fading, "_error_at", counted_error)
     monkeypatch.setattr(fading, "_eval_panels", counted_round)
     assert cli.main(["sweep", "--variable", "eta", "--grid", "0.01", "0.6931",
                      "100"]) == 0
