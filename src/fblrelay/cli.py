@@ -232,12 +232,17 @@ def _run_sweep(variable, grid, schemes, metrics, args):
     seed = args.seed
     gains, params = build(scn)
     grid = np.array(grid, dtype=float)
-    for x in grid.tolist():
-        try:
-            _on_axis(variable, params, x)
-        except ValueError as exc:
-            flag = "--grid" if args.grid is not None else "--grid-list"
-            raise ValueError(f"{flag} value {x!r}: {exc}") from None
+    try:
+        _on_axis(variable, params, grid)
+    except ValueError:
+        # name the first value off the axis's domain
+        for x in grid.tolist():
+            try:
+                _on_axis(variable, params, x)
+            except ValueError as exc:
+                flag = "--grid" if args.grid is not None else "--grid-list"
+                raise ValueError(f"{flag} value {x!r}: {exc}") from None
+        raise
     ergodic = math.nan
     if "shannon_ergodic" in schemes:
         # constant column: estimated once, before the grid loop
@@ -517,7 +522,9 @@ def _cmd_validate(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="fblrelay",
         description="Finite-blocklength two-hop relaying: sweeps, "

@@ -121,6 +121,27 @@ def test_extreme_axis_value_exits_0_or_2(capsys, variable, value):
         if value == "nan" or (value == "inf" and variable == "coding_rate"):
             assert code == 2
 
+def test_grid_is_checked_in_one_call_naming_the_first_bad_value(
+        capsys, monkeypatch):
+    # one _on_axis call checks a valid grid, and one more runs per block
+    calls = []
+    on_axis = cli._on_axis
+    monkeypatch.setattr(cli, "_on_axis",
+                        lambda *a: (calls.append(np.size(a[2])), on_axis(*a))[1])
+    assert cli.main(["sweep", "--variable", "eta", "--grid", "0.01",
+                     "0.6931", "100"]) == 0
+    capsys.readouterr()
+    assert calls == [100, 64, 36]
+    # off the domain, the values are checked one by one up to the first bad
+    calls.clear()
+    code = cli.main(["sweep", "--variable", "eta",
+                     "--grid-list", "0.2,0.9,1.5,0.3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: --grid-list value 0.9: eta must lie in "
+                            "(0, ln 2]\n")
+    assert calls == [4, 1, 1]
+
 def test_non_finite_grid_bound_exits_2_naming_the_flag(capsys):
     for grid in (["0", "inf", "3"], ["nan", "1", "3"], ["0.1", "0.2", "inf"],
                  ["0.1", "0.2", "nan"]):
@@ -278,6 +299,17 @@ def test_fractional_mc_samples_exits_2(capsys):
                 cli.main([*args, "--mc-samples", value])
             assert exc.value.code == 2
             assert "--mc-samples" in capsys.readouterr().err
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda *a: (seeds.append(a[-1].seed), (["x"], []))[1])
+    for extra in (["--seed", "5"], [], ["--seed", "7"], []):
+        assert cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                         *extra]) == 0
+    capsys.readouterr()
+    assert seeds == [5, 42, 7, 42]
+    assert cli._build_parser.cache_info().misses == 1
 
 def test_mc_samples_takes_whole_numbers_in_any_float_form():
     args = cli._build_parser().parse_args(
