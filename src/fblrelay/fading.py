@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbl import LN2, LOG2E, _cap_spread, _capacity, _error_at, _spread_at
+from .fbl import (LN2, LOG2E, _BLOCK, _cap_spread, _capacity, _error_at,
+                  _spread_at)
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -45,8 +46,9 @@ _MAX_ROUNDS = 6
 
 # nodes per integrand call: block_error costs least per node near 8k
 # nodes (19 ns, against 61 ns at 2k and 67 ns at 172k, measured on a
-# 2-core x86-64 machine), and the slice bounds its temporaries' memory
-_SLICE = 8192
+# 2-core x86-64 machine), and the slice bounds its temporaries' memory;
+# it is one block of the error kernel's power table
+_SLICE = _BLOCK
 
 # geometric panel edges b/12 * 2^-k, k = 1..30, graded toward the origin
 # when the transition window [0, b] starts there; the innermost panel is

@@ -65,6 +65,10 @@ _P_GAUSS = 53.0 / _W_CAP
 _TINY = 5e-324
 # |C - r| is capped here, beyond 64 s at every m > 0
 _HUGE = 1e300
+# columns of the rational's power table at a time: 12 rows of 8192
+# powers take 0.8 MB, and the fading averages evaluate their nodes in
+# slices of this size (fading._SLICE), so each of their calls is one block
+_BLOCK = 8192
 
 
 def _rational_rows(coeffs, x):
@@ -73,21 +77,28 @@ def _rational_rows(coeffs, x):
     The powers are built by doubling, [x^2j .. x^j+1] = [x^j .. x] x^j,
     and one matrix product sums the small terms first, as Horner's rule
     would: the error stays about an ulp where x < 0 and the terms
-    alternate.  A single column would take the matrix-vector route, which
-    sums in another order, so a lone value goes in twice: every value
-    gets the same bits whatever comes with it.
+    alternate.  The table takes _BLOCK values of x at a time, and the
+    products of the blocks are joined; a quadrature slice is one block.
+    A single column would take the matrix-vector route, which sums in
+    another order, so a lone value (a tail block of one too) goes in
+    twice: every value gets the same bits whatever comes with it.
     """
     k = coeffs.shape[1] - 1
-    powers = np.empty((k + 1, 2 if x.size == 1 else x.size))
-    powers[k] = 1.0
-    powers[k - 1] = x.ravel()
-    done = 1
-    while done < k:
-        new = min(done, k - done)
-        np.multiply(powers[k - new:k], powers[k - done],
-                    out=powers[k - done - new:k - done])
-        done += new
-    return (coeffs @ powers)[:, :x.size]
+    x = x.ravel()
+    rows = []
+    for i in range(0, max(x.size, 1), _BLOCK):
+        xb = x[i:i + _BLOCK]
+        powers = np.empty((k + 1, 2 if xb.size == 1 else xb.size))
+        powers[k] = 1.0
+        powers[k - 1] = xb
+        done = 1
+        while done < k:
+            new = min(done, k - done)
+            np.multiply(powers[k - new:k], powers[k - done],
+                        out=powers[k - done - new:k - done])
+            done += new
+        rows.append((coeffs @ powers)[:, :xb.size])
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
 
 
 def _erfcx_ratio(p):

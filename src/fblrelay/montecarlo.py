@@ -12,6 +12,12 @@ The module also owns the per-draw path that the perfect-CSI and ergodic
 references share: fading draws are one (3, n) array, mapped to per-draw
 SNRs in cache-sized slices (_per_draw), averaged with their standard
 error (_sample_mean), and every sample count meets its floor (_check_n).
+
+Every sampling path works inside the buffer it draws.  A chunk's two
+error rows overwrite its fading draws, and its uniforms and moments take
+the third row, so a worker holds one (3, 2^18) buffer and the
+temporaries of one slice.  A sample mean's values overwrite the first
+row of its draws, and their deviations the values.
 """
 
 import functools
@@ -51,24 +57,35 @@ def draw_fading(rng, size):
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return z
 
-def _per_draw(fn, z, gains, outputs=1):
+def _per_draw(fn, z, gains, outputs=1, out=None):
     """fn(snr2, snr_mrc) of every draw of z, as an (outputs, n) array.
 
     fn must be elementwise and return outputs rows.  It runs on slices
     of _SLICE draws, so the result is bitwise that of one call on all of z.
+    out may be rows of z itself: each slice is read before it is written.
     """
-    out = np.empty((outputs, z.shape[1]))
+    if out is None:
+        out = np.empty((outputs, z.shape[1]))
     for i in range(0, z.shape[1], _SLICE):
         blk = slice(i, i + _SLICE)
-        out[:, blk] = fn(*_link_snrs(*z[:, blk], gains))
+        rows = fn(*_link_snrs(*z[:, blk], gains))
+        for k, row in enumerate(rows if outputs > 1 else (rows,)):
+            out[k, blk] = row
     return out
 
 def _sample_mean(fn, n, seed, gains):
-    """Mean and standard error of fn(snr2, snr_mrc) over n fading draws."""
+    """Mean and standard error of fn(snr2, snr_mrc) over n fading draws.
+
+    The values overwrite the first row of the draws, where the steps of
+    np.mean and np.std(ddof=1) run in place, with the same bits.
+    """
     z = np.random.default_rng(seed).standard_exponential((3, n))
-    vals = _per_draw(fn, z, gains)[0]
-    return McEstimate(float(np.mean(vals)),
-                      float(np.std(vals, ddof=1) / math.sqrt(n)))
+    vals = _per_draw(fn, z, gains, out=z[:1])[0]
+    mean = np.add.reduce(vals) / n
+    vals -= mean
+    vals *= vals
+    return McEstimate(float(mean),
+                      math.sqrt(np.add.reduce(vals) / (n - 1)) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +117,26 @@ def _merge_welford(a, b):
     d = mb - ma
     return (n, ma + d * nb / n, m2a + m2b + d * d * na * nb / n)
 
-def _link_errors(z, r, m, gains):
+def _link_errors(z, r, m, gains, out=None):
     """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
     return _per_draw(lambda snr2, snr_mrc: (block_error(snr2, r, m),
                                             block_error(snr_mrc, r, m)),
-                     z, gains, outputs=2)
+                     z, gains, outputs=2, out=out)
 
 def _successes(r, m, gains, n, seed, workers):
     """Decode successes in n two-stage periods: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
     one Bernoulli from the composed probability.  Each chunk draws its
-    fading, then its backhaul uniforms, then its MRC uniforms.
+    fading, then its backhaul uniforms, then its MRC uniforms, each
+    into the third row of its draws once the errors hold the first two.
     """
     def count(rng, k):
-        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
-        backhaul_ok = rng.random(k) >= e2
-        mrc_ok = rng.random(k) >= emrc
-        return int(np.count_nonzero(backhaul_ok & mrc_ok))
+        z = draw_fading(rng, k)
+        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
+        ok = rng.random(out=z[2]) >= e2
+        ok &= rng.random(out=z[2]) >= emrc
+        return int(np.count_nonzero(ok))
 
     return sum(_map_chunks(count, n, seed, workers))
 
@@ -139,10 +158,16 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
     n = _check_n(n, 10000)
 
     def moments(rng, k):
-        e2, emrc = _link_errors(draw_fading(rng, k), r, m, gains)
-        x = e2 + (1.0 - e2) * emrc
+        z = draw_fading(rng, k)
+        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
+        # x = e2 + (1 - e2)*emrc and its squared deviations, in z[2]
+        x = np.subtract(1.0, e2, out=z[2])
+        x *= emrc
+        x += e2
         mean = float(np.mean(x))
-        return (k, mean, float(np.sum((x - mean)**2)))
+        x -= mean
+        x *= x
+        return (k, mean, float(np.sum(x)))
 
     # per-chunk moments, merged in chunk order
     cnt, mean, m2 = functools.reduce(

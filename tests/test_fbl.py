@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from fblrelay.fbl import (
+    _ERFCX,
     LOG2E,
     _mills,
+    _rational_rows,
     _spread,
     achievable_rate,
     block_error,
@@ -20,7 +22,7 @@ from fblrelay.fbl import (
     q_inv,
     shannon_c,
 )
-from fblrelay.relay import _start
+from fblrelay.relay import _START, _start
 
 # oracle: bisection on math.erfc, 200 halvings
 QINV_1E3 = 3.090232306167813
@@ -84,6 +86,17 @@ class TestQFunctions:
         c, s = np.logspace(-3.0, 9.0, 401), np.full(401, 0.7)
         assert np.array_equal(_start(c, s), [_start(c[i:i + 1], s[i:i + 1])[0]
                                              for i in range(c.size)])
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385, (1 << 15) + 1])
+    def test_blocked_power_table_reads_as_pairs(self, n):
+        # the rational's power table takes 8192 columns at a time, and a
+        # tail block of one column goes in twice: every value must get the
+        # bits it gets two at a time, in the kernel's and the start's fit
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        for coeffs in (_ERFCX, _START):
+            pairs = np.concatenate([_rational_rows(coeffs, x[i:i + 2])
+                                    for i in range(0, n, 2)], axis=1)
+            assert np.array_equal(_rational_rows(coeffs, x), pairs)
 
     def test_every_array_layout_gives_the_same_values(self):
         # the kernel flattens its input, and a large array has its values

@@ -22,6 +22,7 @@ from fblrelay.montecarlo import (
     _chunk_layout,
     _link_errors,
     _per_draw,
+    _sample_mean,
     draw_fading,
     mc_bl_throughput,
     mc_expected_overall_error,
@@ -154,9 +155,12 @@ def test_every_estimator_maps_its_chunks_on_the_pool(monkeypatch):
         fn(REF_RATE, 500, REF_GAINS, n=600000, seed=3, workers=2)
         assert submitted == [2, 2, 2]
 
-@pytest.mark.parametrize("k", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
-                               (1 << 15) - 1, 1 << 15, (1 << 15) + 1,
-                               213568, 1 << 18])
+# chunk sizes around the slices of _per_draw, a partial chunk and a full one
+SLICED_SIZES = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (1 << 15) - 1,
+                1 << 15, (1 << 15) + 1, 213568, 1 << 18]
+
+
+@pytest.mark.parametrize("k", SLICED_SIZES)
 def test_sliced_link_errors_equal_one_call(k):
     draw = draw_fading(np.random.default_rng(k), k)
     s1, s2, s3 = REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3
@@ -172,6 +176,27 @@ def test_sliced_link_errors_equal_one_call(k):
         sliced = _per_draw(fn, draw, REF_GAINS)
         assert sliced.shape == (1, k)
         assert np.array_equal(sliced[0], fn(*_link_snrs(*draw, REF_GAINS)))
+
+@pytest.mark.parametrize("k", SLICED_SIZES)
+def test_link_errors_over_their_draws_equal_the_allocating_call(k):
+    # the chunk estimators write the errors over the draws they read
+    draw = draw_fading(np.random.default_rng(k), k)
+    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS)
+    inplace = _link_errors(draw, REF_RATE, 500, REF_GAINS, out=draw[:2])
+    assert np.shares_memory(inplace, draw)
+    assert np.array_equal(inplace[0], e2)
+    assert np.array_equal(inplace[1], emrc)
+
+@pytest.mark.parametrize("n", [2, (1 << 15) + 3, 100000])
+def test_sample_mean_is_numpy_mean_and_std_bitwise(n):
+    # the in-place mean and deviations take np.mean's and np.std's steps
+    perfect = lambda snr2, snr_mrc: _maximize_per_draw(snr2, snr_mrc, 500)[1]
+    for fn in (perfect, _ergodic_per_draw):
+        z = np.random.default_rng(n).standard_exponential((3, n))
+        vals = fn(*_link_snrs(*z, REF_GAINS))
+        est = _sample_mean(fn, n, n, REF_GAINS)
+        assert est.mean == np.mean(vals)
+        assert est.std_err == np.std(vals, ddof=1) / math.sqrt(n)
 
 def test_error_estimate_seed_sensitivity():
     a = mc_expected_overall_error(REF_RATE, 500, REF_GAINS,

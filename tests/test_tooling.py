@@ -8,11 +8,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fblrelay import cli, fading, relay
+from fblrelay import baselines, cli, fading, montecarlo, relay
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -145,6 +146,47 @@ def test_per_draw_solver_needs_the_steps_its_guard_states(monkeypatch):
             capped = relay._maximize_per_draw(snr2, snr_mrc, m)[0]
             monkeypatch.undo()
             assert np.array_equal(capped, free), (m, mean_snr)
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees during a second call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+# one float array over a slice of _per_draw: 2^15 draws, 0.26 MB
+_SLICE_BYTES = montecarlo._SLICE * 8
+
+
+@pytest.mark.parametrize("estimator", [montecarlo.mc_expected_overall_error,
+                                       montecarlo.mc_bl_throughput])
+def test_chunk_estimator_works_in_its_draw_buffer(estimator):
+    # a chunk's errors overwrite its draws, and its uniforms and moments
+    # take the third row, so it holds its (3, 2^18) draws, 6.29 MB, and
+    # one slice's temporaries.  Both estimators traced 11.04 MB on a
+    # 2-core x86-64 machine, 4.75 MB over the draws (14.81 MB when errors,
+    # uniforms and moments had arrays of their own), so the allowance
+    # is 20 slice-sized arrays, 5.24 MB
+    gains = relay.LinkGains(g1=2.4463, g2=307.405, g3=307.405)
+    k = montecarlo._CHUNK
+    peak = _traced_peak(lambda: estimator(5.33969938461749, 500, gains,
+                                          n=k, seed=1, workers=1))
+    assert peak <= 3 * k * 8 + 20 * _SLICE_BYTES
+
+def test_sample_mean_works_in_its_draw_buffer():
+    # 1e6 draws are a 24 MB buffer; the values overwrite its first row and
+    # their deviations the values.  The ergodic estimate traced 25.31 MB
+    # on a 2-core x86-64 machine, 1.31 MB over the buffer (40.00 MB when
+    # the values and np.std's deviations had arrays of their own), so the
+    # allowance is 8 slice-sized arrays, 2.10 MB
+    gains = relay.LinkGains(g1=2.4463, g2=307.405, g3=307.405)
+    n = 1000000
+    peak = _traced_peak(lambda: baselines.ergodic_capacity_relay(gains, n, 1))
+    assert peak <= 3 * n * 8 + 8 * _SLICE_BYTES
 
 
 def _imports(path):
