@@ -10,7 +10,7 @@ blocklength entirely.
 
 import numpy as np
 
-from .fbl import _threshold, shannon_c
+from .fbl import _pow2, shannon_c
 from .fading import mrc_outage_cdf, rayleigh_outage_cdf
 from .montecarlo import _check_n, _sample_mean
 
@@ -21,11 +21,12 @@ def outage_prob_relay(r, gains):
     A period fails when the backhaul hop is in outage or, that
     surviving, the combined direct-plus-relaying branch is: the same
     composition as the finite-blocklength overall error with the
-    block-error terms replaced by sharp capacity thresholds.
+    block-error terms replaced by sharp capacity thresholds.  Broadcasts
+    over an array of rates; scalars in, scalars out.
     """
-    if r < 0.0:
+    if np.any(np.asarray(r) < 0.0):
         raise ValueError("rate must be nonnegative")
-    t = _threshold(r)
+    t = _pow2(r) - 1.0
     p2 = rayleigh_outage_cdf(t, gains.g2)
     pmrc = mrc_outage_cdf(t, gains.g1, gains.g3)
     return p2 + (1.0 - p2) * pmrc

@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -79,21 +80,6 @@ class Block:
     ergodic: float = math.nan
     workers: int = 1
 
-def _pointwise(fn, *args):
-    """fn of Python floats at every point of the broadcast args.
-
-    A ValueError carries the flat position of its point as index.
-    """
-    arrays = np.broadcast_arrays(*args)
-    values = []
-    for k, x in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
-        try:
-            values.append(fn(*x))
-        except ValueError as exc:
-            exc.index = k
-            raise
-    return np.reshape(values, arrays[0].shape)
-
 def _relay_avg(r, blk):
     g, p = blk.gains, blk.params
     if r is None:
@@ -101,7 +87,7 @@ def _relay_avg(r, blk):
     err = expected_overall_error(r, p.m, g)
     return {"coding_rate": r, "expected_error": err,
             "bl_throughput": 0.5 * r * (1.0 - err),
-            "msdr": _pointwise(lambda *x: msdr(*x, blk.qos), r, p.m, err)}
+            "msdr": msdr(r, p.m, err, blk.qos)}
 
 def _relay_perfect(r, blk):
     m = np.broadcast_to(blk.params.m, (len(blk.index),)).tolist()
@@ -131,8 +117,7 @@ def _direct(r, blk, matched):
     # relay-normalized service law at twice the per-hop rate
     return {"coding_rate": r, "expected_error": err,
             "bl_throughput": r * (1.0 - err),
-            "msdr": _pointwise(lambda *x: msdr(*x, blk.qos), _twice(r), p.m,
-                               err)}
+            "msdr": msdr(_twice(r), p.m, err, blk.qos)}
 
 def _twice(x):
     """2x, and inf where that overflows, as in float arithmetic."""
@@ -146,7 +131,7 @@ def _outage(r, blk):
     g, p = blk.gains, blk.params
     if r is None:
         r = shannon_c(p.eta * bottleneck_snr(g))
-    p_out = _pointwise(lambda x: outage_prob_relay(x, g), r)
+    p_out = outage_prob_relay(r, g)
     # each hop must sustain r; a payload occupies two hops, so the
     # end-to-end rate is r/2
     return {"coding_rate": 0.5 * r, "expected_error": p_out,
@@ -207,9 +192,9 @@ def _on_axis(variable, params, x):
 def _run_sweep(variable, grid, schemes, metrics, args):
     """Header and rows of a sweep, with the scenario and run flags of args.
 
-    Every scheme is evaluated once per block of up to _BLOCK points.  A
-    ValueError or QuadratureNonConvergence from an evaluation names the
-    scheme and the grid point, or the block where the point is unknown.
+    Every scheme is evaluated once per block of up to _BLOCK points, as
+    arrays.  A QuadratureNonConvergence names the scheme and its grid
+    point, and a ValueError, raised for the whole block, names its block.
     """
     # the request first, before the scenario is read
     for flag, chosen, known in (("--schemes", schemes, SCHEMES),
@@ -566,14 +551,20 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureNonConvergence as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except QuadratureNonConvergence as exc:
+            print(f"numerical non-convergence: {exc}", file=sys.stderr)
+            return 3
+    # each distinct warning once, as a plain line (a filter that makes it
+    # an error still raises it); a command that fails prints its error alone
+    for text in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {text}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

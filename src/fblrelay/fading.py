@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fbl import (LN2, LOG2E, _BLOCK, _cap_spread, _capacity, _error_at,
-                  _spread_at)
+                  _pow2, _spread_at)
 
 # truncation of the semi-infinite domain for the panel rule: the
 # integrand is a probability times e^{-z}, so the tail mass beyond 40
@@ -102,12 +102,7 @@ def _transition_hint(gain, r, m):
     at the origin.  A crossing beyond every finite z gives (inf, 0).
     Elementwise over arrays r and m of one shape.
     """
-    r = np.asarray(r, dtype=float)
-    # 2^r item by item: numpy's vectorized power is an ulp off the scalar
-    # one for some r, and the hint places the panel edges.  From r = 1024
-    # on it overflows, and so does 2^r - 1 (fbl._threshold)
-    p2 = np.array([2.0**x if x < 1024.0 else math.inf
-                   for x in r.ravel().tolist()]).reshape(r.shape)
+    p2 = np.asarray(_pow2(r))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = p2 - 1.0
         z_star = t / gain
@@ -343,7 +338,8 @@ _SERIES_TERMS = 17
 def rayleigh_outage_cdf(t, mean_snr):
     """P(mean_snr * z <= t) for unit-mean exponential z."""
     t = np.asarray(t, dtype=float)
-    out = np.where(t > 0.0, -np.expm1(-t / mean_snr), 0.0)
+    with np.errstate(over="ignore"):   # t/mean_snr -> inf, its limit
+        out = np.where(t > 0.0, -np.expm1(-t / mean_snr), 0.0)
     return out if out.ndim else float(out)
 
 def _mrc_cdf_series(x, rho):

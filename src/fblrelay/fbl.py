@@ -184,9 +184,17 @@ def _capacity(nats):
     return nats * LOG2E
 
 
-def _threshold(r):
-    """SNR 2^r - 1 where capacity meets rate r; inf where 2^r overflows."""
-    return 2.0**r - 1.0 if r < 1024.0 else math.inf
+def _pow2(r):
+    """2^r item by item as Python's 2.0**x, inf from r = 1024 on.
+
+    numpy's power and exp2 are an ulp off 2.0**x for some r, and these
+    bits place the panel edges of the fading averages.  Scalars in,
+    scalars out.
+    """
+    x = np.asarray(r, dtype=float)
+    out = np.array([2.0**v if v < 1024.0 else math.inf
+                    for v in x.ravel().tolist()]).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def shannon_c(snr: float) -> float:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class QoSPair:
@@ -52,18 +54,19 @@ def msdr(r, m, eps_bar, qos):
     feasibility region, 2m <= d and e <= 1/(1 - phi): there a period
     exceeds the delay budget or the discriminant is negative, and the
     QoS pair is unsupportable.  Sweeps over it therefore stay total.
+    Broadcasts over arrays of r, m and eps_bar; scalars in, scalars out.
     """
-    if not 0.0 <= eps_bar <= 1.0:
+    r, m, eps_bar = (np.asarray(x, dtype=float) for x in (r, m, eps_bar))
+    if not np.all((0.0 <= eps_bar) & (eps_bar <= 1.0)):
         raise ValueError("error probability must lie in [0, 1]")
-    # a link that always fails sustains no rate, also where the payload r
-    # overflowed to inf (the equal-payload direct scheme doubles r)
-    if eps_bar == 1.0 or 2.0 * m > qos.d:
-        return 0.0
-    phi = 4.0 * m * math.log(qos.p_d) / qos.d
     keep = 1.0 - eps_bar
-    # a vanishing penalty (unbounded delay budget) gives exactly the
-    # throughput r*(1 - eps)/2: sqrt(keep**2) is keep in floating point
-    disc = keep**2 + phi * eps_bar * keep
-    if not disc >= 0.0:   # also nan, where m and d are both infinite
-        return 0.0
-    return 0.25 * r * keep + 0.25 * r * math.sqrt(disc)
+    # the inf and nan terms outside the region are not kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = 4.0 * m * math.log(qos.p_d) / qos.d
+        # sqrt(keep * keep) is keep: phi = 0 gives exactly r*(1 - eps)/2
+        disc = keep * keep + phi * eps_bar * keep
+        # eps = 1 sustains no rate, also at r = inf (the equal-payload
+        # direct scheme doubles r); disc is nan where m = d = inf
+        out = np.where((eps_bar == 1.0) | (2.0 * m > qos.d) | ~(disc >= 0.0),
+                       0.0, 0.25 * r * keep + 0.25 * r * np.sqrt(disc))
+    return float(out) if out.ndim == 0 else out

@@ -70,6 +70,19 @@ def test_outage_prob_monotone_in_rate():
     assert all(0.0 <= p <= 1.0 for p in ps)
     assert all(b > a for a, b in zip(ps, ps[1:]))
 
+@pytest.mark.parametrize("gains", [REF_GAINS, LinkGains(5.0, 8.0, 5.0),
+                                   LinkGains(1e-29, 1e30, 1e-3)])
+def test_outage_prob_array_is_the_per_rate_calls(gains):
+    # one call over a block of rates gives each rate's scalar value
+    rng = np.random.default_rng(3)
+    rates = np.concatenate([[0.0, 1e-12, 1e-3, REF_RATE, 53.5, 1023.99,
+                             1024.0, math.inf], rng.uniform(0.0, 30.0, 200)])
+    values = outage_prob_relay(rates.reshape(13, 16), gains)
+    assert values.shape == (13, 16)
+    singles = [outage_prob_relay(r, gains) for r in rates.tolist()]
+    assert all(type(p) is float for p in singles)
+    assert values.ravel().tolist() == singles
+
 def test_outage_prob_equal_branch_gains_erlang():
     # equal direct and relaying means collapse the combined CDF to Erlang-2
     g = LinkGains(g1=5.0, g2=8.0, g3=5.0)

@@ -6,14 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fblrelay import cli, fading
 from fblrelay.fading import QuadratureNonConvergence
+from fblrelay.fbl import LN2
 from fblrelay.linklayer import QoSPair
 from fblrelay.relay import LinkGains, SystemParams
 from fblrelay.scenario import (
@@ -523,14 +526,57 @@ def test_non_convergence_names_the_point_and_scheme(capsys, monkeypatch):
     assert code == 3 and captured.out == ""
     assert "grid point 0 (eta 0.1), scheme relay_avg:" in captured.err
 
+# the validated domain: mean SNRs 1e-30..1e30, m >= 100, eta in (0, ln 2],
+# swept rates >= 0; a block of one to four points
+_BLOCK_POINTS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+    st.lists(st.floats(2.0, 7.0), min_size=n, max_size=n),
+    st.lists(st.floats(1e-6, LN2), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n),
+    st.floats(1e-9, 0.5)))
+
+@settings(max_examples=100, deadline=None)
+@given(_BLOCK_POINTS)
+def test_evaluators_pass_on_only_valid_errors_and_rates(point):
+    # msdr and outage_prob_relay refuse an error off [0, 1] or a negative
+    # rate; every call the evaluators make on the validated domain passes
+    # neither, so their ValueError cannot name a point
+    exps, log_m, etas, rates, eps_nominal = point
+    blk = cli.Block(LinkGains(*(10.0**k for k in exps)),
+                    SystemParams(m=10.0**np.array(log_m),
+                                 eps_nominal=eps_nominal, eta=np.array(etas)),
+                    QoSPair(d=1e4, p_d=1e-2))
+    seen_rates, seen_errors = [], []
+    msdr, outage = cli.msdr, cli.outage_prob_relay
+
+    def seen_msdr(r, m, err, qos):
+        seen_rates.append(r)
+        seen_errors.append(err)
+        return msdr(r, m, err, qos)
+
+    def seen_outage(r, gains):
+        seen_rates.append(r)
+        return outage(r, gains)
+
+    with mock.patch.object(cli, "msdr", seen_msdr), \
+            mock.patch.object(cli, "outage_prob_relay", seen_outage):
+        for name in ("relay_avg", "direct_matched", "direct_weighted",
+                     "outage"):
+            for r in (None, np.array(rates)):
+                cli.SCHEMES[name].evaluate(r, blk)
+    assert seen_rates and seen_errors
+    assert all(np.all(np.asarray(r) >= 0.0) for r in seen_rates)
+    assert all(np.all((0.0 <= np.asarray(e)) & (np.asarray(e) <= 1.0))
+               for e in seen_errors)
+
 def test_value_error_names_the_point_and_scheme(capsys, monkeypatch):
-    # a block of 2 points: the error of grid point 3 is the second point's
-    # of the second block
+    # a block of 2 points: grid point 3 lies in the second block.  msdr
+    # evaluates a whole block at once, so its ValueError names the block
     monkeypatch.setattr(cli, "_BLOCK", 2)
     msdr = cli.msdr
 
     def failing(r, m, err, qos):
-        if r > 6.0:
+        if np.any(np.asarray(r) > 6.0):
             raise ValueError("refused")
         return msdr(r, m, err, qos)
 
@@ -540,8 +586,7 @@ def test_value_error_names_the_point_and_scheme(capsys, monkeypatch):
                      "msdr"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert ("grid point 3 (coding_rate 7.0), scheme relay_avg: refused"
-            in captured.err)
+    assert "grid points 2 to 3, scheme relay_avg: refused" in captured.err
 
 def test_oversized_grid_exits_2_naming_the_flag(capsys):
     # 1e15 points: numpy's allocation failed with a MemoryError traceback
@@ -963,3 +1008,33 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("eta[1],relay_avg.coding_rate")
+
+def test_path_loss_warnings_print_once_as_plain_lines():
+    # the reference distances lie below COST-231 Hata's 1 km range: each
+    # extrapolated distance is one plain line, not a Python warning with
+    # its source line
+    proc = subprocess.run(
+        [sys.executable, "-m", "fblrelay.cli", "sweep", "--variable", "eta",
+         "--grid-list", "0.2,0.3", "--metrics", "coding_rate"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        f"warning: COST-231 Hata evaluated outside its validity range "
+        f"(d = {d} km, f = 2000 MHz)" for d in ("0.36", "0.2")]
+
+def test_warning_filters_still_apply_inside_main(capsys):
+    # the suite makes every RuntimeWarning an error; main must not swallow
+    # it into a line
+    def overflowing(*args):
+        warnings.warn("overflow", RuntimeWarning)
+        return 0.0
+
+    with mock.patch.object(cli, "expected_overall_error", overflowing):
+        with pytest.raises(RuntimeWarning):
+            cli.main(["sweep", "--variable", "eta", "--grid-list", "0.2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        with mock.patch.object(cli, "expected_overall_error", overflowing):
+            assert cli.main(["sweep", "--variable", "eta", "--grid-list",
+                             "0.2", "--metrics", "coding_rate"]) == 0
+    assert "warning: overflow\n" in capsys.readouterr().err

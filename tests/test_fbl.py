@@ -14,6 +14,7 @@ from fblrelay.fbl import (
     _ERFCX,
     LOG2E,
     _mills,
+    _pow2,
     _rational_rows,
     _spread,
     achievable_rate,
@@ -286,3 +287,25 @@ class TestBlockError:
         assert e.shape == (3,)
         assert e[0] == 1.0
         assert e[1] == pytest.approx(block_error(1.0, 0.8, 500))
+
+
+class TestPow2:
+    def test_python_power_item_by_item(self):
+        # numpy's vectorized power and exp2 are an ulp off Python's 2.0**x
+        # on some rates; in [53, 54), (2^r - 1) + 1 is off 2^r too
+        rng = np.random.default_rng(11)
+        r = np.concatenate([rng.uniform(0.0, 30.0, 2000000),
+                            np.linspace(53.0, 54.0, 4001)[:-1],
+                            [0.0, 0.5, 1023.0, 1023.99]])
+        assert _pow2(r).tolist() == [2.0**x for x in r.tolist()]
+
+    def test_overflow_from_1024_on(self):
+        r = np.array([[1023.99, 1024.0], [2e6, math.inf]])
+        assert _pow2(r).tolist() == [[2.0**1023.99, math.inf],
+                                     [math.inf, math.inf]]
+
+    def test_scalars_in_scalars_out(self):
+        for r in (2.5, np.float64(2.5), np.array(2.5)):
+            value = _pow2(r)
+            assert type(value) is float and value == 2.0**2.5
+        assert _pow2(1024.0) == math.inf

@@ -168,6 +168,53 @@ def test_msdr_bounded_by_throughput():
             assert v < cbl  # strict whenever the penalty bites
 
 
+def _msdr_point(r, m, eps_bar, qos):
+    """msdr at one point of Python floats, squaring with Python's keep**2."""
+    if eps_bar == 1.0 or 2.0 * m > qos.d:
+        return 0.0
+    phi = 4.0 * m * math.log(qos.p_d) / qos.d
+    keep = 1.0 - eps_bar
+    disc = keep**2 + phi * eps_bar * keep
+    if not disc >= 0.0:
+        return 0.0
+    return 0.25 * r * keep + 0.25 * r * math.sqrt(disc)
+
+@pytest.mark.parametrize("qos", [REF_QOS, QoSPair(d=4e3, p_d=1e-4),
+                                 QoSPair(d=math.inf, p_d=0.5)])
+def test_msdr_array_is_the_point_formula_at_its_edges(qos):
+    # eps 0 and 1, r = inf, 2m = d and 2m = d + 1 (m = d = inf where d
+    # is), and 1e-6 either side of the discriminant's ceiling 1/(1 - phi)
+    points = []
+    for m in (100.0, 500.0, 0.5 * qos.d, 0.5 * (qos.d + 1.0)):
+        phi = 4.0 * m * math.log(qos.p_d) / qos.d
+        ceiling = [c for c in (1.0 / (1.0 - phi),) if 0.0 < c < 1.0]
+        errs = [0.0, 1e-12, 0.1, REF_ERR, 0.5, 1.0 - 1e-12, 1.0,
+                *(c + d for c in ceiling for d in (-1e-6, 1e-6))]
+        points += [(r, m, e) for r in (0.0, 1.0, REF_RATE, 1e300, math.inf)
+                   for e in errs]
+    r, m, e = map(np.array, zip(*points))
+    values = msdr(r, m, e, qos)
+    assert [v.hex() for v in values.tolist()] == [
+        _msdr_point(*p, qos).hex() for p in points]
+    # and each point alone is a Python float
+    assert all(type(msdr(*p, qos)) is float for p in points)
+
+def test_msdr_array_is_the_point_formula_to_an_ulp():
+    # the array squares keep as keep * keep; Python's keep**2 is an ulp off
+    # it for a few errors, and where it is, so may msdr be
+    rng = np.random.default_rng(8)
+    r, m = rng.uniform(0.0, 10.0, 20000), rng.uniform(100.0, 1000.0, 20000)
+    e = rng.uniform(0.0, 0.6, 20000)
+    values = msdr(r, m, e, REF_QOS)
+    points = [_msdr_point(*p, REF_QOS) for p in zip(r.tolist(), m.tolist(),
+                                                    e.tolist())]
+    keep = 1.0 - e
+    same_square = np.array([k**2 for k in keep.tolist()]) == keep * keep
+    assert np.array_equal(values[same_square], np.array(points)[same_square])
+    assert np.all(np.abs(values - points) <= np.spacing(values))
+    assert np.mean(values != points) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # decomposition identity
 # ---------------------------------------------------------------------------

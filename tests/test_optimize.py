@@ -95,7 +95,7 @@ def test_throughput_weight_optimum():
 def test_msdr_weight_optimum():
     def objective(eta):
         r, err = _relay_avg(eta)
-        return np.vectorize(lambda a, b: msdr(a, 500, b, REF_QOS))(r, err)
+        return msdr(r, 500, err, REF_QOS)
     res = maximize_unimodal(objective, 0.01, math.log(2.0), 1e-4)
     assert res.flag == "converged"
     assert res.argmax == pytest.approx(MSDR_ETA_STAR, abs=1e-6)

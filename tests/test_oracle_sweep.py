@@ -2,14 +2,15 @@
 
 Every number fblrelay prints passes through Q((C - r)/sqrt(V/m)).  This
 sweep holds Q, the Mills ratio phi/Phi of the perfect-CSI solver,
-capacity, dispersion, block_error and the single-link fading average to
-stated bounds over snr 1e-300..1e300, m 100..1e7 and r 0..10.  The Q and
-Mills bounds are the largest relative errors of scipy.special's erfc and
-erfcx on the same 2001-point grids; the numpy kernel in fblrelay.fbl
-must meet them too.  Every value must be finite, and pytest turns every
+capacity, dispersion, block_error and the single-link and combined
+(MRC) fading averages to stated bounds over snr 1e-300..1e300, m
+100..1e7 and r 0..10.  The Q and Mills bounds are the largest relative
+errors of scipy.special's erfc and erfcx on the same 2001-point grids;
+the numpy kernel in fblrelay.fbl must meet them too.  Every value must be finite, and pytest turns every
 RuntimeWarning into an error (pyproject.toml).  The fading-average
-references are mpmath integrals frozen in oracle_sweep_refs.json by
-freeze_oracle_sweep.py; one of them is recomputed on every run.
+references are mpmath integrals frozen in oracle_sweep_refs.json and
+oracle_sweep_mrc_refs.json by freeze_oracle_sweep.py; one of each is
+recomputed on every run.
 """
 
 import json
@@ -20,7 +21,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fblrelay.fading import expected_error_single
+from fblrelay.fading import expected_error_mrc, expected_error_single
 from fblrelay.fbl import (
     _mills,
     _spread,
@@ -28,6 +29,7 @@ from fblrelay.fbl import (
     q_func,
     shannon_c,
 )
+from fblrelay.relay import LinkGains
 
 SNRS = [10.0**k for k in range(-300, 301, 50)]
 BLOCKLENGTHS = [100.0, 1e4, 1e7]
@@ -37,6 +39,13 @@ EPS = np.finfo(float).eps
 # _expected_error_ref on the grid BLOCKLENGTHS x MEAN_SNRS x RATES, as
 # rows [m, mean_snr, r, reference]; tests/freeze_oracle_sweep.py writes it
 FROZEN = pathlib.Path(__file__).with_name("oracle_sweep_refs.json")
+# mean SNR pairs (g1, g3) of the combined average: equal, near-equal,
+# distinct and far apart
+MRC_MEANS = [(2.0, 2.0), (1.0, 1.0 + 1e-9), (0.5, 2.0), (1e3, 2e2),
+             (1e-3, 1e3), (1e-30, 1e30)]
+# _expected_error_mrc_ref on BLOCKLENGTHS x MRC_MEANS x RATES, as rows
+# [m, g1, g3, r, reference]
+FROZEN_MRC = FROZEN.with_name("oracle_sweep_mrc_refs.json")
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +184,37 @@ def _expected_error_ref(r, m, mean_snr):
         return mp.quad(f, sorted(points))
 
 
+def _expected_error_mrc_ref(r, m, g1, g3):
+    """E[Q(w(x))] over the combined SNR x = g1 z1 + g3 z3, by mp.quad.
+
+    x has the hypoexponential density, or the Erlang-2 one for equal
+    means.  The range is split densely at the drop, around it and
+    geometrically toward the origin from it and from both means: with
+    fewer splits mp.quad was off by up to 6e-15 where its own error
+    estimate read 1e-22.  With another such split set the values agree
+    to 1e-21.
+    """
+    a, b = mp.mpf(max(g1, g3)), mp.mpf(min(g1, g3))
+
+    def f(x):
+        if x == 0:
+            return mp.mpf(0)
+        if a == b:
+            density = x / a**2 * mp.exp(-x / a)
+        else:
+            density = (-mp.exp(-x / a) * mp.expm1(-x * (a - b) / (a * b))
+                       / (a - b))
+        return _block_error_ref(x, r, m)[0] * density
+    t = mp.mpf(2) ** r - 1
+    g = t if r > 0 else mp.mpf(1) / m
+    h = 10 * mp.sqrt(_cap_disp(g)[1] / m) * (1 + g) * mp.log(2)
+    points = ([t + k * h / 4 for k in range(-12, 13)] + [4 * a, 16 * a]
+              + [p * mp.mpf(2) ** -j for p in (t, b, a) for j in range(12)])
+    points = {mp.mpf(0), mp.inf} | {p for p in points if 0 < p < 100 * a}
+    with mp.workdps(20):
+        return mp.quad(f, sorted(points))
+
+
 def _frozen_refs():
     return json.loads(FROZEN.read_text(encoding="utf-8"))["refs"]
 
@@ -200,3 +240,29 @@ def test_frozen_reference_recomputes():
     m, mean_snr, r, ref = next(row for row in _frozen_refs()
                                if row[:3] == [1e4, 1.0, 1.0])
     assert abs(_expected_error_ref(r, m, mean_snr) - mp.mpf(ref)) <= 1e-18
+
+
+def _frozen_mrc_refs():
+    return json.loads(FROZEN_MRC.read_text(encoding="utf-8"))["refs"]
+
+
+@pytest.mark.parametrize("m", BLOCKLENGTHS)
+def test_expected_error_mrc_absolute_error(m):
+    # the engine stops once two refinements agree to 1e-8; the largest
+    # error on the grid was 4.4e-16, two ulps below 1 at r = 10, m = 100
+    rows = [row for row in _frozen_mrc_refs() if row[0] == m]
+    assert [row[1:4] for row in rows] == [[g1, g3, r] for g1, g3 in MRC_MEANS
+                                          for r in RATES]
+    worst = 0.0
+    for _, g1, g3, r, ref in rows:
+        value = expected_error_mrc(r, m, LinkGains(g1, 1.0, g3))
+        assert math.isfinite(value)
+        worst = max(worst, float(abs(value - mp.mpf(ref))))
+    assert worst <= 1e-15
+
+
+def test_frozen_mrc_reference_recomputes():
+    # one frozen value of distinct means, on the error drop, recomputed live
+    m, g1, g3, r, ref = next(row for row in _frozen_mrc_refs()
+                             if row[:4] == [1e4, 0.5, 2.0, 1.0])
+    assert abs(_expected_error_mrc_ref(r, m, g1, g3) - mp.mpf(ref)) <= 1e-18

@@ -129,6 +129,27 @@ def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
     assert max(calls) <= fading._SLICE
     assert len(calls) == sum(n for _, n in rounds) <= 50
 
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--variable", "eta", "--grid", "0.01", "0.6931", "100",
+      "--metrics", "bl_throughput,msdr"], "msdr"),
+    (["compare", "--pair", "fbl_vs_outage"], "outage_prob_relay"),
+])
+def test_block_metrics_are_one_call_per_block(monkeypatch, capsys, argv,
+                                              name):
+    # a count, not a timing: msdr and the outage probability take a
+    # block as arrays, so 100 grid points, two blocks, are two calls
+    calls = []
+    fn = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return fn(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(cli._BLOCK,), (100 - cli._BLOCK,)]
+
 def test_per_draw_solver_needs_the_steps_its_guard_states(monkeypatch):
     # the _MAX_STEPS comment names the most steps a draw of the totality
     # grid takes; capped there, every draw must end where it ends uncapped
