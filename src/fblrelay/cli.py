@@ -65,10 +65,10 @@ class Block:
     """A block of operating points and what its Monte Carlo schemes need.
 
     The points share gains and qos; params.eta or params.m may be an
-    array over them.  index holds their grid indices: point i's Monte
-    Carlo substream root is seed + (i,), with seed = (global seed,).
-    ergodic is the sweep's ergodic-capacity constant, and workers the
-    threads of the schemes that draw samples.
+    array over them, a sweep's whole grid.  index holds their grid
+    indices: point i's Monte Carlo substream root is seed + (i,), with
+    seed = (global seed,), and the ergodic estimate's is seed + (10001,).
+    workers are the threads of the schemes that draw samples.
     """
 
     gains: LinkGains
@@ -77,7 +77,6 @@ class Block:
     mc_samples: int = _MC_SAMPLES
     seed: tuple = ()
     index: tuple = ()
-    ergodic: float = math.nan
     workers: int = 1
 
 def _relay_avg(r, blk):
@@ -125,7 +124,9 @@ def _twice(x):
         return 2.0 * x
 
 def _shannon_ergodic(r, blk):
-    return {"bl_throughput": blk.ergodic}
+    # a constant column: one estimate serves every point of the block
+    return {"bl_throughput": ergodic_capacity_relay(
+        blk.gains, max(blk.mc_samples, 1000000), blk.seed + (10001,))[0]}
 
 def _outage(r, blk):
     g, p = blk.gains, blk.params
@@ -172,14 +173,10 @@ SCHEMES = {
 # sweeps
 # ---------------------------------------------------------------------------
 
-# grid points evaluated together: the quadrature's batch, and so its
-# memory, stays bounded however long the grid
-_BLOCK = 64
-
 def _on_axis(variable, params, x):
     """(params, swept rate or None) at axis value x; ValueError off its domain.
 
-    x may be an array of axis values, the points of a block.
+    x may be an array of axis values, the points of one evaluation.
     """
     if variable == "eta":
         return replace(params, eta=x), None
@@ -189,12 +186,24 @@ def _on_axis(variable, params, x):
         raise ValueError("coding rate must be finite and nonnegative")
     return params, x
 
+def _evaluate(scheme, r, blk, point):
+    """SCHEMES[scheme].evaluate(r, blk), with its errors naming the scheme.
+
+    A non-convergence also names its point k of the block, as point(k).
+    """
+    try:
+        return SCHEMES[scheme].evaluate(r, blk)
+    except (ValueError, QuadratureNonConvergence) as exc:
+        k = getattr(exc, "index", None)
+        where = "" if k is None else point(k) + ", "
+        raise type(exc)(f"{where}scheme {scheme}: {exc}") from None
+
 def _run_sweep(variable, grid, schemes, metrics, args):
     """Header and rows of a sweep, with the scenario and run flags of args.
 
-    Every scheme is evaluated once per block of up to _BLOCK points, as
+    Every scheme is evaluated once, on the whole grid as one block of
     arrays.  A QuadratureNonConvergence names the scheme and its grid
-    point, and a ValueError, raised for the whole block, names its block.
+    point, and a ValueError, raised for the whole grid, the scheme.
     """
     # the request first, before the scenario is read
     for flag, chosen, known in (("--schemes", schemes, SCHEMES),
@@ -213,12 +222,10 @@ def _run_sweep(variable, grid, schemes, metrics, args):
             raise ValueError(f"{scheme} re-optimizes the rate per draw; "
                              "not defined on a coding_rate sweep")
     scn = _scenario_from_args(args, variable, schemes, metrics)
-    mc_samples, workers = args.mc_samples or _MC_SAMPLES, args.workers or 1
-    seed = args.seed
     gains, params = build(scn)
     grid = np.array(grid, dtype=float)
     try:
-        _on_axis(variable, params, grid)
+        params, r = _on_axis(variable, params, grid)
     except ValueError:
         # name the first value off the axis's domain
         for x in grid.tolist():
@@ -228,33 +235,21 @@ def _run_sweep(variable, grid, schemes, metrics, args):
                 flag = "--grid" if args.grid is not None else "--grid-list"
                 raise ValueError(f"{flag} value {x!r}: {exc}") from None
         raise
-    ergodic = math.nan
-    if "shannon_ergodic" in schemes:
-        # constant column: estimated once, before the grid loop
-        ergodic, _ = ergodic_capacity_relay(
-            gains, n_samples=max(mc_samples, 1000000), seed=(seed, 10001))
-    rows = []
-    for start in range(0, grid.size, _BLOCK):
-        xs = grid[start:start + _BLOCK]
-        blk_params, r = _on_axis(variable, params, xs)
-        blk = Block(gains, blk_params, scn.qos, mc_samples, (seed,),
-                    tuple(range(start, start + xs.size)), ergodic, workers)
-        columns = [xs]
-        for scheme in schemes:
-            try:
-                values = SCHEMES[scheme].evaluate(r, blk)
-            except (ValueError, QuadratureNonConvergence) as exc:
-                k = getattr(exc, "index", None)
-                where = (f"grid points {start} to {start + xs.size - 1}"
-                         if k is None else f"grid point {start + k} "
-                         f"({variable} {float(xs[k])!r})")
-                raise type(exc)(f"{where}, scheme {scheme}: {exc}") from None
-            columns.extend(np.broadcast_to(values[metric], xs.shape)
-                           for metric in metrics)
-        rows.extend(np.column_stack(columns).tolist())
+    blk = Block(gains, params, scn.qos, args.mc_samples or _MC_SAMPLES,
+                (args.seed,), tuple(range(grid.size)), args.workers or 1)
+    cells = {}
+    # the per-draw solver (the schemes off a rate sweep) runs last: the C
+    # allocator keeps much of its freed memory resident, and the ergodic
+    # estimate's 24 MB of draws would come on top of it
+    for scheme in sorted(schemes, key=lambda s: not SCHEMES[s].rate_sweep):
+        values = _evaluate(scheme, r, blk, lambda k: f"grid point {k} "
+                           f"({variable} {float(grid[k])!r})")
+        cells.update(((scheme, m), values[m]) for m in metrics)
     header = [f"{variable}[{_VAR_UNITS[variable]}]"]
     header.extend(f"{s}.{m}[{_UNITS[m]}]" for s in schemes for m in metrics)
-    return header, rows
+    return header, np.column_stack([grid] + [
+        np.broadcast_to(cells[s, m], grid.shape)
+        for s in schemes for m in metrics]).tolist()
 
 def _format_csv(header, rows, summary=()):
     lines = [",".join(header)]
@@ -400,7 +395,8 @@ def _cmd_optimize(args):
         new = [e for e in dict.fromkeys(etas) if e not in cells]
         if new:
             blk = Block(gains, replace(params, eta=np.array(new)), scn.qos)
-            values = SCHEMES["relay_avg"].evaluate(None, blk)
+            values = _evaluate("relay_avg", None, blk,
+                               lambda k: f"eta {new[k]!r}")
             for j, e in enumerate(new):
                 cells[e] = {k: float(v[j]) for k, v in values.items()}
         out = np.array([cells[e][name] for e in etas])

@@ -17,8 +17,8 @@ geometrically toward z = 0 so the square-root kink is resolved.  Every
 panel is then halved until two successive refinements agree; budget
 exhaustion raises QuadratureNonConvergence instead of returning a bad
 value.  The engine takes a batch of integrals, such as one per point of
-a sweep, and evaluates their nodes together; each keeps its own self
-check, so a value does not depend on what else is in the batch.
+a sweep, and evaluates 64 at a time; each keeps its own self check, so
+a value does not depend on what else is in the batch.
 """
 
 import math
@@ -43,6 +43,9 @@ _TOL_MRC_OUTER = 1e-8
 
 # halvings of every panel before the self check gives up
 _MAX_ROUNDS = 6
+
+# items integrated together, which bounds the panels and nodes held
+_BATCH = 64
 
 # nodes per integrand call: block_error costs least per node near 8k
 # nodes (19 ns, against 61 ns at 2k and 67 ns at 172k, measured on a
@@ -207,34 +210,38 @@ def exp_average(phi, tol, hints, extra_edges=()):
     and bounded: it gets an array of nodes z and the same-length array
     of the items they belong to, at most _SLICE nodes of several items
     per call.
+    Items are integrated _BATCH at a time, so memory stays bounded.
     Each item checks itself: its panels are halved until two successive
-    estimates lie within tol, and it then leaves the batch with the
-    later one.  So every item's value is bitwise what a batch of it
-    alone gives.  Returns the values as an array in item order.  Raises
-    QuadratureNonConvergence, with index the first item left, when
-    _MAX_ROUNDS halvings of every panel leave two successive estimates
-    of some item more than tol apart.
+    estimates lie within tol, and it then leaves with the later one.  So
+    every item's value is bitwise what a batch of it alone gives.
+    Returns the values as an array in item order, empty if none.  Raises
+    QuadratureNonConvergence, with index the first item left in the
+    whole batch, when _MAX_ROUNDS halvings of every panel leave two
+    successive estimates of some item more than tol apart.
     """
-    lo, hi, counts = _meshes(*hints, extra_edges)
-    items = np.arange(counts.size)
-    out = np.empty(counts.size)
-    prev = _eval_panels(phi, lo, hi, counts, items)
-    for _ in range(_MAX_ROUNDS):
-        if not items.size:
-            break
-        lo, hi = _halve(lo, hi)
-        counts = 2 * counts
-        cur = _eval_panels(phi, lo, hi, counts, items)
-        done = np.abs(cur - prev) <= tol
-        out[items[done]] = cur[done]
-        live = (~done).repeat(counts)
-        lo, hi, counts, items, prev = (lo[live], hi[live], counts[~done],
-                                       items[~done], cur[~done])
-    if items.size:
-        raise QuadratureNonConvergence(
-            f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
-            f"({counts[0]} panels, last estimate {prev[0]:.12g})",
-            int(items[0]))
+    z_star, h = hints
+    out = np.empty(z_star.size)
+    for start in range(0, out.size, _BATCH):
+        part = slice(start, start + _BATCH)
+        lo, hi, counts = _meshes(z_star[part], h[part], extra_edges)
+        items = np.arange(start, start + counts.size)
+        prev = _eval_panels(phi, lo, hi, counts, items)
+        for _ in range(_MAX_ROUNDS):
+            if not items.size:
+                break
+            lo, hi = _halve(lo, hi)
+            counts = 2 * counts
+            cur = _eval_panels(phi, lo, hi, counts, items)
+            done = np.abs(cur - prev) <= tol
+            out[items[done]] = cur[done]
+            live = (~done).repeat(counts)
+            lo, hi, counts, items, prev = (lo[live], hi[live], counts[~done],
+                                           items[~done], cur[~done])
+        if items.size:
+            raise QuadratureNonConvergence(
+                f"no agreement within {tol:g} after {_MAX_ROUNDS} refinements "
+                f"({counts[0]} panels, last estimate {prev[0]:.12g})",
+                int(items[0]))
     return out
 
 
@@ -278,18 +285,16 @@ def _average_error(r, m, scale, tol, weight, extra_edges):
     z_star, h = _transition_hint(scale, flat_r, flat_m)
     out = np.ones(flat_r.size)
     todo = np.flatnonzero(~(z_star - h >= Z_CUTOFF))
-    if todo.size:
-        phi = _integrand(scale, flat_r[todo], flat_m[todo], weight)
-        # scale * z overflows to inf near z = Z_CUTOFF above scales of
-        # 4.5e306, and block_error takes snr = inf to its limit
-        try:
-            with np.errstate(over="ignore"):
-                val = exp_average(phi, tol, (z_star[todo], h[todo]),
-                                  extra_edges)
-        except QuadratureNonConvergence as exc:
-            exc.index = int(todo[exc.index])
-            raise
-        out[todo] = np.minimum(np.maximum(val, 0.0), 1.0)
+    phi = _integrand(scale, flat_r[todo], flat_m[todo], weight)
+    # scale * z overflows to inf near z = Z_CUTOFF above scales of
+    # 4.5e306, and block_error takes snr = inf to its limit
+    try:
+        with np.errstate(over="ignore"):
+            val = exp_average(phi, tol, (z_star[todo], h[todo]), extra_edges)
+    except QuadratureNonConvergence as exc:
+        exc.index = int(todo[exc.index])
+        raise
+    out[todo] = np.minimum(np.maximum(val, 0.0), 1.0)
     out = out.reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 

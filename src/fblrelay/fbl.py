@@ -48,10 +48,10 @@ _ERFCX = np.array([
 ])
 # In float64 the kernel's Q(w) is exactly 1 below w = -8.3 and exactly 0
 # above w = 38.6, so |w| is capped at 64 and enters the kernel as
-# p = |w|/64 <= 1, exact in binary.  A large array sends only the values
-# in between through the kernel: from 4096 values on, the gather costs
-# less than the kernel work it saves where many values lie outside, as
-# in the Monte Carlo draws of validate (65% of them), and about as much
+# p = |w|/64 <= 1, exact in binary.  Only the values in between (and
+# NaN) go through the kernel, gathered: on large arrays that saves the
+# kernel work where many values lie outside, as in the Monte Carlo
+# draws of validate (65% of them), and costs about as much as it saves
 # where few do (17% in the perfect-CSI solver).
 # exp(-w^2/2) is taken as exp(-w^2/4)^2 with |w| capped at 53: numpy's
 # exp leaves its fast path where the result is subnormal or 0, from
@@ -60,7 +60,6 @@ _ERFCX = np.array([
 _W_CAP = 64.0
 _P_ONE = 8.3 / _W_CAP
 _P_ZERO = 38.6 / _W_CAP
-_COMPACT_SIZE = 4096
 _P_GAUSS = 53.0 / _W_CAP
 _TINY = 5e-324
 # |C - r| is capped here, beyond 64 s at every m > 0
@@ -123,14 +122,12 @@ def _q(p, below):
 
     Q(|w|) = exp(-w^2/2) * erfcx(|w|/sqrt(2))/2, and the reflection
     1 - Q(|w|) is written |below - Q(|w|)|, one rounding either way.
-    A large array sends only the values with 0 < Q < 1 through the
-    kernel (see _COMPACT_SIZE); the result is the same.
+    Only the values with 0 < Q < 1, and NaN, go through the kernel; the
+    others are exactly below.
     """
-    if p.size < _COMPACT_SIZE:
-        return np.abs(below - _gauss(p) / _erfcx_ratio(p))
-    # a C-ordered copy, so that its ravel is a view that takes the values
-    out = below.astype(float, order="C")
-    idx = np.flatnonzero(p < np.where(below, _P_ONE, _P_ZERO))
+    # C-ordered and 0-d for a scalar, so that its ravel is a writable view
+    out = np.array(below, dtype=float, order="C")
+    idx = np.flatnonzero(~(p >= np.where(below, _P_ONE, _P_ZERO)))
     p, below = p.ravel()[idx], below.ravel()[idx]
     out.ravel()[idx] = np.abs(below - _gauss(p) / _erfcx_ratio(p))
     return out

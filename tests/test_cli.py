@@ -126,7 +126,7 @@ def test_extreme_axis_value_exits_0_or_2(capsys, variable, value):
 
 def test_grid_is_checked_in_one_call_naming_the_first_bad_value(
         capsys, monkeypatch):
-    # one _on_axis call checks a valid grid, and one more runs per block
+    # one _on_axis call checks a valid grid and gives its parameters
     calls = []
     on_axis = cli._on_axis
     monkeypatch.setattr(cli, "_on_axis",
@@ -134,7 +134,7 @@ def test_grid_is_checked_in_one_call_naming_the_first_bad_value(
     assert cli.main(["sweep", "--variable", "eta", "--grid", "0.01",
                      "0.6931", "100"]) == 0
     capsys.readouterr()
-    assert calls == [100, 64, 36]
+    assert calls == [100]
     # off the domain, the values are checked one by one up to the first bad
     calls.clear()
     code = cli.main(["sweep", "--variable", "eta",
@@ -419,7 +419,7 @@ def test_unread_scenario_flag_exits_2_before_work(capsys, command, flag):
 READ_POINT = cli.Block(LinkGains(30.0, 300.0, 200.0),
                        SystemParams(m=500.0, eps_nominal=1e-3, eta=0.2),
                        QoSPair(d=1e4, p_d=1e-2), mc_samples=100000,
-                       seed=(42,), index=(0,), ergodic=1.5)
+                       seed=(42,), index=(0,))
 # another value of every key a scheme or metric may read
 READ_CHANGES = {"m": 700.0, "eta": 0.3, "eps_nominal": 2e-3, "qos_d": 2e4,
                 "qos_p_d": 0.02}
@@ -526,6 +526,16 @@ def test_non_convergence_names_the_point_and_scheme(capsys, monkeypatch):
     assert code == 3 and captured.out == ""
     assert "grid point 0 (eta 0.1), scheme relay_avg:" in captured.err
 
+def test_optimize_non_convergence_names_the_weight_and_scheme(capsys,
+                                                              monkeypatch):
+    # the scan's first weight, 0.01, is the first item to fail
+    monkeypatch.setattr(fading, "_MAX_ROUNDS", 0)
+    code = cli.main(["optimize", "--objective", "bl_throughput"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical non-convergence: eta 0.01, "
+                                   "scheme relay_avg: no agreement")
+
 # the validated domain: mean SNRs 1e-30..1e30, m >= 100, eta in (0, ln 2],
 # swept rates >= 0; a block of one to four points
 _BLOCK_POINTS = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -569,10 +579,9 @@ def test_evaluators_pass_on_only_valid_errors_and_rates(point):
     assert all(np.all((0.0 <= np.asarray(e)) & (np.asarray(e) <= 1.0))
                for e in seen_errors)
 
-def test_value_error_names_the_point_and_scheme(capsys, monkeypatch):
-    # a block of 2 points: grid point 3 lies in the second block.  msdr
-    # evaluates a whole block at once, so its ValueError names the block
-    monkeypatch.setattr(cli, "_BLOCK", 2)
+def test_value_error_names_the_scheme(capsys, monkeypatch):
+    # msdr evaluates the whole grid at once, so its ValueError has no
+    # narrower place to name than the scheme
     msdr = cli.msdr
 
     def failing(r, m, err, qos):
@@ -586,7 +595,7 @@ def test_value_error_names_the_point_and_scheme(capsys, monkeypatch):
                      "msdr"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "grid points 2 to 3, scheme relay_avg: refused" in captured.err
+    assert captured.err == "error: scheme relay_avg: refused\n"
 
 def test_oversized_grid_exits_2_naming_the_flag(capsys):
     # 1e15 points: numpy's allocation failed with a MemoryError traceback
@@ -599,16 +608,17 @@ def test_oversized_grid_exits_2_naming_the_flag(capsys):
 @pytest.mark.parametrize("variable, grid", [("eta", "0.05,0.2,0.45,0.69"),
                                             ("coding_rate", "0,1.5,4,9"),
                                             ("blocklength", "100,350,2e4,1e7")])
-def test_blocks_of_the_grid_give_the_same_rows(capsys, monkeypatch, variable,
+def test_quadrature_batches_give_the_same_rows(capsys, monkeypatch, variable,
                                                grid):
-    # a grid cut into blocks of 1 or 3 points prints what one block does
+    # the quadrature integrating 1 or 3 items at a time prints what one
+    # batch of the whole grid does
     args = ["sweep", "--variable", variable, "--grid-list", grid,
             "--schemes", "relay_avg,direct_matched,direct_weighted,outage",
             "--metrics", "bl_throughput,expected_error,coding_rate"]
     code, whole = run_cli(args, capsys)
     assert code == 0
     for size in (1, 3):
-        monkeypatch.setattr(cli, "_BLOCK", size)
+        monkeypatch.setattr(fading, "_BATCH", size)
         assert run_cli(args, capsys) == (0, whole)
 
 def test_sweep_rows_equal_the_schemes_at_each_point(capsys):
@@ -623,15 +633,12 @@ def test_sweep_rows_equal_the_schemes_at_each_point(capsys):
     assert code == 0
     scn = Scenario()
     gains, params = cli.build(scn)
-    ergodic = cli.ergodic_capacity_relay(gains, n_samples=1000000,
-                                         seed=(7, 10001))[0]
     rows = [[float(v) for v in line.split(",")] for line in out.split("\n")[1:]
             if line]
     assert len(rows) == 3
     for i, row in enumerate(rows):
         blk = cli.Block(gains, replace(params, eta=row[0]), scn.qos,
-                        mc_samples=100000, seed=(7,), index=(i,),
-                        ergodic=ergodic)
+                        mc_samples=100000, seed=(7,), index=(i,))
         cells = [float(np.ravel(cli.SCHEMES[name].evaluate(None, blk)
                                 ["bl_throughput"])[0]) for name in schemes]
         assert [v.hex() for v in row[1:]] == [v.hex() for v in cells], i

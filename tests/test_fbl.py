@@ -66,8 +66,8 @@ class TestQFunctions:
         assert np.max(np.abs(back - w)) < 2e-8
 
     def test_large_arrays_give_the_small_array_values(self):
-        # from 4096 values on, only those with 0 < Q < 1 go through the
-        # kernel; the others are exactly 0 or 1 either way
+        # only the values with 0 < Q < 1 go through the kernel, gathered;
+        # the others are exactly 0 or 1 at every array size
         w = np.concatenate([np.linspace(-70.0, 70.0, 8001),
                             np.linspace(-8.4, -8.2, 501),
                             np.linspace(38.5, 38.7, 501), [np.inf, -np.inf]])
@@ -98,6 +98,15 @@ class TestQFunctions:
             pairs = np.concatenate([_rational_rows(coeffs, x[i:i + 2])
                                     for i in range(0, n, 2)], axis=1)
             assert np.array_equal(_rational_rows(coeffs, x), pairs)
+
+    @pytest.mark.parametrize("n", [1, 10, 4095, 4096, 5000])
+    def test_nan_gives_nan_at_every_size(self, n):
+        # a NaN argument gives NaN at every array size, never 0.0, which
+        # would read as a certain success
+        nan = np.full(n, np.nan)
+        assert np.isnan(q_func(nan)).all()
+        assert np.isnan(block_error(nan, 1.0, 500.0)).all()
+        assert math.isnan(q_func(math.nan))
 
     def test_every_array_layout_gives_the_same_values(self):
         # the kernel flattens its input, and a large array has its values
