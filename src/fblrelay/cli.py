@@ -1,10 +1,12 @@
 """Command-line front end: sweeps, optimization, comparisons, validation.
 
 Data rows go to stdout as CSV with full-precision floats (byte-identical
-across runs with the same flags and seed); progress and warnings go to
-stderr.  Exit codes: 0 success, 2 validation error, 3 numerical
-non-convergence.  Monte Carlo work derives one substream per grid point
-from the global seed, so the worker count never changes the output.
+across runs with the same flags and seed on any BLAS kernel; numpy's
+exp and log can differ in last digits with and without AVX-512);
+progress and warnings go to stderr.  Exit codes: 0 success, 2
+validation error, 3 numerical non-convergence.  Monte Carlo work
+derives one substream per grid point from the global seed, so the
+worker count never changes the output.
 """
 
 import argparse

@@ -64,40 +64,25 @@ _P_GAUSS = 53.0 / _W_CAP
 _TINY = 5e-324
 # |C - r| is capped here, beyond 64 s at every m > 0
 _HUGE = 1e300
-# columns of the rational's power table at a time: 12 rows of 8192
-# powers take 0.8 MB, and the fading averages evaluate their nodes in
-# slices of this size (fading._SLICE), so each of their calls is one block
-_BLOCK = 8192
 
 
 def _rational_rows(coeffs, x):
-    """coeffs @ [x^k .. x^0]: each row of coeffs, highest power first, at x.
+    """Each row of coeffs, highest power first, at x, by Horner's rule.
 
-    The powers are built by doubling, [x^2j .. x^j+1] = [x^j .. x] x^j,
-    and one matrix product sums the small terms first, as Horner's rule
-    would: the error stays about an ulp where x < 0 and the terms
-    alternate.  The table takes _BLOCK values of x at a time, and the
-    products of the blocks are joined; a quadrature slice is one block.
-    A single column would take the matrix-vector route, which sums in
-    another order, so a lone value (a tail block of one too) goes in
-    twice: every value gets the same bits whatever comes with it.
+    Returns a (rows, x.size) array.  Each value takes the same
+    multiplies and adds on its own, so it gets the same bits whatever
+    comes with it and on every CPU; its error stays within about 2k eps
+    of the sum of the terms' magnitudes at degree k (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1).
     """
-    k = coeffs.shape[1] - 1
     x = x.ravel()
-    rows = []
-    for i in range(0, max(x.size, 1), _BLOCK):
-        xb = x[i:i + _BLOCK]
-        powers = np.empty((k + 1, 2 if xb.size == 1 else xb.size))
-        powers[k] = 1.0
-        powers[k - 1] = xb
-        done = 1
-        while done < k:
-            new = min(done, k - done)
-            np.multiply(powers[k - new:k], powers[k - done],
-                        out=powers[k - done - new:k - done])
-            done += new
-        rows.append((coeffs @ powers)[:, :xb.size])
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+    out = np.empty((len(coeffs), x.size))
+    for row, acc in zip(coeffs.tolist(), out):
+        acc.fill(row[0])
+        for c in row[1:]:
+            acc *= x
+            acc += c
+    return out
 
 
 def _erfcx_ratio(p):

@@ -5,6 +5,7 @@ bisection inversion, hand-composed formulas) before the implementation.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,9 +76,8 @@ class TestQFunctions:
         assert np.array_equal(q_func(w), small)
 
     def test_a_lone_value_reads_as_among_others(self):
-        # a one-column matrix product sums in another order: a scalar, or
-        # the one value left in a slice, must still get the bits it gets
-        # in an array
+        # a scalar, or the one value left in a slice, must get the bits it
+        # gets in an array: no sum may take another order for fewer values
         w = np.linspace(-9.0, 40.0, 2001)
         assert np.array_equal(q_func(w), [q_func(x) for x in w])
         _, mills = _mills(0.0, w, 1.0)
@@ -89,15 +89,37 @@ class TestQFunctions:
                                              for i in range(c.size)])
 
     @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385, (1 << 15) + 1])
-    def test_blocked_power_table_reads_as_pairs(self, n):
-        # the rational's power table takes 8192 columns at a time, and a
-        # tail block of one column goes in twice: every value must get the
-        # bits it gets two at a time, in the kernel's and the start's fit
+    def test_rational_reads_the_same_at_every_length(self, n):
+        # every value must get the bits it gets two at a time, in the
+        # kernel's and the start's fit, at lengths about the fading
+        # averages' slice of 8192 nodes and the Monte Carlo slice of 2^15
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         for coeffs in (_ERFCX, _START):
             pairs = np.concatenate([_rational_rows(coeffs, x[i:i + 2])
                                     for i in range(0, n, 2)], axis=1)
             assert np.array_equal(_rational_rows(coeffs, x), pairs)
+
+    @pytest.mark.parametrize("coeffs, lo, hi", [(_ERFCX, -0.45, 0.55),
+                                                (_START, -1.0, 1.0)])
+    def test_rational_is_within_its_horner_bound(self, coeffs, lo, hi):
+        # against the exact value of the same coefficients at the same
+        # floats: Horner's rule errs by about 2k eps times the sum of the
+        # terms' magnitudes at worst, and reads 1.80 eps times it at most
+        x = np.linspace(lo, hi, 3001)
+        got = _rational_rows(coeffs, x)
+        for row, vals in zip(coeffs.tolist(), got.tolist()):
+            for xi, v in zip(x.tolist(), vals):
+                exact = Fraction(0)
+                for c in row:
+                    exact = exact * Fraction(xi) + Fraction(c)
+                size = sum(abs(c) * abs(xi) ** k
+                           for k, c in enumerate(row[::-1]))
+                err = abs(Fraction(v) - exact)
+                assert err <= 4 * np.finfo(float).eps * size, (xi, v)
+                if coeffs is _ERFCX:
+                    # the kernel's coefficients are all positive: within
+                    # 2 ulp of the correctly rounded value (1.73 at most)
+                    assert err <= 2 * np.spacing(float(exact)), (xi, v)
 
     @pytest.mark.parametrize("n", [1, 10, 4095, 4096, 5000])
     def test_nan_gives_nan_at_every_size(self, n):

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -258,6 +259,71 @@ def test_no_runtime_module_imports_scipy():
                  if any(name.split(".")[0] == "scipy"
                         for name in _imports(path))}
     assert importers == set()
+
+
+# BLAS and LAPACK pick their kernels by CPU, and each kernel sums in
+# its own order, so a product through them gives other bits elsewhere
+_BLAS_NAMES = {"@", "dot", "matmul", "inner", "vdot", "tensordot", "einsum",
+               "linalg", "vecdot", "matvec", "vecmat", "polynomial"}
+
+
+def _blas_uses(path):
+    """(top-level name, used name) of each product or LAPACK route in a file."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            names = set()
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                names = {"@"}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in node.names
+                         for part in alias.name.split(".")}
+                names.update((getattr(node, "module", None) or "").split("."))
+            found.update((owner, name) for name in names & _BLAS_NAMES)
+    return found
+
+
+def test_no_runtime_module_calls_blas():
+    # a matrix product or dot product goes through BLAS, whose kernel the
+    # CPU selects, so stdout would differ by machine.  The one exception,
+    # _legendre's one-time leggauss(16), takes its eigenvalues from LAPACK
+    # and refines them with one Newton step: its nodes and weights were
+    # the same bytes under the default, Haswell, Sandybridge, Nehalem and
+    # Prescott OpenBLAS kernels
+    found = {(path.name, *use)
+             for path in (ROOT / "src" / "fblrelay").glob("*.py")
+             for use in _blas_uses(path)}
+    assert found <= {("fading.py", "_legendre", "polynomial")}
+
+
+def _openblas_on_x86():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    return platform.machine() in ("x86_64", "AMD64") and "openblas" in blas
+
+
+@pytest.mark.skipif(not _openblas_on_x86(),
+                    reason="OPENBLAS_CORETYPE selects x86 OpenBLAS kernels")
+def test_stdout_does_not_depend_on_the_blas_kernel():
+    # the same command under three OpenBLAS kernels prints one stdout
+    argv = ["sweep", "--variable", "eta", "--grid", "0.01", "0.6931", "20",
+            "--schemes", "relay_avg,direct_matched",
+            "--metrics", "bl_throughput,expected_error"]
+    outs = set()
+    for core in (None, "Nehalem", "Sandybridge"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        outs.add(subprocess.run([sys.executable, "-m", "fblrelay.cli", *argv],
+                                env=env, check=True, capture_output=True,
+                                text=True).stdout)
+    assert len(outs) == 1
 
 
 def test_cli_import_loads_no_scipy_module():
