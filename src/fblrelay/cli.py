@@ -480,7 +480,12 @@ def _cmd_validate(args):
         frac = rng.uniform(0.2, 0.8)
         sub = int(rng.integers(1 << 30))
         r = float(frac * math.log2(1.0 + bottleneck_snr(g)))
-        err = expected_overall_error(r, m, g)
+        try:
+            err = expected_overall_error(r, m, g)
+        except QuadratureNonConvergence as exc:
+            raise QuadratureNonConvergence(
+                f"point {i} (r={r!r}, m={m}, "
+                f"g1/g2/g3={g.g1!r}/{g.g2!r}/{g.g3!r}): {exc}") from None
         run = {"n": n, "workers": args.workers}
         est = mc_expected_overall_error(r, m, g, seed=(sub, 1), **run)
         thr = mc_bl_throughput(r, m, g, seed=(sub, 2), **run)

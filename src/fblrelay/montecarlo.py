@@ -13,11 +13,20 @@ references share: fading draws are one (3, n) array, mapped to per-draw
 SNRs in cache-sized slices (_per_draw), averaged with their standard
 error (_sample_mean), and every sample count meets its floor (_check_n).
 
-Every sampling path works inside the buffer it draws.  A chunk's two
-error rows overwrite its fading draws, and its uniforms and moments take
-the third row, so a worker holds one (3, 2^18) buffer and the
-temporaries of one slice.  A sample mean's values overwrite the first
-row of its draws, and their deviations the values.
+The decode events are screened.  Per call, the error of a draw is one
+decreasing function of its SNR, shared by both links, so _screen
+tabulates it once over the transition and decides almost every draw
+from its bin's bracket, by one log and two gathers; only the draws
+whose uniform falls inside the bracket go through block_error.  The
+count is bitwise the one with both errors of every draw.
+
+Every sampling path works inside the buffer it draws.  A chunk of the
+overall error writes its two error rows over its fading draws, and its
+moments take the third row; a chunk of decode events forms its SNRs in
+place and draws its uniforms into the third row.  So a worker holds one
+(3, 2^18) buffer and the temporaries of one slice.  A sample mean's
+values overwrite the first row of its draws, and their deviations the
+values.
 """
 
 import functools
@@ -27,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import block_error
+from .fbl import (LOG2E, _P_ONE, _P_ZERO, _W_CAP, _capacity, _spread_at,
+                  block_error)
 from .fading import _link_snrs
 
 _CHUNK = 1 << 18
@@ -123,19 +133,121 @@ def _link_errors(z, r, m, gains, out=None):
                                             block_error(snr_mrc, r, m)),
                      z, gains, outputs=2, out=out)
 
+# The screen's bins of ln snr: _BINS over the transition of the error,
+# no narrower than 2^-40 |ln snr| each, so that rounding moves a draw's
+# bin index by less than one bin.  Its range lies in _LOG_SNR, from the
+# least subnormal past the largest float.  1024 bins leave 7e-4 of
+# validate's decisions open; 4096 left 2e-4 at no gain in time, and the
+# kernel's temporaries on their knots raised validate's peak resident
+# set by 0.25 MB
+_BINS = 1024
+_LOG_SNR = (-745.0, 710.0)
+
+
+def _w_at(x, r, f):
+    """(C - r)/s at ln snr = x and f = LOG2E/sqrt(m).
+
+    ln(1 + snr) is taken as max(x, 0) + log1p(exp(-|x|)), which neither
+    overflows nor underflows to 0 on _LOG_SNR.
+    """
+    y = max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+    return (_capacity(y) - r) / _spread_at(y, f)
+
+def _log_snr_at(w, r, f):
+    """ln snr on _LOG_SNR where (C - r)/s crosses w, by bisection.
+
+    (C - r)/s rises with y = ln(1 + snr): its y-derivative has the sign
+    of 1 - e^(-2y)(1 + y - r ln 2) > 0.  Near an end of _LOG_SNR where
+    it does not cross.
+    """
+    lo, hi = _LOG_SNR
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _w_at(mid, r, f) < w:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+def _screen(r, m):
+    """decide(snr, u) = (u >= block_error(snr, r, m)) for 1-d arrays, bitwise.
+
+    e(snr) = block_error(snr, r, m) is one decreasing function, and the
+    kernel is within about 1e-13 of the true Q, so a table of its values
+    at _BINS + 1 knots of ln snr over the transition brackets e in each
+    bin.  A draw is decided by one log, one bin index and two gathers;
+    only a draw whose u falls inside its bin's bracket goes through
+    block_error.  Each bracket spans its bin and both neighbours, so a
+    bin index moved by rounding stays inside it, and its relative
+    margin covers the kernel's own error.  Below and above the table,
+    the bins are open-ended.
+    """
+    f = LOG2E / math.sqrt(m)
+    # the kernel's Q is 1 below w = -8.3 and 0 above w = 38.6
+    hi = _log_snr_at(_P_ZERO * _W_CAP, r, f)
+    lo = _log_snr_at(-_P_ONE * _W_CAP, r, f)
+    h = max((hi - lo) / _BINS, 2.0**-40 * max(abs(lo), abs(hi), 1.0))
+    with np.errstate(over="ignore"):
+        e = block_error(np.exp(lo + h * np.arange(_BINS + 1.0)), r, m)
+    # The kernel's w = (C - r)/s errs by a few ulps of C and r over s, and
+    # Q's relative slope is at most 40 where 0 < Q < 1; there r <= C + 8.3 s,
+    # and C/s, which rises with snr, is largest at the top knot.  So each
+    # value is within a relative 2e-12 + 2e-13 C/s of a decreasing
+    # function, and rel is more than twice that
+    rel = 1e-9 + 1e-12 * _w_at(lo + h * _BINS, 0.0, f)
+    # bin 0 lies below the first knot, bin b in 1.._BINS between knots
+    # b - 1 and b, and bin _BINS + 1 above the last knot
+    lower = np.concatenate((e[1:] * (1.0 - rel) - 1e-300, [-np.inf] * 2))
+    upper = np.concatenate(([np.inf] * 2, e[:-1] * (1.0 + rel) + 1e-300))
+    scale = 1.0 / h
+    offset = 1.0 - lo * scale
+
+    def decide(snr, u):
+        ok = np.empty(snr.size, dtype=bool)
+        open_draws = []
+        for i in range(0, snr.size, _SLICE):
+            blk = slice(i, i + _SLICE)
+            # ln 0 = -inf falls in bin 0 like any SNR below the table
+            with np.errstate(divide="ignore"):
+                t = np.log(snr[blk])
+            t *= scale
+            t += offset
+            idx = np.clip(t, 0.0, _BINS + 1.0, out=t).astype(np.intp)
+            bound = lower.take(idx, out=t)
+            np.greater_equal(u[blk], bound, out=ok[blk])
+            undecided = np.less(u[blk], upper.take(idx, out=bound))
+            undecided &= ok[blk]
+            open_draws.append(np.flatnonzero(undecided) + i)
+        # the kernel runs once per link, on the draws left open
+        left = np.concatenate(open_draws)
+        ok[left] = u[left] >= block_error(snr[left], r, m)
+        return ok
+
+    return decide
+
 def _successes(r, m, gains, n, seed, workers):
     """Decode successes in n two-stage periods: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
     one Bernoulli from the composed probability.  Each chunk draws its
-    fading, then its backhaul uniforms, then its MRC uniforms, each
-    into the third row of its draws once the errors hold the first two.
+    fading, forms its backhaul and MRC SNRs in place, then draws its
+    backhaul uniforms and its MRC uniforms, each into the third row.
+    A draw succeeds on a link where u >= block_error(snr, r, m); _screen
+    settles that from a per-call table of the error and runs the kernel
+    only on the draws its table leaves open, so the count is bitwise the
+    one with both errors of every draw.
     """
+    decide = _screen(r, m)
+
     def count(rng, k):
         z = draw_fading(rng, k)
-        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
-        ok = rng.random(out=z[2]) >= e2
-        ok &= rng.random(out=z[2]) >= emrc
+        # z2*g2 and z1*g1 + z3*g3, with _link_snrs's bits
+        z[1] *= gains.g2
+        z[0] *= gains.g1
+        z[2] *= gains.g3
+        z[0] += z[2]
+        ok = decide(z[1], rng.random(out=z[2]))
+        ok &= decide(z[0], rng.random(out=z[2]))
         return int(np.count_nonzero(ok))
 
     return sum(_map_chunks(count, n, seed, workers))

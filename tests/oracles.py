@@ -1,10 +1,11 @@
 """Helpers that only the tests use.
 
 The per-draw overall error in its plainest form, the reference of the
-Monte Carlo and perfect-CSI tests; the quadrature's panel mesh item by
-item, the reference of the batched mesh; the effective-capacity curve
-whose closed-form inverse is the MSDR; the MSDR's penalty factor; and
-the MSDR decomposition identity.
+Monte Carlo and perfect-CSI tests; the decode-event count with both
+errors of every draw, the reference of the screened count; the
+quadrature's panel mesh item by item, the reference of the batched
+mesh; the effective-capacity curve whose closed-form inverse is the
+MSDR; the MSDR's penalty factor; and the MSDR decomposition identity.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF, _link_snrs
 from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr
+from fblrelay.montecarlo import _link_errors, _map_chunks, draw_fading
 
 
 def overall_error_instant(z, r, m, gains):
@@ -27,6 +29,21 @@ def overall_error_instant(z, r, m, gains):
     e2 = block_error(snr2, r, m)
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc
+
+def successes_per_draw(r, m, gains, n, seed, workers):
+    """montecarlo._successes with both block errors of every draw computed.
+
+    Each chunk draws its fading, then its backhaul and MRC uniforms into
+    the third row, in _successes's stream order.
+    """
+    def count(rng, k):
+        z = draw_fading(rng, k)
+        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
+        ok = rng.random(out=z[2]) >= e2
+        ok &= rng.random(out=z[2]) >= emrc
+        return int(np.count_nonzero(ok))
+
+    return sum(_map_chunks(count, n, seed, workers))
 
 def panel_edges(hint, extra=()):
     """One item's panel edges, item by item: the reference mesh.

@@ -4,6 +4,7 @@ import argparse
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -535,6 +536,19 @@ def test_optimize_non_convergence_names_the_weight_and_scheme(capsys,
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("numerical non-convergence: eta 0.01, "
                                    "scheme relay_avg: no agreement")
+
+def test_validate_non_convergence_names_the_point(capsys, monkeypatch):
+    # the second point's average fails: exit 3 names that point, its rate,
+    # blocklength and mean SNRs
+    monkeypatch.setattr(cli, "expected_overall_error", mock.Mock(
+        side_effect=[0.1, QuadratureNonConvergence("diverged")]))
+    code = cli.main(["validate", "--points", "2", "--mc-samples", "10000",
+                     "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert re.fullmatch(r"numerical non-convergence: point 1 \(r=\S+, m=\d+, "
+                        r"g1/g2/g3=\S+/\S+/\S+\): diverged", last), last
 
 # the validated domain: mean SNRs 1e-30..1e30, m >= 100, eta in (0, ln 2],
 # swept rates >= 0; a block of one to four points

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fblrelay import montecarlo
 from fblrelay.baselines import _ergodic_per_draw, ergodic_capacity_relay
@@ -14,6 +15,7 @@ from fblrelay.relay import (
     LinkGains,
     _maximize_per_draw,
     bl_throughput_perfect_csi,
+    bottleneck_snr,
     expected_overall_error,
 )
 from fblrelay.linklayer import QoSPair, msdr, service_stats
@@ -28,7 +30,7 @@ from fblrelay.montecarlo import (
     mc_expected_overall_error,
     mc_service_stats,
 )
-from oracles import overall_error_instant, penalty_factor
+from oracles import overall_error_instant, penalty_factor, successes_per_draw
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 REF_RATE = 5.33969938461749
@@ -221,6 +223,36 @@ def test_throughput_estimate_frozen_and_within_band():
     assert est.mean == pytest.approx(MC_THR, rel=1e-12)
     assert est.std_err == pytest.approx(MC_THR_SE, rel=1e-9)
     assert abs(est.mean - REF_THR) < 3.0 * est.std_err
+
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("r", [0.0, 1e-3, 0.7, 5.3, 900.0])
+def test_screen_decides_as_the_kernel_at_its_own_errors(r, m):
+    # u at the kernel's exact error and at both float neighbours of it:
+    # every decision must be the kernel's, from SNR 0 and subnormals up to
+    # 1e300, and densely over the transition, between the table's knots too
+    s_max = math.log2(math.e) / math.sqrt(m)
+    c = r + np.linspace(-9.0, 40.0, 20001) * s_max
+    c += np.random.default_rng(1).uniform(0.0, 0.01 * s_max, c.size)
+    snr = np.concatenate(([0.0, 5e-324, 1e-315, 2.3e-308],
+                          np.geomspace(1e-300, 1e300, 20001),
+                          np.expm1(c[c > 0.0] * math.log(2.0))))
+    e = block_error(snr, r, m)
+    decide = montecarlo._screen(r, m)
+    for u in (e, np.nextafter(e, -1.0), np.nextafter(e, 2.0)):
+        assert np.array_equal(decide(snr, u), u >= e)
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.floats(math.log(0.5), math.log(300.0)), min_size=3,
+                max_size=3),
+       st.integers(100, 2000), st.floats(0.2, 0.8), st.integers(0, 1 << 30),
+       st.sampled_from([10000, (1 << 18) + 1000]))
+def test_screened_successes_equal_the_per_draw_count(log_g, m, frac, seed, n):
+    # over validate's parameter domain, one chunk or two
+    g = LinkGains(*map(float, np.exp(log_g)))
+    r = frac * math.log2(1.0 + bottleneck_snr(g))
+    want = successes_per_draw(r, m, g, n, seed, 1)
+    for workers in (1, 2):
+        assert montecarlo._successes(r, m, g, n, seed, workers) == want
 
 def test_throughput_error_free_links():
     # enormous gains: every decode succeeds, the estimate collapses to r/2

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fblrelay.cli import SCHEMES, Block
 from fblrelay.fbl import achievable_rate, block_error, shannon_c
@@ -117,6 +118,21 @@ def test_select_rate_strictly_increasing_in_weight():
     rates = [select_rate_avg_csi(g, _params(eta=e))
              for e in (0.05, 0.1, 0.2, 0.4, LN2)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+       st.floats(2.0, 7.0), st.floats(1e-9, 0.5), st.floats(1e-6, 0.6))
+def test_select_rate_rises_with_weight_where_positive(exps, log_m,
+                                                     eps_nominal, eta_lo):
+    # throughput and MSDR see the weight only through this rate, so where
+    # it rises with eta, quasi-concavity in eta is quasi-concavity in r.
+    # Over the validated domain: mean SNRs 1e-30..1e30, m >= 100, eta in
+    # (0, ln 2], here on 64 weights at least 0.2% apart
+    g = LinkGains(*(10.0**k for k in exps))
+    eta = np.geomspace(eta_lo, LN2, 64)
+    r = select_rate_avg_csi(g, SystemParams(m=10.0**log_m,
+                                            eps_nominal=eps_nominal, eta=eta))
+    assert np.all(np.diff(r)[r[:-1] > 0.0] > 0.0)
 
 def test_select_rate_unit_bottleneck_value():
     # eta * min SNR = 1 reproduces the frozen single-link rate at m = 500

@@ -101,6 +101,37 @@ def test_per_draw_solver_work_is_bounded(monkeypatch):
         assert sum(evals) <= 3 * z.shape[1], m
 
 
+def test_decode_events_run_the_kernel_on_few_draws(monkeypatch, capsys):
+    # a count, not a timing: _successes decides a draw from its table of
+    # the error and passes block_error only the table's knots and the
+    # draws whose brackets leave them open.  On validate's 8 points at
+    # seed 42 that was 0.12% of the 2n decisions, two fifths of it the
+    # tables' knots; with both errors of every draw it was 100%
+    elements, decisions, running = [], [], []
+    successes, block_error = montecarlo._successes, montecarlo.block_error
+
+    def counted_successes(r, m, gains, n, seed, workers):
+        decisions.append(2 * n)
+        running.append(True)
+        try:
+            return successes(r, m, gains, n, seed, workers)
+        finally:
+            running.pop()
+
+    def counted_error(snr, r, m):
+        if running:
+            elements.append(np.size(snr))
+        return block_error(snr, r, m)
+
+    monkeypatch.setattr(montecarlo, "_successes", counted_successes)
+    monkeypatch.setattr(montecarlo, "block_error", counted_error)
+    assert cli.main(["validate", "--points", "8", "--seed", "42",
+                     "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert len(decisions) == 16
+    assert sum(elements) <= 0.01 * sum(decisions)
+
+
 def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
     # a count, not a timing: a 100-point relay_avg sweep runs each
     # quadrature round over all live points at once, in calls of at most
