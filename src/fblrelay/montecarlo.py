@@ -13,17 +13,24 @@ references share: fading draws are one (3, n) array, mapped to per-draw
 SNRs in cache-sized slices (_per_draw), averaged with their standard
 error (_sample_mean), and every sample count meets its floor (_check_n).
 
-The decode events are screened.  Per call, the error of a draw is one
-decreasing function of its SNR, shared by both links, so _screen
-tabulates it once over the transition and decides almost every draw
-from its bin's bracket, by one log and two gathers; only the draws
-whose uniform falls inside the bracket go through block_error.  The
-count is bitwise the one with both errors of every draw.
+The error mean and the decode-event count settle most draws without the
+kernel.  Per call, the error of a draw is one decreasing function of its
+SNR, shared by both links: exactly 1 up to the SNR where (C - r)/s =
+-8.3 and below Q(8.3) = 5.21e-17 < 2^-54 from the SNR where it is 8.3,
+the band that _band returns.  The overall error's chunk runs block_error
+only on the draws inside the band, and takes those above it as 0; a
+guard recomputes any chunk whose sum those could move by more than 2^-40
+relative, so each chunk's sum is within that of the one with both errors
+of every draw.  The decode events are screened: _screen tabulates the
+error once over the band and decides almost every draw from its bin's
+bracket, by one log and two gathers; only the draws whose uniform falls
+inside the bracket go through block_error.  The count is bitwise the one
+with both errors of every draw.
 
-Every sampling path works inside the buffer it draws.  A chunk of the
-overall error writes its two error rows over its fading draws, and its
-moments take the third row; a chunk of decode events forms its SNRs in
-place and draws its uniforms into the third row.  So a worker holds one
+Every sampling path works inside the buffer it draws.  A chunk forms its
+backhaul and MRC SNRs in place (_chunk_snrs) and keeps them; the overall
+error writes its values into the third row, where its moments run, and
+the decode events draw their uniforms into it.  So a worker holds one
 (3, 2^18) buffer and the temporaries of one slice.  A sample mean's
 values overwrite the first row of its draws, and their deviations the
 values.
@@ -31,13 +38,13 @@ values.
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import (LOG2E, _P_ONE, _P_ZERO, _W_CAP, _capacity, _spread_at,
-                  block_error)
+from .fbl import LOG2E, _capacity, _spread_at, block_error
 from .fading import _link_snrs
 
 _CHUNK = 1 << 18
@@ -67,20 +74,18 @@ def draw_fading(rng, size):
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return z
 
-def _per_draw(fn, z, gains, outputs=1, out=None):
-    """fn(snr2, snr_mrc) of every draw of z, as an (outputs, n) array.
+def _per_draw(fn, z, gains, out=None):
+    """fn(snr2, snr_mrc) of every draw of z, as a (1, n) array.
 
-    fn must be elementwise and return outputs rows.  It runs on slices
-    of _SLICE draws, so the result is bitwise that of one call on all of z.
-    out may be rows of z itself: each slice is read before it is written.
+    fn must be elementwise.  It runs on slices of _SLICE draws, so the
+    result is bitwise that of one call on all of z.  out may be a row of
+    z itself: each slice is read before it is written.
     """
     if out is None:
-        out = np.empty((outputs, z.shape[1]))
+        out = np.empty((1, z.shape[1]))
     for i in range(0, z.shape[1], _SLICE):
         blk = slice(i, i + _SLICE)
-        rows = fn(*_link_snrs(*z[:, blk], gains))
-        for k, row in enumerate(rows if outputs > 1 else (rows,)):
-            out[k, blk] = row
+        out[0, blk] = fn(*_link_snrs(*z[:, blk], gains))
     return out
 
 def _sample_mean(fn, n, seed, gains):
@@ -127,11 +132,18 @@ def _merge_welford(a, b):
     d = mb - ma
     return (n, ma + d * nb / n, m2a + m2b + d * d * na * nb / n)
 
-def _link_errors(z, r, m, gains, out=None):
-    """Per-draw backhaul and MRC block errors, rows (e2, emrc), of one chunk."""
-    return _per_draw(lambda snr2, snr_mrc: (block_error(snr2, r, m),
-                                            block_error(snr_mrc, r, m)),
-                     z, gains, outputs=2, out=out)
+def _chunk_snrs(rng, k, gains):
+    """k fading draws as rows (snr_mrc, snr2, spare), formed in place.
+
+    z1*g1 + z3*g3 and z2*g2 with _link_snrs's bits; the third row is
+    left to the chunk.
+    """
+    z = draw_fading(rng, k)
+    z[1] *= gains.g2
+    z[0] *= gains.g1
+    z[2] *= gains.g3
+    z[0] += z[2]
+    return z
 
 # The screen's bins of ln snr: _BINS over the transition of the error,
 # no narrower than 2^-40 |ln snr| each, so that rounding moves a draw's
@@ -169,6 +181,32 @@ def _log_snr_at(w, r, f):
             hi = mid
     return lo
 
+# The band of the error: in float64 the kernel's error is exactly 1 up to
+# w = (C - r)/s = -8.3 and below Q(8.3) = 5.21e-17 from w = 8.3 on.  The
+# band's edges lie 1e-6 further out, beyond the rounding of w in the
+# kernel and in _w_at; the kernel's 1 - Q rounds to 1 up to w = -8.29, and
+# its Q stays below _E_ABOVE from w = 8.298 on
+_W_BAND = 8.3 + 1e-6
+# the kernel's largest error at or above the band
+_E_ABOVE = 5.3e-17
+_LN_MAX = math.log(sys.float_info.max)
+
+
+def _band(r, m):
+    """(lo, hi) in SNR: block_error(snr, r, m) is 1 at snr <= lo and
+    below _E_ABOVE, which is under 2^-54, at snr >= hi.
+
+    A side whose crossing of w = -+_W_BAND does not lie inside _LOG_SNR,
+    or whose SNR overflows, settles nothing: lo = -1, as at r = 0, where
+    e(0) = 1/2, and hi = inf, where the error of an infinite SNR is 0.
+    """
+    f = LOG2E / math.sqrt(m)
+    x_lo = _log_snr_at(-_W_BAND, r, f)
+    x_hi = _log_snr_at(_W_BAND, r, f)
+    lo = math.exp(x_lo) if _LOG_SNR[0] < x_lo < _LN_MAX else -1.0
+    hi = math.exp(x_hi) if x_hi < _LN_MAX else math.inf
+    return lo, hi
+
 def _screen(r, m):
     """decide(snr, u) = (u >= block_error(snr, r, m)) for 1-d arrays, bitwise.
 
@@ -180,12 +218,12 @@ def _screen(r, m):
     block_error.  Each bracket spans its bin and both neighbours, so a
     bin index moved by rounding stays inside it, and its relative
     margin covers the kernel's own error.  Below and above the table,
-    the bins are open-ended.
+    the bins are open-ended.  The table spans _band: above it the error
+    is below 2^-54, under which no uniform of rng.random but 0 falls.
     """
     f = LOG2E / math.sqrt(m)
-    # the kernel's Q is 1 below w = -8.3 and 0 above w = 38.6
-    hi = _log_snr_at(_P_ZERO * _W_CAP, r, f)
-    lo = _log_snr_at(-_P_ONE * _W_CAP, r, f)
+    lo = _log_snr_at(-_W_BAND, r, f)
+    hi = _log_snr_at(_W_BAND, r, f)
     h = max((hi - lo) / _BINS, 2.0**-40 * max(abs(lo), abs(hi), 1.0))
     with np.errstate(over="ignore"):
         e = block_error(np.exp(lo + h * np.arange(_BINS + 1.0)), r, m)
@@ -229,25 +267,20 @@ def _successes(r, m, gains, n, seed, workers):
     """Decode successes in n two-stage periods: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
-    one Bernoulli from the composed probability.  Each chunk draws its
-    fading, forms its backhaul and MRC SNRs in place, then draws its
-    backhaul uniforms and its MRC uniforms, each into the third row.
-    A draw succeeds on a link where u >= block_error(snr, r, m); _screen
-    settles that from a per-call table of the error and runs the kernel
-    only on the draws its table leaves open, so the count is bitwise the
-    one with both errors of every draw.
+    one Bernoulli from the composed probability.  Each chunk forms its
+    backhaul and MRC SNRs in place, then draws its backhaul uniforms and
+    its MRC uniforms, each into the third row.  A draw succeeds on a link
+    where u >= block_error(snr, r, m); _screen settles that from a
+    per-call table of the error and runs the kernel only on the draws its
+    table leaves open, so the count is bitwise the one with both errors
+    of every draw.
     """
     decide = _screen(r, m)
 
     def count(rng, k):
-        z = draw_fading(rng, k)
-        # z2*g2 and z1*g1 + z3*g3, with _link_snrs's bits
-        z[1] *= gains.g2
-        z[0] *= gains.g1
-        z[2] *= gains.g3
-        z[0] += z[2]
-        ok = decide(z[1], rng.random(out=z[2]))
-        ok &= decide(z[0], rng.random(out=z[2]))
+        snr_mrc, snr2, spare = _chunk_snrs(rng, k, gains)
+        ok = decide(snr2, rng.random(out=spare))
+        ok &= decide(snr_mrc, rng.random(out=spare))
         return int(np.count_nonzero(ok))
 
     return sum(_map_chunks(count, n, seed, workers))
@@ -265,21 +298,61 @@ def _check_n(n, floor):
                          "samples (--mc-samples)")
     return n
 
+def _overall(e2, emrc, out):
+    """x = e2 + (1 - e2)*emrc into out, as 1 - e2, times emrc, plus e2."""
+    np.subtract(1.0, e2, out=out)
+    out *= emrc
+    out += e2
+
 def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
-    """Sample mean of the instantaneous overall error over fading."""
+    """Sample mean of the instantaneous overall error over fading.
+
+    Each chunk forms its SNRs in place and writes its values x = e2 +
+    (1 - e2)*emrc into the third row of its buffer, where its moments
+    run.  A link's error is settled outside _band: 1 at or below lo, and
+    taken as 0 at or above hi, where the kernel's is below _E_ABOVE.
+    Where the backhaul's is 1, x is 1 whatever the MRC error, so those
+    draws skip the MRC link.  Each slice runs block_error once, on both
+    links' draws inside the band.  A chunk whose draws taken as 0 could
+    move its sum by more than 2^-40 relative (count * _E_ABOVE against
+    the sum) is recomputed from its SNRs with both errors of every draw,
+    so each chunk's sum is within that of the unscreened one.
+    """
     n = _check_n(n, 10000)
+    lo, hi = _band(r, m)
+
+    def banded(snr2, snr_mrc, x):
+        """x of one slice; the count of its link draws at or above hi."""
+        dead = snr2 <= lo
+        high2 = snr2 >= hi
+        low_m = snr_mrc <= lo
+        high_m = snr_mrc >= hi
+        # not (snr >= hi) keeps a NaN for the kernel
+        open2 = np.flatnonzero(~(dead | high2))
+        open_m = np.flatnonzero(~(dead | low_m | high_m))
+        e = block_error(np.concatenate((snr2[open2], snr_mrc[open_m])), r, m)
+        e2 = dead.astype(float)
+        e2[open2] = e[:open2.size]
+        emrc = low_m.astype(float)
+        emrc[open_m] = e[open2.size:]
+        _overall(e2, emrc, x)
+        return np.count_nonzero(high2) + np.count_nonzero(high_m)
 
     def moments(rng, k):
-        z = draw_fading(rng, k)
-        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
-        # x = e2 + (1 - e2)*emrc and its squared deviations, in z[2]
-        x = np.subtract(1.0, e2, out=z[2])
-        x *= emrc
-        x += e2
-        mean = float(np.mean(x))
+        snr_mrc, snr2, x = _chunk_snrs(rng, k, gains)
+        blocks = [slice(i, i + _SLICE) for i in range(0, k, _SLICE)]
+        high = sum(banded(snr2[b], snr_mrc[b], x[b]) for b in blocks)
+        total = np.add.reduce(x)
+        if high * _E_ABOVE > 2.0**-40 * total:
+            for b in blocks:
+                _overall(block_error(snr2[b], r, m),
+                         block_error(snr_mrc[b], r, m), x[b])
+            total = np.add.reduce(x)
+        # np.mean's and np.sum's steps, in place
+        mean = total / k
         x -= mean
         x *= x
-        return (k, mean, float(np.sum(x)))
+        return (k, float(mean), float(np.add.reduce(x)))
 
     # per-chunk moments, merged in chunk order
     cnt, mean, m2 = functools.reduce(

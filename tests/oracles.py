@@ -1,13 +1,15 @@
 """Helpers that only the tests use.
 
 The per-draw overall error in its plainest form, the reference of the
-Monte Carlo and perfect-CSI tests; the decode-event count with both
-errors of every draw, the reference of the screened count; the
+Monte Carlo and perfect-CSI tests; both block errors of every draw,
+with the overall-error mean and the decode-event count built on them,
+the references of the banded mean and the screened count; the
 quadrature's panel mesh item by item, the reference of the batched
 mesh; the effective-capacity curve whose closed-form inverse is the
 MSDR; the MSDR's penalty factor; and the MSDR decomposition identity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +18,8 @@ import numpy as np
 from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF, _link_snrs
 from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr
-from fblrelay.montecarlo import _link_errors, _map_chunks, draw_fading
+from fblrelay.montecarlo import (_SLICE, McEstimate, _map_chunks,
+                                 _merge_welford, draw_fading)
 
 
 def overall_error_instant(z, r, m, gains):
@@ -30,6 +33,44 @@ def overall_error_instant(z, r, m, gains):
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc
 
+def link_errors(z, r, m, gains, out=None):
+    """Per-draw backhaul and MRC block errors, rows (e2, emrc), of a draw z.
+
+    Slices of _SLICE draws, as the estimators take them, each through
+    two block_error calls.  out may be z[:2]: each slice is read before
+    it is written.
+    """
+    if out is None:
+        out = np.empty((2, z.shape[1]))
+    for i in range(0, z.shape[1], _SLICE):
+        blk = slice(i, i + _SLICE)
+        snr2, snr_mrc = _link_snrs(*z[:, blk], gains)
+        out[0, blk] = block_error(snr2, r, m)
+        out[1, blk] = block_error(snr_mrc, r, m)
+    return out
+
+def overall_error_per_draw(r, m, gains, n, seed, workers):
+    """montecarlo.mc_expected_overall_error with both errors of every draw.
+
+    Each chunk's errors overwrite its draws, and its values x = e2 +
+    (1 - e2)*emrc and their squared deviations take the third row; the
+    moments are np.mean's and np.sum's, merged in chunk order.
+    """
+    def moments(rng, k):
+        z = draw_fading(rng, k)
+        e2, emrc = link_errors(z, r, m, gains, out=z[:2])
+        x = np.subtract(1.0, e2, out=z[2])
+        x *= emrc
+        x += e2
+        mean = float(np.mean(x))
+        x -= mean
+        x *= x
+        return (k, mean, float(np.sum(x)))
+
+    cnt, mean, m2 = functools.reduce(
+        _merge_welford, _map_chunks(moments, n, seed, workers))
+    return McEstimate(mean, math.sqrt(m2 / (cnt - 1)) / math.sqrt(cnt))
+
 def successes_per_draw(r, m, gains, n, seed, workers):
     """montecarlo._successes with both block errors of every draw computed.
 
@@ -38,7 +79,7 @@ def successes_per_draw(r, m, gains, n, seed, workers):
     """
     def count(rng, k):
         z = draw_fading(rng, k)
-        e2, emrc = _link_errors(z, r, m, gains, out=z[:2])
+        e2, emrc = link_errors(z, r, m, gains, out=z[:2])
         ok = rng.random(out=z[2]) >= e2
         ok &= rng.random(out=z[2]) >= emrc
         return int(np.count_nonzero(ok))

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from fblrelay.linklayer import QoSPair, msdr, service_stats
 from fblrelay.montecarlo import (
     McEstimate,
     _chunk_layout,
-    _link_errors,
     _per_draw,
     _sample_mean,
     draw_fading,
@@ -30,7 +30,13 @@ from fblrelay.montecarlo import (
     mc_expected_overall_error,
     mc_service_stats,
 )
-from oracles import overall_error_instant, penalty_factor, successes_per_draw
+from oracles import (
+    link_errors,
+    overall_error_instant,
+    overall_error_per_draw,
+    penalty_factor,
+    successes_per_draw,
+)
 
 REF_GAINS = LinkGains(g1=2.4463, g2=307.405, g3=307.405)
 REF_RATE = 5.33969938461749
@@ -166,7 +172,7 @@ SLICED_SIZES = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (1 << 15) - 1,
 def test_sliced_link_errors_equal_one_call(k):
     draw = draw_fading(np.random.default_rng(k), k)
     s1, s2, s3 = REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3
-    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS)
+    e2, emrc = link_errors(draw, REF_RATE, 500, REF_GAINS)
     assert np.array_equal(e2, block_error(draw[1] * s2, REF_RATE, 500))
     assert np.array_equal(emrc, block_error(draw[0] * s1 + draw[2] * s3,
                                             REF_RATE, 500))
@@ -183,8 +189,8 @@ def test_sliced_link_errors_equal_one_call(k):
 def test_link_errors_over_their_draws_equal_the_allocating_call(k):
     # the chunk estimators write the errors over the draws they read
     draw = draw_fading(np.random.default_rng(k), k)
-    e2, emrc = _link_errors(draw, REF_RATE, 500, REF_GAINS)
-    inplace = _link_errors(draw, REF_RATE, 500, REF_GAINS, out=draw[:2])
+    e2, emrc = link_errors(draw, REF_RATE, 500, REF_GAINS)
+    inplace = link_errors(draw, REF_RATE, 500, REF_GAINS, out=draw[:2])
     assert np.shares_memory(inplace, draw)
     assert np.array_equal(inplace[0], e2)
     assert np.array_equal(inplace[1], emrc)
@@ -211,6 +217,148 @@ def test_error_estimate_vanishing_rate():
     est = mc_expected_overall_error(0.0, 500, REF_GAINS,
                                     n=100000, seed=0)
     assert est.mean < 1e-3
+
+def _float_neighbours(x, steps=3):
+    """x and its nearest floats up to steps ulps on either side."""
+    out = [x]
+    down = up = x
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.array(out)
+
+@pytest.mark.parametrize("m", [100, 1e4, 1e7])
+@pytest.mark.parametrize("r", [0.0, 1e-12, 1e-4, 0.5, 5.0, 30.0])
+def test_band_settles_only_where_the_kernel_is_settled(r, m):
+    # block_error is exactly 1 at or below lo and below 5.3e-17 at or
+    # above hi: at the float neighbours of both edges, at SNR 0,
+    # subnormals and inf, and from 1e-300 to 1e300
+    lo, hi = montecarlo._band(r, m)
+    if r == 0.0:
+        # e(0) = 1/2 at r = 0, so nothing is settled as 1
+        assert lo == -1.0 and block_error(0.0, r, m) == 0.5
+    else:
+        assert 0.0 < lo < hi < math.inf
+    edges = [hi] + ([lo] if lo > 0.0 else [])
+    snr = np.concatenate([
+        [0.0, 5e-324, 1e-315, 2.3e-308, math.inf],
+        np.geomspace(1e-300, 1e300, 20001),
+        np.geomspace(max(lo, 1e-300), hi, 2001),
+        *(_float_neighbours(x) for x in edges)])
+    e = block_error(snr, r, m)
+    assert np.all(e[snr <= lo] == 1.0)
+    assert np.all(e[snr >= hi] < 5.3e-17)
+    # the band is tight: one part in 100 inside it the kernel is not
+    # settled
+    if lo > 0.0:
+        assert block_error(lo * 1.01, r, m) < 1.0
+    assert block_error(hi / 1.01, r, m) > 5.3e-17
+
+def test_band_settles_nothing_outside_the_snr_range():
+    # a side whose edge lies beyond the largest float stays open, with no
+    # overflow: at r = 1100 both do, at r = 1023.9 and m = 1e4 the upper
+    # one (w = 8.3 near ln snr = 709.8), where the largest float's error
+    # is still above 2^-54
+    assert montecarlo._band(1100.0, 100) == (-1.0, math.inf)
+    lo, hi = montecarlo._band(1023.9, 1e4)
+    assert 1e307 < lo < 1.8e308 and hi == math.inf
+    assert block_error(1.7976931348623157e308, 1023.9, 1e4) > 2.0**-54
+
+@st.composite
+def _error_mean_points(draw):
+    """(r, m, gains, extreme): validate's domain, or extreme mean SNRs,
+    m and r."""
+    extreme = draw(st.booleans())
+    if extreme:
+        g = LinkGains(*(10.0**draw(st.floats(-30.0, 30.0))
+                        for _ in range(3)))
+        m = 10.0**draw(st.floats(2.0, 7.0))
+        r = 10.0**draw(st.floats(-12.0, math.log10(30.0)))
+    else:
+        g = LinkGains(*(math.exp(draw(st.floats(math.log(0.5),
+                                                math.log(300.0))))
+                        for _ in range(3)))
+        m = draw(st.integers(100, 2000))
+        r = draw(st.floats(0.2, 0.8)) * math.log2(1.0 + bottleneck_snr(g))
+    return r, m, g, extreme
+
+def _kernel_elements(r, m, g, n, seed, workers):
+    """mc_expected_overall_error, and the elements block_error saw."""
+    elements = []
+    kernel = montecarlo.block_error
+    with mock.patch.object(montecarlo, "block_error", lambda snr, r, m: (
+            elements.append(np.size(snr)), kernel(snr, r, m))[1]):
+        est = mc_expected_overall_error(r, m, g, n, seed, workers)
+    return est, sum(elements)
+
+@settings(max_examples=20, deadline=None)
+@given(_error_mean_points(), st.integers(0, 1 << 30),
+       st.sampled_from([10000, (1 << 18) + 1000]))
+def test_banded_error_mean_equals_the_per_draw_twin(point, seed, n):
+    # one chunk or two: the guard keeps each chunk's sum within 2^-40.  In
+    # validate's domain some draws always lie outside the band, and no
+    # chunk's mean is small enough for the guard to recompute it
+    r, m, g, extreme = point
+    want = overall_error_per_draw(r, m, g, n, seed, 1)
+    for workers in (1, 2):
+        got, elements = _kernel_elements(r, m, g, n, seed, workers)
+        assert got.mean == pytest.approx(want.mean, rel=2.0**-40, abs=0.0)
+        assert got.std_err == pytest.approx(want.std_err, rel=2.0**-40,
+                                            abs=0.0)
+        assert extreme or elements < 2 * n
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 42])
+def test_banded_error_mean_is_the_per_draw_twin_bitwise(seed):
+    # two points of validate's domain and one of extreme mean SNRs per
+    # seed; the kernel sees under half of validate's link draws
+    rng = np.random.default_rng(seed)
+    for extreme in (False, False, True):
+        if extreme:
+            g = LinkGains(*10.0**rng.uniform(-30.0, 30.0, 3))
+            m = 10.0**rng.uniform(2.0, 7.0)
+            r = 10.0**rng.uniform(-12.0, math.log10(30.0))
+        else:
+            g = LinkGains(*np.exp(rng.uniform(math.log(0.5),
+                                              math.log(300.0), 3)))
+            m = int(rng.integers(100, 2001))
+            r = rng.uniform(0.2, 0.8) * math.log2(1.0 + bottleneck_snr(g))
+        n = int(rng.integers(10000, 300000))
+        want = overall_error_per_draw(r, m, g, n, seed, 1)
+        got, elements = _kernel_elements(r, m, g, n, seed, 2)
+        assert got == want
+        assert extreme or elements < n
+
+def test_error_mean_guard_recomputes_a_vanishing_chunk():
+    # every draw lies above the band, where the kernel's errors are taken
+    # as 0: that could move a mean below 1e-15 by more than 2^-40, so the
+    # chunk runs the kernel on both links of every draw and equals the
+    # twin bitwise
+    g = LinkGains(g1=1e17, g2=1e17, g3=1e17)
+    r, m, n = 1.0, 500, 20000
+    assert montecarlo._band(r, m)[1] < 1e6
+    est, elements = _kernel_elements(r, m, g, n, 4, 1)
+    assert est.mean < 1e-15
+    assert elements >= 2 * n
+    assert est == overall_error_per_draw(r, m, g, n, 4, 1)
+
+def test_error_mean_takes_the_kernel_values_at_zero_and_inf_snr(monkeypatch):
+    # draws of 0 (a uniform of 0) give SNR 0, and infinite draws infinite
+    # SNR; the chunk must give them block_error's values, at r = 0 too,
+    # where e(0) = 1/2
+    z = draw_fading(np.random.default_rng(3), 10000)
+    z[:, ::7] = 0.0
+    z[1, 3::11] = math.inf
+    z[0, 5::13] = math.inf
+    z[2, 1::17] = 5e-324
+    monkeypatch.setattr(montecarlo, "draw_fading", lambda rng, size: z.copy())
+    g = LinkGains(g1=2.0, g2=1e10, g3=30.0)
+    for r in (0.0, 1e-12, 2.0):
+        vals = overall_error_instant(z, r, 500, g)
+        assert all(np.isinf(snr).any() and (snr == 0.0).any()
+                   for snr in _link_snrs(*z, g))
+        est = mc_expected_overall_error(r, 500, g, n=10000, seed=0)
+        assert est.mean == np.mean(vals)
+        assert est.std_err == np.std(vals, ddof=1) / math.sqrt(10000)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,38 @@ def test_decode_events_run_the_kernel_on_few_draws(monkeypatch, capsys):
     assert sum(elements) <= 0.01 * sum(decisions)
 
 
+def test_error_mean_runs_the_kernel_on_few_draws(monkeypatch, capsys):
+    # a count, not a timing: mc_expected_overall_error settles a link's
+    # error outside the kernel's band and passes block_error only the
+    # draws inside it.  On validate's 8 points at seed 42 that was 9.5%
+    # of the 2n link draws (2.4-19.7% per point); with both errors of
+    # every draw it was 100%
+    elements, draws, running = [], [], []
+    estimator, block_error = (cli.mc_expected_overall_error,
+                              montecarlo.block_error)
+
+    def counted_estimator(r, m, gains, n, seed, workers):
+        draws.append(2 * n)
+        running.append(True)
+        try:
+            return estimator(r, m, gains, n=n, seed=seed, workers=workers)
+        finally:
+            running.pop()
+
+    def counted_error(snr, r, m):
+        if running:
+            elements.append(np.size(snr))
+        return block_error(snr, r, m)
+
+    monkeypatch.setattr(cli, "mc_expected_overall_error", counted_estimator)
+    monkeypatch.setattr(montecarlo, "block_error", counted_error)
+    assert cli.main(["validate", "--points", "8", "--seed", "42",
+                     "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert len(draws) == 8
+    assert sum(elements) <= 0.15 * sum(draws)
+
+
 def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
     # a count, not a timing: a 100-point relay_avg sweep runs each
     # quadrature round over all live points at once, in calls of at most
@@ -234,12 +266,14 @@ _SLICE_BYTES = montecarlo._SLICE * 8
 @pytest.mark.parametrize("estimator", [montecarlo.mc_expected_overall_error,
                                        montecarlo.mc_bl_throughput])
 def test_chunk_estimator_works_in_its_draw_buffer(estimator):
-    # a chunk's errors overwrite its draws, and its uniforms and moments
-    # take the third row, so it holds its (3, 2^18) draws, 6.29 MB, and
-    # one slice's temporaries.  Both estimators traced 11.04 MB on a
-    # 2-core x86-64 machine, 4.75 MB over the draws (14.81 MB when errors,
-    # uniforms and moments had arrays of their own), so the allowance
-    # is 20 slice-sized arrays, 5.24 MB
+    # a chunk's SNRs overwrite its draws, and its values and moments, or
+    # its uniforms, take the third row, so it holds its (3, 2^18) draws,
+    # 6.29 MB, and one slice's temporaries.  Both estimators traced
+    # 11.04 MB on a 2-core x86-64 machine while every draw went through
+    # the kernel, 4.75 MB over the draws (14.81 MB when errors, uniforms
+    # and moments had arrays of their own), so the allowance is 20
+    # slice-sized arrays, 5.24 MB.  With the band and the screen they
+    # trace 7.16 MB and 7.93 MB
     gains = relay.LinkGains(g1=2.4463, g2=307.405, g3=307.405)
     k = montecarlo._CHUNK
     peak = _traced_peak(lambda: estimator(5.33969938461749, 500, gains,
