@@ -82,11 +82,6 @@ class QuadratureNonConvergence(RuntimeError):
         self.index = index
 
 
-def _link_snrs(z1, z2, z3, gains):
-    """Per-draw (backhaul, MRC) SNRs (z2*g2, z1*g1 + z3*g3)."""
-    return z2 * gains.g2, z1 * gains.g1 + z3 * gains.g3
-
-
 # ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ Provides:
   * block_error           -- decoding error probability at rate r and blocklength m
 
 block_error is Q((C - r)/s) with s = sqrt(V/m); its pieces _cap_spread,
-_error_at and _mills also serve the perfect-CSI solver in relay, and
-_error_at, _capacity and _spread_at the integrand of the fading averages.
+_error_at and _mills also serve the perfect-CSI solver in relay,
+_error_at, _capacity and _spread_at the integrand of the fading
+averages, and _capacity and _spread_at the band of the Monte Carlo
+estimators.
 
 Q and the Mills ratio share one kernel, a rational fit of the scaled
 complementary error function (_erfcx_ratio), in numpy alone.
@@ -49,10 +51,12 @@ _ERFCX = np.array([
 # In float64 the kernel's Q(w) is exactly 1 below w = -8.3 and exactly 0
 # above w = 38.6, so |w| is capped at 64 and enters the kernel as
 # p = |w|/64 <= 1, exact in binary.  Only the values in between (and
-# NaN) go through the kernel, gathered: on large arrays that saves the
-# kernel work where many values lie outside, as in the Monte Carlo
-# draws of validate (65% of them), and costs about as much as it saves
-# where few do (17% in the perfect-CSI solver).
+# NaN) go through the kernel, gathered: that saves the kernel work where
+# many values lie outside, as at the nodes of the fading averages' integrand
+# (59% of them on the quadrature study's commands, 62% on the perfect-CSI
+# ones), and costs about as much as it saves where few do (16% of the
+# perfect-CSI solver's final errors).  The Monte Carlo estimators settle
+# their draws outside (montecarlo._band) before they call block_error.
 # exp(-w^2/2) is taken as exp(-w^2/4)^2 with |w| capped at 53: numpy's
 # exp leaves its fast path where the result is subnormal or 0, from
 # |w| = 37.7 on, while exp(-w^2/4) stays a normal float up to
@@ -188,8 +192,8 @@ def shannon_c(snr: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _spread(nats, m):
-    """sqrt(V/m) of a complex channel from nats = log1p(snr).
+def _spread_at(nats, f):
+    """Spread sqrt(V/m) from nats = log1p(snr) and f = LOG2E/sqrt(m).
 
     The one dispersion formula of the package: 1 - (1+snr)^-2 is
     -expm1(-2 log1p(snr)), with no cancellation at small snr and no
@@ -197,18 +201,13 @@ def _spread(nats, m):
     the root of V and of m apart keeps V/m from underflowing to 0 below
     snr ~1e-300 at large m.
     """
-    return _spread_at(nats, LOG2E / np.sqrt(m))
-
-
-def _spread_at(nats, f):
-    """_spread(nats, m) from its blocklength factor f = LOG2E/sqrt(m)."""
     return np.sqrt(-np.expm1(-2.0 * nats)) * f
 
 
 def _cap_spread(snr, m):
     """Capacity C and spread s = sqrt(V/m) of the Q argument (C - r)/s."""
     nats = np.log1p(snr)
-    return _capacity(nats), _spread(nats, m)
+    return _capacity(nats), _spread_at(nats, LOG2E / np.sqrt(m))
 
 
 def _error_at(r, c, s):

@@ -8,9 +8,10 @@ accumulation over seeded substreams.  Chunk streams are spawned from one
 SeedSequence and merged in chunk order, so results are bit-identical
 for any worker count.
 
-The module also owns the per-draw path that the perfect-CSI and ergodic
-references share: fading draws are one (3, n) array, mapped to per-draw
-SNRs in cache-sized slices (_per_draw), averaged with their standard
+The module owns the one map from fading draws to link SNRs: a (3, n)
+draw array becomes its rows (snr_mrc, snr2, spare) in place
+(_link_snrs), which every sampler calls.  The perfect-CSI and ergodic
+references average a per-draw function of those SNRs with its standard
 error (_sample_mean), and every sample count meets its floor (_check_n).
 
 The error mean and the decode-event count settle most draws without the
@@ -28,12 +29,11 @@ inside the bracket go through block_error.  The count is bitwise the one
 with both errors of every draw.
 
 Every sampling path works inside the buffer it draws.  A chunk forms its
-backhaul and MRC SNRs in place (_chunk_snrs) and keeps them; the overall
-error writes its values into the third row, where its moments run, and
-the decode events draw their uniforms into it.  So a worker holds one
-(3, 2^18) buffer and the temporaries of one slice.  A sample mean's
-values overwrite the first row of its draws, and their deviations the
-values.
+backhaul and MRC SNRs in place and keeps them; the overall error writes
+its values into the third row, where its moments run, and the decode
+events draw their uniforms into it.  So a worker holds one (3, 2^18)
+buffer and the temporaries of one slice.  A sample mean's values
+overwrite the MRC row of its draws, and their deviations the values.
 """
 
 import functools
@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fbl import LOG2E, _capacity, _spread_at, block_error
-from .fading import _link_snrs
 
 _CHUNK = 1 << 18
 # draws mapped together: their temporaries stay in cache, and each of
@@ -74,28 +73,32 @@ def draw_fading(rng, size):
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return z
 
-def _per_draw(fn, z, gains, out=None):
-    """fn(snr2, snr_mrc) of every draw of z, as a (1, n) array.
+def _link_snrs(z, gains):
+    """Rows (snr_mrc, snr2, spare) of a (3, k) draw z, formed in place.
 
-    fn must be elementwise.  It runs on slices of _SLICE draws, so the
-    result is bitwise that of one call on all of z.  out may be a row of
-    z itself: each slice is read before it is written.
+    The one map from fading draws to the MRC SNR z1*g1 + z3*g3 and the
+    backhaul SNR z2*g2; the third row, z3*g3, is left to the caller.
     """
-    if out is None:
-        out = np.empty((1, z.shape[1]))
-    for i in range(0, z.shape[1], _SLICE):
-        blk = slice(i, i + _SLICE)
-        out[0, blk] = fn(*_link_snrs(*z[:, blk], gains))
-    return out
+    z[1] *= gains.g2
+    z[0] *= gains.g1
+    z[2] *= gains.g3
+    z[0] += z[2]
+    return z
 
 def _sample_mean(fn, n, seed, gains):
     """Mean and standard error of fn(snr2, snr_mrc) over n fading draws.
 
-    The values overwrite the first row of the draws, where the steps of
-    np.mean and np.std(ddof=1) run in place, with the same bits.
+    fn must be elementwise.  It runs on slices of _SLICE draws, and each
+    slice's values overwrite its MRC SNRs after fn has read them; the
+    steps of np.mean and np.std(ddof=1) then run in place on that row,
+    with the same bits.
     """
-    z = np.random.default_rng(seed).standard_exponential((3, n))
-    vals = _per_draw(fn, z, gains, out=z[:1])[0]
+    snr_mrc, snr2, _ = _link_snrs(
+        np.random.default_rng(seed).standard_exponential((3, n)), gains)
+    for i in range(0, n, _SLICE):
+        blk = slice(i, i + _SLICE)
+        snr_mrc[blk] = fn(snr2[blk], snr_mrc[blk])
+    vals = snr_mrc
     mean = np.add.reduce(vals) / n
     vals -= mean
     vals *= vals
@@ -131,19 +134,6 @@ def _merge_welford(a, b):
     n = na + nb
     d = mb - ma
     return (n, ma + d * nb / n, m2a + m2b + d * d * na * nb / n)
-
-def _chunk_snrs(rng, k, gains):
-    """k fading draws as rows (snr_mrc, snr2, spare), formed in place.
-
-    z1*g1 + z3*g3 and z2*g2 with _link_snrs's bits; the third row is
-    left to the chunk.
-    """
-    z = draw_fading(rng, k)
-    z[1] *= gains.g2
-    z[0] *= gains.g1
-    z[2] *= gains.g3
-    z[0] += z[2]
-    return z
 
 # The screen's bins of ln snr: _BINS over the transition of the error,
 # no narrower than 2^-40 |ln snr| each, so that rounding moves a draw's
@@ -278,7 +268,7 @@ def _successes(r, m, gains, n, seed, workers):
     decide = _screen(r, m)
 
     def count(rng, k):
-        snr_mrc, snr2, spare = _chunk_snrs(rng, k, gains)
+        snr_mrc, snr2, spare = _link_snrs(draw_fading(rng, k), gains)
         ok = decide(snr2, rng.random(out=spare))
         ok &= decide(snr_mrc, rng.random(out=spare))
         return int(np.count_nonzero(ok))
@@ -339,7 +329,7 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
         return np.count_nonzero(high2) + np.count_nonzero(high_m)
 
     def moments(rng, k):
-        snr_mrc, snr2, x = _chunk_snrs(rng, k, gains)
+        snr_mrc, snr2, x = _link_snrs(draw_fading(rng, k), gains)
         blocks = [slice(i, i + _SLICE) for i in range(0, k, _SLICE)]
         high = sum(banded(snr2[b], snr_mrc[b], x[b]) for b in blocks)
         total = np.add.reduce(x)

@@ -1,12 +1,13 @@
 """Helpers that only the tests use.
 
-The per-draw overall error in its plainest form, the reference of the
-Monte Carlo and perfect-CSI tests; both block errors of every draw,
-with the overall-error mean and the decode-event count built on them,
-the references of the banded mean and the screened count; the
-quadrature's panel mesh item by item, the reference of the batched
-mesh; the effective-capacity curve whose closed-form inverse is the
-MSDR; the MSDR's penalty factor; and the MSDR decomposition identity.
+The allocating twin of montecarlo._link_snrs; the per-draw overall
+error in its plainest form, the reference of the Monte Carlo and
+perfect-CSI tests; both block errors of every draw, with the
+overall-error mean and the decode-event count built on them, the
+references of the banded mean and the screened count; the quadrature's
+panel mesh item by item, the reference of the batched mesh; the
+effective-capacity curve whose closed-form inverse is the MSDR; the
+MSDR's penalty factor; and the MSDR decomposition identity.
 """
 
 import functools
@@ -15,12 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF, _link_snrs
+from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF
 from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr
 from fblrelay.montecarlo import (_SLICE, McEstimate, _map_chunks,
                                  _merge_welford, draw_fading)
 
+
+def link_snrs(z1, z2, z3, gains):
+    """Per-draw (backhaul, MRC) SNRs (z2*g2, z1*g1 + z3*g3), in new arrays.
+
+    The twin of montecarlo._link_snrs, which forms the same values in
+    place in the rows of its draw.
+    """
+    return z2 * gains.g2, z1 * gains.g1 + z3 * gains.g3
 
 def overall_error_instant(z, r, m, gains):
     """Per-draw overall relaying error: backhaul plus surviving MRC loss.
@@ -28,7 +37,7 @@ def overall_error_instant(z, r, m, gains):
     z is the fading triple (z1, z2, z3), of scalars or of arrays (a
     (3, n) draw), and broadcasts; one unsliced block_error call per link.
     """
-    snr2, snr_mrc = _link_snrs(*(np.asarray(zi) for zi in z), gains)
+    snr2, snr_mrc = link_snrs(*(np.asarray(zi) for zi in z), gains)
     e2 = block_error(snr2, r, m)
     emrc = block_error(snr_mrc, r, m)
     return e2 + (1.0 - e2) * emrc
@@ -44,7 +53,7 @@ def link_errors(z, r, m, gains, out=None):
         out = np.empty((2, z.shape[1]))
     for i in range(0, z.shape[1], _SLICE):
         blk = slice(i, i + _SLICE)
-        snr2, snr_mrc = _link_snrs(*z[:, blk], gains)
+        snr2, snr_mrc = link_snrs(*z[:, blk], gains)
         out[0, blk] = block_error(snr2, r, m)
         out[1, blk] = block_error(snr_mrc, r, m)
     return out

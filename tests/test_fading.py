@@ -443,6 +443,23 @@ class TestSmallRates:
                 mrc = expected_error_mrc(r, m, gains(g1=snr, g3=3.0 * snr))
                 assert 0.0 <= single <= 1.0 and 0.0 <= mrc <= 1.0
 
+    # The error of every draw rises with the rate, and so does its
+    # average.  At mean SNRs above about 1e10 the hint for 0 < r puts the
+    # drop at t = 2^r - 1, while it spans snr up to about 2*10^2/m; the
+    # tail panels then miss it (ROADMAP item 16).  mpmath gives 9.74e-33
+    # at r = 1e-12, the value at r = 0, where the engine returns 5.86e-37
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+    def test_single_average_rises_with_the_rate_at_huge_mean_snr(self):
+        assert (expected_error_single(1e-12, 100, 1e30)
+                >= expected_error_single(0.0, 100, 1e30))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+    def test_mrc_average_rises_with_the_rate_at_huge_mean_snrs(self):
+        # 5.5% lower at the higher rate
+        g = gains(g1=7.3e9, g3=4.2e12)
+        assert (expected_error_mrc(9.5e-6, 957, g)
+                >= expected_error_mrc(2.6e-6, 957, g))
+
     @pytest.mark.parametrize("r", RATES_NEAR_ZERO)
     def test_large_m_reaches_outage(self, r):
         # as r -> 0 the error keeps the mass of its drop at the origin,

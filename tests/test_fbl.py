@@ -17,7 +17,7 @@ from fblrelay.fbl import (
     _mills,
     _pow2,
     _rational_rows,
-    _spread,
+    _spread_at,
     achievable_rate,
     block_error,
     q_func,
@@ -33,7 +33,7 @@ QINV_1E2 = 2.3263478740408416
 
 def dispersion(snr):
     """V = m * s^2 of a complex channel from fbl's spread s = sqrt(V/m), m = 1."""
-    return np.square(_spread(np.log1p(np.asarray(snr, dtype=float)), 1.0))
+    return np.square(_spread_at(np.log1p(np.asarray(snr, dtype=float)), LOG2E))
 
 
 class TestQFunctions:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from fblrelay import montecarlo
 from fblrelay.baselines import _ergodic_per_draw, ergodic_capacity_relay
-from fblrelay.fading import _link_snrs
 from fblrelay.fbl import block_error
 from fblrelay.relay import (
     LinkGains,
@@ -23,7 +22,6 @@ from fblrelay.linklayer import QoSPair, msdr, service_stats
 from fblrelay.montecarlo import (
     McEstimate,
     _chunk_layout,
-    _per_draw,
     _sample_mean,
     draw_fading,
     mc_bl_throughput,
@@ -32,6 +30,7 @@ from fblrelay.montecarlo import (
 )
 from oracles import (
     link_errors,
+    link_snrs,
     overall_error_instant,
     overall_error_per_draw,
     penalty_factor,
@@ -163,7 +162,7 @@ def test_every_estimator_maps_its_chunks_on_the_pool(monkeypatch):
         fn(REF_RATE, 500, REF_GAINS, n=600000, seed=3, workers=2)
         assert submitted == [2, 2, 2]
 
-# chunk sizes around the slices of _per_draw, a partial chunk and a full one
+# chunk sizes around the 2^15-draw slices, a partial chunk and a full one
 SLICED_SIZES = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (1 << 15) - 1,
                 1 << 15, (1 << 15) + 1, 213568, 1 << 18]
 
@@ -178,12 +177,6 @@ def test_sliced_link_errors_equal_one_call(k):
                                             REF_RATE, 500))
     assert np.array_equal(e2 + (1.0 - e2) * emrc, overall_error_instant(
         draw, REF_RATE, 500, REF_GAINS))
-    # the perfect-CSI and ergodic per-draw maps, through the same slices
-    perfect = lambda snr2, snr_mrc: _maximize_per_draw(snr2, snr_mrc, 500)[1]
-    for fn in (perfect, _ergodic_per_draw):
-        sliced = _per_draw(fn, draw, REF_GAINS)
-        assert sliced.shape == (1, k)
-        assert np.array_equal(sliced[0], fn(*_link_snrs(*draw, REF_GAINS)))
 
 @pytest.mark.parametrize("k", SLICED_SIZES)
 def test_link_errors_over_their_draws_equal_the_allocating_call(k):
@@ -195,13 +188,16 @@ def test_link_errors_over_their_draws_equal_the_allocating_call(k):
     assert np.array_equal(inplace[0], e2)
     assert np.array_equal(inplace[1], emrc)
 
-@pytest.mark.parametrize("n", [2, (1 << 15) + 3, 100000])
+# a sample mean needs two draws
+@pytest.mark.parametrize("n", [2, (1 << 15) + 3, 100000] + SLICED_SIZES[1:])
 def test_sample_mean_is_numpy_mean_and_std_bitwise(n):
-    # the in-place mean and deviations take np.mean's and np.std's steps
+    # the in-place SNRs, the slices' values written over them, and the
+    # in-place mean and deviations take the allocating map's values and
+    # np.mean's and np.std's steps, whatever the slices
     perfect = lambda snr2, snr_mrc: _maximize_per_draw(snr2, snr_mrc, 500)[1]
     for fn in (perfect, _ergodic_per_draw):
         z = np.random.default_rng(n).standard_exponential((3, n))
-        vals = fn(*_link_snrs(*z, REF_GAINS))
+        vals = fn(*link_snrs(*z, REF_GAINS))
         est = _sample_mean(fn, n, n, REF_GAINS)
         assert est.mean == np.mean(vals)
         assert est.std_err == np.std(vals, ddof=1) / math.sqrt(n)
@@ -355,7 +351,7 @@ def test_error_mean_takes_the_kernel_values_at_zero_and_inf_snr(monkeypatch):
     for r in (0.0, 1e-12, 2.0):
         vals = overall_error_instant(z, r, 500, g)
         assert all(np.isinf(snr).any() and (snr == 0.0).any()
-                   for snr in _link_snrs(*z, g))
+                   for snr in link_snrs(*z, g))
         est = mc_expected_overall_error(r, 500, g, n=10000, seed=0)
         assert est.mean == np.mean(vals)
         assert est.std_err == np.std(vals, ddof=1) / math.sqrt(10000)

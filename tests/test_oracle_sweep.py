@@ -23,8 +23,9 @@ import pytest
 
 from fblrelay.fading import expected_error_mrc, expected_error_single
 from fblrelay.fbl import (
+    LOG2E,
     _mills,
-    _spread,
+    _spread_at,
     block_error,
     q_func,
     shannon_c,
@@ -126,7 +127,7 @@ def test_capacity_and_dispersion_relative_error():
     snr = np.array(SNRS)
     c = shannon_c(snr)
     # V = m * s^2 at m = 1, from the package's one dispersion formula
-    v = np.square(_spread(np.log1p(snr), 1.0))
+    v = np.square(_spread_at(np.log1p(snr), LOG2E))
     c_ref, v_ref = zip(*map(_cap_disp, SNRS))
     assert np.all(np.isfinite(c)) and np.all(np.isfinite(v))
     assert _rel_err(c, c_ref) <= 2 * EPS
