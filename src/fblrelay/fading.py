@@ -110,7 +110,7 @@ def _transition_hint(gain, r, m):
         # order, falling below Q(10) near z = 2*10^2/(m*gain)
         h = np.where(r <= 0.0, 2.0 * _TRANSITION_SIGMAS**2 / (m * gain),
                      np.where(z_star == np.inf, 0.0, h))
-    return np.where(r <= 0.0, 0.0, z_star), h
+    return z_star, h
 
 def _meshes(z_star, h, extra=()):
     """Every item's panels on [0, Z_CUTOFF], concentrated at its transition.

@@ -1,18 +1,18 @@
 """Monte Carlo twins of the analytic fading averages.
 
 Every quadrature-based expectation has a sampling estimate here for
-cross-validation, each an McEstimate(mean, std_err): fading draws by
-inverse CDF, one count of two-stage Bernoulli decode events mirroring
-the backhaul-then-MRC error composition, and streaming (Welford)
-accumulation over seeded substreams.  Chunk streams are spawned from one
-SeedSequence and merged in chunk order, so results are bit-identical
-for any worker count.
-
-The module owns the one map from fading draws to link SNRs: a (3, n)
-draw array becomes its rows (snr_mrc, snr2, spare) in place
-(_link_snrs), which every sampler calls.  The perfect-CSI and ergodic
-references average a per-draw function of those SNRs with its standard
-error (_sample_mean), and every sample count meets its floor (_check_n).
+cross-validation, each an McEstimate(mean, std_err).  The error mean and
+one count of two-stage Bernoulli decode events (backhaul, then MRC) map
+chunks of inverse-CDF draws (draw_fading) on substreams of one
+SeedSequence over one thread pool (_map_chunks), and merge them in chunk
+order (Welford for the moments), so results are bit-identical for any
+worker count.  The perfect-CSI and ergodic references average a
+per-draw function with its standard error (_sample_mean) over one (3, n)
+array that Generator.standard_exponential draws in the caller's thread.
+bench/refs freezes the values of both samplers at rel 1e-9, so both stay
+until ROADMAP items 2 and 3 retire the sample means.  Every sampler
+forms its link SNRs in place by one map (_link_snrs): a (3, n) draw
+becomes rows (snr_mrc, snr2, spare).  _check_n floors every sample count.
 
 The error mean and the decode-event count settle most draws without the
 kernel.  Per call, the error of a draw is one decreasing function of its
@@ -135,13 +135,13 @@ def _merge_welford(a, b):
     d = mb - ma
     return (n, ma + d * nb / n, m2a + m2b + d * d * na * nb / n)
 
-# The screen's bins of ln snr: _BINS over the transition of the error,
-# no narrower than 2^-40 |ln snr| each, so that rounding moves a draw's
-# bin index by less than one bin.  Its range lies in _LOG_SNR, from the
-# least subnormal past the largest float.  1024 bins leave 7e-4 of
-# validate's decisions open; 4096 left 2e-4 at no gain in time, and the
-# kernel's temporaries on their knots raised validate's peak resident
-# set by 0.25 MB
+# The screen's bins of ln snr: _BINS over the band of the error, no
+# narrower than 2^-40 |ln snr| each, so that rounding moves a draw's bin
+# index by less than one bin.  Its range lies in _LOG_SNR, from the least
+# subnormal past the largest float.  At validate --seed 42 (8 points, 1e6
+# draws) 1024 bins leave 9214 of 3.2e7 decisions open (2.9e-4), for 16400
+# knots.  On a table over w = -8.3..38.6, 4096 bins left 2e-4 against 7e-4
+# at no gain in time, and their knots raised validate's peak RSS 0.25 MB
 _BINS = 1024
 _LOG_SNR = (-745.0, 710.0)
 
@@ -183,19 +183,20 @@ _LN_MAX = math.log(sys.float_info.max)
 
 
 def _band(r, m):
-    """(lo, hi) in SNR: block_error(snr, r, m) is 1 at snr <= lo and
+    """(lo, hi, x_lo, x_hi): block_error(snr, r, m) is 1 at snr <= lo and
     below _E_ABOVE, which is under 2^-54, at snr >= hi.
 
-    A side whose crossing of w = -+_W_BAND does not lie inside _LOG_SNR,
-    or whose SNR overflows, settles nothing: lo = -1, as at r = 0, where
-    e(0) = 1/2, and hi = inf, where the error of an infinite SNR is 0.
+    x_lo and x_hi are the edges in ln snr, where w crosses -+_W_BAND on
+    _LOG_SNR.  A side whose crossing does not lie inside _LOG_SNR, or whose
+    SNR overflows, settles nothing: lo = -1, as at r = 0, where e(0) = 1/2,
+    and hi = inf, where the error of an infinite SNR is 0.
     """
     f = LOG2E / math.sqrt(m)
     x_lo = _log_snr_at(-_W_BAND, r, f)
     x_hi = _log_snr_at(_W_BAND, r, f)
     lo = math.exp(x_lo) if _LOG_SNR[0] < x_lo < _LN_MAX else -1.0
     hi = math.exp(x_hi) if x_hi < _LN_MAX else math.inf
-    return lo, hi
+    return lo, hi, x_lo, x_hi
 
 def _screen(r, m):
     """decide(snr, u) = (u >= block_error(snr, r, m)) for 1-d arrays, bitwise.
@@ -211,9 +212,7 @@ def _screen(r, m):
     the bins are open-ended.  The table spans _band: above it the error
     is below 2^-54, under which no uniform of rng.random but 0 falls.
     """
-    f = LOG2E / math.sqrt(m)
-    lo = _log_snr_at(-_W_BAND, r, f)
-    hi = _log_snr_at(_W_BAND, r, f)
+    _, _, lo, hi = _band(r, m)
     h = max((hi - lo) / _BINS, 2.0**-40 * max(abs(lo), abs(hi), 1.0))
     with np.errstate(over="ignore"):
         e = block_error(np.exp(lo + h * np.arange(_BINS + 1.0)), r, m)
@@ -222,7 +221,7 @@ def _screen(r, m):
     # and C/s, which rises with snr, is largest at the top knot.  So each
     # value is within a relative 2e-12 + 2e-13 C/s of a decreasing
     # function, and rel is more than twice that
-    rel = 1e-9 + 1e-12 * _w_at(lo + h * _BINS, 0.0, f)
+    rel = 1e-9 + 1e-12 * _w_at(lo + h * _BINS, 0.0, LOG2E / math.sqrt(m))
     # bin 0 lies below the first knot, bin b in 1.._BINS between knots
     # b - 1 and b, and bin _BINS + 1 above the last knot
     lower = np.concatenate((e[1:] * (1.0 - rel) - 1e-300, [-np.inf] * 2))
@@ -309,7 +308,7 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
     so each chunk's sum is within that of the unscreened one.
     """
     n = _check_n(n, 10000)
-    lo, hi = _band(r, m)
+    lo, hi = _band(r, m)[:2]
 
     def banded(snr2, snr_mrc, x):
         """x of one slice; the count of its link draws at or above hi."""

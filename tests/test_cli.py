@@ -708,6 +708,21 @@ def test_mean_snr_beyond_the_fading_product_range(capsys):
     assert len(rows) == 3
     assert all(math.isfinite(v) and v > 0.0 for row in rows for v in row)
 
+@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, AssertionError),
+                   reason="ROADMAP item 9")
+def test_monte_carlo_cells_beyond_the_fading_product_range(capsys):
+    # the same mean SNRs of about 1e308 in the per-draw Monte Carlo
+    # schemes: z * mean_snr overflows in montecarlo._link_snrs, and
+    # relay_perfect prints nan and shannon_ergodic inf
+    code, out = run_cli(["sweep", "--variable", "eta", "--grid-list", "0.2",
+                         "--schemes", "relay_perfect,shannon_ergodic",
+                         "--pathloss-model", "fixed_gains", "--g1", "1e296",
+                         "--g2", "1e296", "--g3", "1e296", "--mc-samples",
+                         "100000"], capsys)
+    assert code == 0
+    row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+    assert all(math.isfinite(v) for v in row)
+
 def test_sweep_csv_shape_and_values(capsys):
     code, out = run_cli(["sweep", "--variable", "eta", "--grid-list",
                          "0.148", "--schemes", "relay_avg", "--metrics",

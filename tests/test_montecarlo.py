@@ -229,7 +229,7 @@ def test_band_settles_only_where_the_kernel_is_settled(r, m):
     # block_error is exactly 1 at or below lo and below 5.3e-17 at or
     # above hi: at the float neighbours of both edges, at SNR 0,
     # subnormals and inf, and from 1e-300 to 1e300
-    lo, hi = montecarlo._band(r, m)
+    lo, hi = montecarlo._band(r, m)[:2]
     if r == 0.0:
         # e(0) = 1/2 at r = 0, so nothing is settled as 1
         assert lo == -1.0 and block_error(0.0, r, m) == 0.5
@@ -255,8 +255,8 @@ def test_band_settles_nothing_outside_the_snr_range():
     # overflow: at r = 1100 both do, at r = 1023.9 and m = 1e4 the upper
     # one (w = 8.3 near ln snr = 709.8), where the largest float's error
     # is still above 2^-54
-    assert montecarlo._band(1100.0, 100) == (-1.0, math.inf)
-    lo, hi = montecarlo._band(1023.9, 1e4)
+    assert montecarlo._band(1100.0, 100)[:2] == (-1.0, math.inf)
+    lo, hi = montecarlo._band(1023.9, 1e4)[:2]
     assert 1e307 < lo < 1.8e308 and hi == math.inf
     assert block_error(1.7976931348623157e308, 1023.9, 1e4) > 2.0**-54
 

@@ -105,7 +105,7 @@ def test_decode_events_run_the_kernel_on_few_draws(monkeypatch, capsys):
     # a count, not a timing: _successes decides a draw from its table of
     # the error and passes block_error only the table's knots and the
     # draws whose brackets leave them open.  On validate's 8 points at
-    # seed 42 that was 0.12% of the 2n decisions, two fifths of it the
+    # seed 42 that is 0.08% of the 2n decisions, two thirds of it the
     # tables' knots; with both errors of every draw it was 100%
     elements, decisions, running = [], [], []
     successes, block_error = montecarlo._successes, montecarlo.block_error
@@ -418,6 +418,22 @@ def test_montecarlo_imports_only_fbl_from_the_package():
     names = {name.removeprefix("fblrelay.") for name in
              _imports(ROOT / "src" / "fblrelay" / "montecarlo.py")}
     assert names & modules == {"fbl"}
+
+
+def test_only_band_bisects_the_error_band():
+    # montecarlo._band is the one definition of the error's band: the
+    # screen's table and the error mean take its edges instead of
+    # bisecting them again
+    callers = set()
+    for path in sorted((ROOT / "src" / "fblrelay").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Call)
+                   and "_log_snr_at" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))
+                   for node in ast.walk(stmt)):
+                callers.add(getattr(stmt, "name",
+                                    f"{path.name}:{stmt.lineno}"))
+    assert callers == {"_band"}
 
 
 def test_only_scenario_applies_the_link_budget():
