@@ -11,8 +11,9 @@ per-draw function with its standard error (_sample_mean) over one (3, n)
 array that Generator.standard_exponential draws in the caller's thread.
 bench/refs freezes the values of both samplers at rel 1e-9, so both stay
 until ROADMAP items 2 and 3 retire the sample means.  Every sampler
-forms its link SNRs in place by one map (_link_snrs): a (3, n) draw
-becomes rows (snr_mrc, snr2, spare).  _check_n floors every sample count.
+forms its link SNRs in place by one map (_link_snrs): a (3, n) draw or
+tile becomes rows (snr_mrc, snr2, spare).  _check_n floors every sample
+count.
 
 The error mean and the decode-event count settle most draws without the
 kernel.  Per call, the error of a draw is one decreasing function of its
@@ -25,15 +26,18 @@ relative, so each chunk's sum is within that of the one with both errors
 of every draw.  The decode events are screened: _screen tabulates the
 error once over the band and decides almost every draw from its bin's
 bracket, by one log and two gathers; only the draws whose uniform falls
-inside the bracket go through block_error.  The count is bitwise the one
-with both errors of every draw.
+inside the bracket go through block_error, in one call per chunk.  The
+count is bitwise the one with both errors of every draw.
 
-Every sampling path works inside the buffer it draws.  A chunk forms its
-backhaul and MRC SNRs in place and keeps them; the overall error writes
-its values into the third row, where its moments run, and the decode
-events draw their uniforms into it.  So a worker holds one (3, 2^18)
-buffer and the temporaries of one slice.  A sample mean's values
-overwrite the MRC row of its draws, and their deviations the values.
+A chunk never holds its whole draw.  Each row of its (3, k) fading, and
+each of the decode events' two rows of k uniforms, is its own PCG64
+generator, moved to the row's start in the chunk's stream by advance
+(_streams), so a chunk draws, maps and settles _SLICE columns at a time
+in one (3, _SLICE) tile (_tiles), with the same bits as drawing the rows
+whole.  The error mean keeps only its k values, where its moments run;
+the decode events keep two rows of k decisions and the few draws their
+table leaves open.  A sample mean's values overwrite the MRC row of its
+draws, and their deviations the values.
 """
 
 import functools
@@ -60,16 +64,19 @@ class McEstimate(NamedTuple):
     std_err: float
 
 
-def draw_fading(rng, size):
-    """size independent unit-mean exponential triples, by inverse CDF.
+def draw_fading(rows, size, out=None):
+    """The next size unit-mean exponential draws of three rows, by inverse CDF.
 
-    Returns one (3, size) array z: rows z[0] direct link, z[1]
-    source-relay, z[2] relay-destination.  Maps uniforms through
-    z = -ln(1 - u) so the open-interval endpoint of the generator cannot
-    produce an infinite variate.
+    rows holds one generator per row.  Returns one (3, size) array z, out
+    if given: rows z[0] direct link, z[1] source-relay, z[2]
+    relay-destination.  Maps uniforms through z = -ln(1 - u) so the
+    open-interval endpoint of the generator cannot produce an infinite
+    variate.
     """
-    z = rng.random((3, size))
-    # -log1p(-u) in place: no chunk-sized temporaries
+    z = np.empty((3, size)) if out is None else out
+    for rng, row in zip(rows, z):
+        rng.random(out=row)
+    # -log1p(-u) in place: no temporaries
     np.negative(np.log1p(np.negative(z, out=z), out=z), out=z)
     return z
 
@@ -118,15 +125,40 @@ def _chunk_layout(n, seed):
     return sizes, np.random.SeedSequence(seed).spawn(len(sizes))
 
 def _map_chunks(fn, n, seed, workers):
-    """fn(rng, k) on every chunk's substream, results in chunk order.
+    """fn(seq, k) on every chunk's SeedSequence, results in chunk order.
 
-    Chunks run on a pool of workers threads; each has its own
-    generator, so the worker count affects speed only.
+    Chunks run on a pool of workers threads; each draws from its own
+    substream, so the worker count affects speed only.
     """
     sizes, seqs = _chunk_layout(n, seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda seq, k: fn(np.random.default_rng(seq), k),
-                             seqs, sizes))
+        return list(pool.map(fn, seqs, sizes))
+
+def _streams(seq, k, rows):
+    """One generator per row i of rows, at output i*k of seq's PCG64 stream.
+
+    Row i draws what call i, counted from 0, of successive
+    rng.random(k) calls of np.random.default_rng(seq) would: a double
+    takes one 64-bit output, and advance skips i*k of them in O(log i*k)
+    steps.
+    """
+    return [np.random.Generator(np.random.PCG64(seq).advance(i * k))
+            for i in rows]
+
+def _tiles(seq, k, gains):
+    """(blk, (snr_mrc, snr2, spare)): a chunk's link SNRs, tile by tile.
+
+    The chunk's (3, k) draw is rows 0-2 of its stream (_streams); each
+    tile holds its columns blk, at most _SLICE of them, in one buffer
+    that every tile reuses, with the SNRs formed in place (_link_snrs).
+    The spare row is free until the next tile.
+    """
+    rows = _streams(seq, k, range(3))
+    buf = np.empty((3, min(k, _SLICE)))
+    for i in range(0, k, _SLICE):
+        w = min(_SLICE, k - i)
+        z = draw_fading(rows, w, out=buf[:, :w])
+        yield slice(i, i + w), _link_snrs(z, gains)
 
 def _merge_welford(a, b):
     na, ma, m2a = a
@@ -199,13 +231,16 @@ def _band(r, m):
     return lo, hi, x_lo, x_hi
 
 def _screen(r, m):
-    """decide(snr, u) = (u >= block_error(snr, r, m)) for 1-d arrays, bitwise.
+    """bracket(snr, u, ok): u >= block_error(snr, r, m) where the table
+    settles it, into ok, and the positions it leaves to the kernel.
 
+    For 1-d arrays; ok[at] = u[at] >= block_error(snr[at], r, m) at the
+    returned positions at completes the decisions, bitwise.
     e(snr) = block_error(snr, r, m) is one decreasing function, and the
     kernel is within about 1e-13 of the true Q, so a table of its values
     at _BINS + 1 knots of ln snr over the transition brackets e in each
     bin.  A draw is decided by one log, one bin index and two gathers;
-    only a draw whose u falls inside its bin's bracket goes through
+    only a draw whose u falls inside its bin's bracket is left to
     block_error.  Each bracket spans its bin and both neighbours, so a
     bin index moved by rounding stays inside it, and its relative
     margin covers the kernel's own error.  Below and above the table,
@@ -229,48 +264,50 @@ def _screen(r, m):
     scale = 1.0 / h
     offset = 1.0 - lo * scale
 
-    def decide(snr, u):
-        ok = np.empty(snr.size, dtype=bool)
-        open_draws = []
-        for i in range(0, snr.size, _SLICE):
-            blk = slice(i, i + _SLICE)
-            # ln 0 = -inf falls in bin 0 like any SNR below the table
-            with np.errstate(divide="ignore"):
-                t = np.log(snr[blk])
-            t *= scale
-            t += offset
-            idx = np.clip(t, 0.0, _BINS + 1.0, out=t).astype(np.intp)
-            bound = lower.take(idx, out=t)
-            np.greater_equal(u[blk], bound, out=ok[blk])
-            undecided = np.less(u[blk], upper.take(idx, out=bound))
-            undecided &= ok[blk]
-            open_draws.append(np.flatnonzero(undecided) + i)
-        # the kernel runs once per link, on the draws left open
-        left = np.concatenate(open_draws)
-        ok[left] = u[left] >= block_error(snr[left], r, m)
-        return ok
+    def bracket(snr, u, ok):
+        # ln 0 = -inf falls in bin 0 like any SNR below the table
+        with np.errstate(divide="ignore"):
+            t = np.log(snr)
+        t *= scale
+        t += offset
+        idx = np.clip(t, 0.0, _BINS + 1.0, out=t).astype(np.intp)
+        bound = lower.take(idx, out=t)
+        np.greater_equal(u, bound, out=ok)
+        undecided = np.less(u, upper.take(idx, out=bound))
+        undecided &= ok
+        return np.flatnonzero(undecided)
 
-    return decide
+    return bracket
 
 def _successes(r, m, gains, n, seed, workers):
     """Decode successes in n two-stage periods: backhaul, then MRC given it.
 
     Simulates the composition of the overall error rather than drawing
-    one Bernoulli from the composed probability.  Each chunk forms its
-    backhaul and MRC SNRs in place, then draws its backhaul uniforms and
-    its MRC uniforms, each into the third row.  A draw succeeds on a link
-    where u >= block_error(snr, r, m); _screen settles that from a
-    per-call table of the error and runs the kernel only on the draws its
-    table leaves open, so the count is bitwise the one with both errors
-    of every draw.
+    one Bernoulli from the composed probability.  A chunk of k periods
+    draws its fading as rows 0-2 of its stream and its backhaul and MRC
+    uniforms as rows 3 and 4, tile by tile (_tiles), each uniform tile
+    into the spare row.  A draw succeeds on a link where u >=
+    block_error(snr, r, m); _screen settles that from a per-call table of
+    the error into the chunk's two rows of decisions and keeps the draws
+    its table leaves open, which go through the kernel in one call per
+    chunk.  So the count is bitwise the one with both errors of every
+    draw.
     """
-    decide = _screen(r, m)
+    bracket = _screen(r, m)
 
-    def count(rng, k):
-        snr_mrc, snr2, spare = _link_snrs(draw_fading(rng, k), gains)
-        ok = decide(snr2, rng.random(out=spare))
-        ok &= decide(snr_mrc, rng.random(out=spare))
-        return int(np.count_nonzero(ok))
+    def count(seq, k):
+        ok = np.empty((2, k), dtype=bool)
+        left = []
+        uniforms = _streams(seq, k, (3, 4))
+        for blk, (snr_mrc, snr2, spare) in _tiles(seq, k, gains):
+            for row, snr, rng in zip((0, 1), (snr2, snr_mrc), uniforms):
+                u = rng.random(out=spare)
+                at = bracket(snr, u, ok[row, blk])
+                left.append((at + (row * k + blk.start), snr[at], u[at]))
+        # the kernel runs once per chunk, on both links' open decisions
+        at, snr, u = map(np.concatenate, zip(*left))
+        ok.reshape(-1)[at] = u >= block_error(snr, r, m)
+        return int(np.count_nonzero(ok[0] & ok[1]))
 
     return sum(_map_chunks(count, n, seed, workers))
 
@@ -296,22 +333,23 @@ def _overall(e2, emrc, out):
 def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
     """Sample mean of the instantaneous overall error over fading.
 
-    Each chunk forms its SNRs in place and writes its values x = e2 +
-    (1 - e2)*emrc into the third row of its buffer, where its moments
-    run.  A link's error is settled outside _band: 1 at or below lo, and
-    taken as 0 at or above hi, where the kernel's is below _E_ABOVE.
+    A chunk of k draws keeps only its values x = e2 + (1 - e2)*emrc, one
+    array of k, where its moments run; its SNRs come tile by tile
+    (_tiles).  A link's error is settled outside _band: 1 at or below lo,
+    and taken as 0 at or above hi, where the kernel's is below _E_ABOVE.
     Where the backhaul's is 1, x is 1 whatever the MRC error, so those
-    draws skip the MRC link.  Each slice runs block_error once, on both
+    draws skip the MRC link.  Each tile runs block_error once, on both
     links' draws inside the band.  A chunk whose draws taken as 0 could
     move its sum by more than 2^-40 relative (count * _E_ABOVE against
-    the sum) is recomputed from its SNRs with both errors of every draw,
-    so each chunk's sum is within that of the unscreened one.
+    the sum) is recomputed from the same tiles, drawn again, with both
+    errors of every draw, so each chunk's sum is within that of the
+    unscreened one.
     """
     n = _check_n(n, 10000)
     lo, hi = _band(r, m)[:2]
 
     def banded(snr2, snr_mrc, x):
-        """x of one slice; the count of its link draws at or above hi."""
+        """x of one tile; the count of its link draws at or above hi."""
         dead = snr2 <= lo
         high2 = snr2 >= hi
         low_m = snr_mrc <= lo
@@ -327,15 +365,16 @@ def mc_expected_overall_error(r, m, gains, n=1000000, seed=None, workers=1):
         _overall(e2, emrc, x)
         return np.count_nonzero(high2) + np.count_nonzero(high_m)
 
-    def moments(rng, k):
-        snr_mrc, snr2, x = _link_snrs(draw_fading(rng, k), gains)
-        blocks = [slice(i, i + _SLICE) for i in range(0, k, _SLICE)]
-        high = sum(banded(snr2[b], snr_mrc[b], x[b]) for b in blocks)
+    def moments(seq, k):
+        x = np.empty(k)
+        high = sum(banded(snr2, snr_mrc, x[blk])
+                   for blk, (snr_mrc, snr2, _) in _tiles(seq, k, gains))
         total = np.add.reduce(x)
         if high * _E_ABOVE > 2.0**-40 * total:
-            for b in blocks:
-                _overall(block_error(snr2[b], r, m),
-                         block_error(snr_mrc[b], r, m), x[b])
+            # the same tiles again, from the same streams
+            for blk, (snr_mrc, snr2, _) in _tiles(seq, k, gains):
+                _overall(block_error(snr2, r, m),
+                         block_error(snr_mrc, r, m), x[blk])
             total = np.add.reduce(x)
         # np.mean's and np.sum's steps, in place
         mean = total / k

@@ -1,8 +1,9 @@
 """Helpers that only the tests use.
 
-The allocating twin of montecarlo._link_snrs; the per-draw overall
-error in its plainest form, the reference of the Monte Carlo and
-perfect-CSI tests; both block errors of every draw, with the
+A chunk's fading drawn whole, the stream that the estimators' tiles
+reproduce; the allocating twin of montecarlo._link_snrs; the per-draw
+overall error in its plainest form, the reference of the Monte Carlo
+and perfect-CSI tests; both block errors of every draw, with the
 overall-error mean and the decode-event count built on them, the
 references of the banded mean and the screened count; the quadrature's
 panel mesh item by item, the reference of the batched mesh; the
@@ -20,8 +21,17 @@ from fblrelay.fading import _ORIGIN_GRADING, Z_CUTOFF
 from fblrelay.fbl import block_error
 from fblrelay.linklayer import msdr
 from fblrelay.montecarlo import (_SLICE, McEstimate, _map_chunks,
-                                 _merge_welford, draw_fading)
+                                 _merge_welford)
 
+
+def draw_chunk(rng, k):
+    """A chunk's (3, k) fading draw in one call: -ln(1 - u) of rng.random.
+
+    The estimators draw the same values tile by tile, one generator per
+    row (montecarlo._tiles); the decode events' backhaul and MRC uniforms
+    are the next two rng.random(k) calls.
+    """
+    return -np.log1p(-rng.random((3, k)))
 
 def link_snrs(z1, z2, z3, gains):
     """Per-draw (backhaul, MRC) SNRs (z2*g2, z1*g1 + z3*g3), in new arrays.
@@ -65,8 +75,8 @@ def overall_error_per_draw(r, m, gains, n, seed, workers):
     (1 - e2)*emrc and their squared deviations take the third row; the
     moments are np.mean's and np.sum's, merged in chunk order.
     """
-    def moments(rng, k):
-        z = draw_fading(rng, k)
+    def moments(seq, k):
+        z = draw_chunk(np.random.default_rng(seq), k)
         e2, emrc = link_errors(z, r, m, gains, out=z[:2])
         x = np.subtract(1.0, e2, out=z[2])
         x *= emrc
@@ -83,11 +93,12 @@ def overall_error_per_draw(r, m, gains, n, seed, workers):
 def successes_per_draw(r, m, gains, n, seed, workers):
     """montecarlo._successes with both block errors of every draw computed.
 
-    Each chunk draws its fading, then its backhaul and MRC uniforms into
-    the third row, in _successes's stream order.
+    Each chunk draws its fading whole, then its backhaul and MRC uniforms
+    into the third row, in the order of _successes's streams.
     """
-    def count(rng, k):
-        z = draw_fading(rng, k)
+    def count(seq, k):
+        rng = np.random.default_rng(seq)
+        z = draw_chunk(rng, k)
         e2, emrc = link_errors(z, r, m, gains, out=z[:2])
         ok = rng.random(out=z[2]) >= e2
         ok &= rng.random(out=z[2]) >= emrc

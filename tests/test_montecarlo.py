@@ -29,6 +29,7 @@ from fblrelay.montecarlo import (
     mc_service_stats,
 )
 from oracles import (
+    draw_chunk,
     link_errors,
     link_snrs,
     overall_error_instant,
@@ -56,20 +57,55 @@ MC_SVAR_SE = 1650.8843970790679
 # fading draws
 # ---------------------------------------------------------------------------
 
+def chunk_rows(seed, k):
+    """The three fading generators of a k-draw chunk on seed's stream."""
+    return montecarlo._streams(np.random.SeedSequence(seed), k, range(3))
+
 def test_draws_have_unit_mean():
-    d = draw_fading(np.random.default_rng(42), 1000000)
+    d = draw_fading(chunk_rows(42, 1000000), 1000000)
     assert abs(np.mean(d[1]) - 1.0) < 0.004
 
 def test_draws_have_log_two_median():
-    d = draw_fading(np.random.default_rng(42), 1000000)
+    d = draw_fading(chunk_rows(42, 1000000), 1000000)
     assert abs(np.mean(d[0] < math.log(2.0)) - 0.5) < 0.002
 
 def test_draws_reproducible_and_nonnegative():
-    a = draw_fading(np.random.default_rng(7), 1000)
-    b = draw_fading(np.random.default_rng(7), 1000)
+    a = draw_fading(chunk_rows(7, 1000), 1000)
+    b = draw_fading(chunk_rows(7, 1000), 1000)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[2], b[2])
     assert np.all(a[0] >= 0.0) and np.all(a[1] >= 0.0) and np.all(a[2] >= 0.0)
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, 213568,
+                        1 << 18]),
+       st.integers(0, 1 << 62))
+def test_chunk_tiles_draw_the_whole_chunk_stream(k, seed):
+    # each row of a chunk is its own generator, advanced to the row's
+    # start: drawn tile by tile, rows 0-2 are the chunk's whole draw
+    # bitwise, and rows 3 and 4, the decode events' uniforms, the next
+    # two rng.random(k) calls
+    seq = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seq)
+    whole = draw_chunk(rng, k)
+    rows = montecarlo._streams(seq, k, range(5))
+    starts = range(0, k, montecarlo._SLICE)
+    widths = [min(montecarlo._SLICE, k - i) for i in starts]
+    tiles = [draw_fading(rows[:3], w) for w in widths]
+    assert np.array_equal(np.concatenate(tiles, axis=1), whole)
+    for row in rows[3:]:
+        assert np.array_equal(
+            np.concatenate([row.random(w) for w in widths]), rng.random(k))
+    # the estimators' tiles: those draws' link SNRs, column by column
+    snr2, snr_mrc = link_snrs(*whole, REF_GAINS)
+    spare = whole[2] * REF_GAINS.g3
+    done = 0
+    for blk, tile in montecarlo._tiles(seq, k, REF_GAINS):
+        assert blk.start == done
+        assert np.array_equal(tile, np.stack(
+            (snr_mrc[blk], snr2[blk], spare[blk])))
+        done = blk.stop
+    assert done == k
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +150,7 @@ def test_welford_merge_matches_flat_computation():
                                     n=600000, seed=3)
     sizes, seqs = _chunk_layout(600000, 3)
     vals = np.concatenate([
-        overall_error_instant(draw_fading(np.random.default_rng(s), k),
+        overall_error_instant(draw_chunk(np.random.default_rng(s), k),
                               2.0, 500, REF_GAINS)
         for s, k in zip(seqs, sizes)])
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-13)
@@ -169,7 +205,7 @@ SLICED_SIZES = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, (1 << 15) - 1,
 
 @pytest.mark.parametrize("k", SLICED_SIZES)
 def test_sliced_link_errors_equal_one_call(k):
-    draw = draw_fading(np.random.default_rng(k), k)
+    draw = draw_chunk(np.random.default_rng(k), k)
     s1, s2, s3 = REF_GAINS.g1, REF_GAINS.g2, REF_GAINS.g3
     e2, emrc = link_errors(draw, REF_RATE, 500, REF_GAINS)
     assert np.array_equal(e2, block_error(draw[1] * s2, REF_RATE, 500))
@@ -181,7 +217,7 @@ def test_sliced_link_errors_equal_one_call(k):
 @pytest.mark.parametrize("k", SLICED_SIZES)
 def test_link_errors_over_their_draws_equal_the_allocating_call(k):
     # the chunk estimators write the errors over the draws they read
-    draw = draw_fading(np.random.default_rng(k), k)
+    draw = draw_chunk(np.random.default_rng(k), k)
     e2, emrc = link_errors(draw, REF_RATE, 500, REF_GAINS)
     inplace = link_errors(draw, REF_RATE, 500, REF_GAINS, out=draw[:2])
     assert np.shares_memory(inplace, draw)
@@ -341,12 +377,19 @@ def test_error_mean_takes_the_kernel_values_at_zero_and_inf_snr(monkeypatch):
     # draws of 0 (a uniform of 0) give SNR 0, and infinite draws infinite
     # SNR; the chunk must give them block_error's values, at r = 0 too,
     # where e(0) = 1/2
-    z = draw_fading(np.random.default_rng(3), 10000)
+    z = draw_chunk(np.random.default_rng(3), 10000)
     z[:, ::7] = 0.0
     z[1, 3::11] = math.inf
     z[0, 5::13] = math.inf
     z[2, 1::17] = 5e-324
-    monkeypatch.setattr(montecarlo, "draw_fading", lambda rng, size: z.copy())
+
+    def fed(rows, size, out):
+        # the chunk's 10000 draws are one tile
+        assert size == z.shape[1]
+        out[...] = z
+        return out
+
+    monkeypatch.setattr(montecarlo, "draw_fading", fed)
     g = LinkGains(g1=2.0, g2=1e10, g3=30.0)
     for r in (0.0, 1e-12, 2.0):
         vals = overall_error_instant(z, r, 500, g)
@@ -381,9 +424,12 @@ def test_screen_decides_as_the_kernel_at_its_own_errors(r, m):
                           np.geomspace(1e-300, 1e300, 20001),
                           np.expm1(c[c > 0.0] * math.log(2.0))))
     e = block_error(snr, r, m)
-    decide = montecarlo._screen(r, m)
+    bracket = montecarlo._screen(r, m)
     for u in (e, np.nextafter(e, -1.0), np.nextafter(e, 2.0)):
-        assert np.array_equal(decide(snr, u), u >= e)
+        ok = np.empty(snr.size, dtype=bool)
+        at = bracket(snr, u, ok)
+        ok[at] = u[at] >= block_error(snr[at], r, m)
+        assert np.array_equal(ok, u >= e)
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.floats(math.log(0.5), math.log(300.0)), min_size=3,

@@ -164,6 +164,24 @@ def test_error_mean_runs_the_kernel_on_few_draws(monkeypatch, capsys):
     assert sum(elements) <= 0.15 * sum(draws)
 
 
+def test_decode_events_run_the_kernel_once_per_chunk(monkeypatch):
+    # a count, not a timing: _successes runs block_error once for its
+    # table and once per chunk, on both links' open draws together, not
+    # once per tile or per link, where the kernel's fixed cost per call
+    # would dominate its few open draws
+    calls = []
+    block_error = montecarlo.block_error
+    monkeypatch.setattr(montecarlo, "block_error", lambda snr, r, m: (
+        calls.append(np.size(snr)), block_error(snr, r, m))[1])
+    gains = relay.LinkGains(g1=2.4463, g2=307.405, g3=307.405)
+    n = 2 * montecarlo._CHUNK + 1000
+    chunks = len(montecarlo._chunk_layout(n, 1)[0])
+    for workers in (1, 2):
+        calls.clear()
+        montecarlo._successes(5.33969938461749, 500, gains, n, 1, workers)
+        assert chunks == 3 and 0 < len(calls) <= 1 + chunks
+
+
 def test_sweep_quadrature_work_is_batched(monkeypatch, capsys):
     # a count, not a timing: a 100-point relay_avg sweep runs each
     # quadrature round over all live points at once, in calls of at most
@@ -266,19 +284,17 @@ _SLICE_BYTES = montecarlo._SLICE * 8
 @pytest.mark.parametrize("estimator", [montecarlo.mc_expected_overall_error,
                                        montecarlo.mc_bl_throughput])
 def test_chunk_estimator_works_in_its_draw_buffer(estimator):
-    # a chunk's SNRs overwrite its draws, and its values and moments, or
-    # its uniforms, take the third row, so it holds its (3, 2^18) draws,
-    # 6.29 MB, and one slice's temporaries.  Both estimators traced
-    # 11.04 MB on a 2-core x86-64 machine while every draw went through
-    # the kernel, 4.75 MB over the draws (14.81 MB when errors, uniforms
-    # and moments had arrays of their own), so the allowance is 20
-    # slice-sized arrays, 5.24 MB.  With the band and the screen they
-    # trace 7.16 MB and 7.93 MB
+    # a chunk draws, maps and settles one (3, 2^15) tile at a time, and
+    # keeps only its k values, 2.10 MB, or its two rows of k decisions,
+    # 0.52 MB, besides one tile's temporaries.  On a 2-core x86-64
+    # machine the estimators traced 3.75 MB and 2.14 MB; holding their
+    # (3, 2^18) draws they traced 7.16 MB and 7.93 MB.  So the allowance
+    # is k floats and 8 slice-sized arrays (the tile takes 3), 4.19 MB
     gains = relay.LinkGains(g1=2.4463, g2=307.405, g3=307.405)
     k = montecarlo._CHUNK
     peak = _traced_peak(lambda: estimator(5.33969938461749, 500, gains,
                                           n=k, seed=1, workers=1))
-    assert peak <= 3 * k * 8 + 20 * _SLICE_BYTES
+    assert peak <= k * 8 + 8 * _SLICE_BYTES
 
 def test_quadrature_memory_is_bounded_by_its_batch():
     # the engine integrates 64 items at a time, whatever the batch, and
